@@ -1,8 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A minimal tape: every operation records its parents and a backward closure,
-``Value.backward()`` runs the closures in reverse topological order. Only
-first-order gradients are supported. All math is 64-bit.
+``Value.backward()`` runs the closures in reverse topological order, handing
+each the gradient of its output. A closure refers to its inputs but never to
+its own output, so the tape holds no reference cycles and reference counting
+frees it as soon as the last result goes out of scope. Only first-order
+gradients are supported. All math is 64-bit.
 """
 from __future__ import annotations
 
@@ -46,7 +49,7 @@ class Value:
         self.data = _as_array(data)
         self._grad: Array | None = None
         self._parents: tuple[Value, ...] = _parents
-        self._backward: Callable[[], None] | None = _backward
+        self._backward: Callable[[Array], None] | None = _backward
 
     # -- introspection -------------------------------------------------
     @property
@@ -113,7 +116,7 @@ class Value:
         self._accum(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None and node._grad is not None:
-                node._backward()
+                node._backward(node._grad)
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):
@@ -168,8 +171,7 @@ def add(a, b) -> Value:
     ad, bd = _data(a), _data(b)
     out = Value(ad + bd, _parents_of(a, b))
 
-    def _bw():
-        g = out._grad
+    def _bw(g):
         if isinstance(a, Value):
             a._accum(_unbroadcast(g, ad.shape))
         if isinstance(b, Value):
@@ -183,8 +185,7 @@ def mul(a, b) -> Value:
     ad, bd = _data(a), _data(b)
     out = Value(ad * bd, _parents_of(a, b))
 
-    def _bw():
-        g = out._grad
+    def _bw(g):
         if isinstance(a, Value):
             a._accum_owned(_unbroadcast(g * bd, ad.shape))
         if isinstance(b, Value):
@@ -198,8 +199,7 @@ def div(a, b) -> Value:
     ad, bd = _data(a), _data(b)
     out = Value(ad / bd, _parents_of(a, b))
 
-    def _bw():
-        g = out._grad
+    def _bw(g):
         if isinstance(a, Value):
             a._accum_owned(_unbroadcast(g / bd, ad.shape))
         if isinstance(b, Value):
@@ -213,8 +213,8 @@ def powi(a: Value, exponent: float) -> Value:
     ad = _data(a)
     out = Value(ad ** exponent, _parents_of(a))
 
-    def _bw():
-        a._accum_owned(out._grad * exponent * ad ** (exponent - 1))
+    def _bw(g):
+        a._accum_owned(g * exponent * ad ** (exponent - 1))
 
     out._backward = _bw
     return out
@@ -229,8 +229,7 @@ def matmul(a, b) -> Value:
         raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
     out = Value(np.matmul(ad, bd), _parents_of(a, b))
 
-    def _bw():
-        g = out._grad
+    def _bw(g):
         if isinstance(a, Value):
             a._accum_owned(np.matmul(g, bd.T))
         if isinstance(b, Value):
@@ -250,8 +249,7 @@ def linear(x, W, b) -> Value:
             f"linear dimension mismatch: x{xd.shape} W{Wd.shape} b{bd.shape}")
     out = Value(np.matmul(xd, Wd) + bd, _parents_of(x, W, b))
 
-    def _bw():
-        g = out._grad
+    def _bw(g):
         if isinstance(x, Value):
             x._accum_owned(np.matmul(g, Wd.T))
         if isinstance(W, Value):
@@ -287,8 +285,8 @@ def sigmoid(x):
     y = _np_sigmoid(np.atleast_1d(x.data)).reshape(x.shape)
     out = Value(y, (x,))
 
-    def _bw():
-        x._accum_owned(out._grad * y * (1.0 - y))
+    def _bw(g):
+        x._accum_owned(g * y * (1.0 - y))
 
     out._backward = _bw
     return out
@@ -298,8 +296,8 @@ def relu(x: Value) -> Value:
     mask = x.data > 0
     out = Value(np.where(mask, x.data, 0.0), (x,))
 
-    def _bw():
-        x._accum_owned(out._grad * mask)
+    def _bw(g):
+        x._accum_owned(g * mask)
 
     out._backward = _bw
     return out
@@ -309,8 +307,8 @@ def vexp(x: Value) -> Value:
     y = np.exp(x.data)
     out = Value(y, (x,))
 
-    def _bw():
-        x._accum_owned(out._grad * y)
+    def _bw(g):
+        x._accum_owned(g * y)
 
     out._backward = _bw
     return out
@@ -319,8 +317,8 @@ def vexp(x: Value) -> Value:
 def vlog(x: Value) -> Value:
     out = Value(np.log(x.data), (x,))
 
-    def _bw():
-        x._accum_owned(out._grad / x.data)
+    def _bw(g):
+        x._accum_owned(g / x.data)
 
     out._backward = _bw
     return out
@@ -329,8 +327,8 @@ def vlog(x: Value) -> Value:
 def softplus(x: Value) -> Value:
     out = Value(np.logaddexp(0.0, x.data), (x,))
 
-    def _bw():
-        x._accum_owned(out._grad * _np_sigmoid(np.atleast_1d(x.data)).reshape(x.shape))
+    def _bw(g):
+        x._accum_owned(g * _np_sigmoid(np.atleast_1d(x.data)).reshape(x.shape))
 
     out._backward = _bw
     return out
@@ -341,8 +339,8 @@ def clamp_min(x: Value, floor: float) -> Value:
     mask = x.data >= floor
     out = Value(np.where(mask, x.data, floor), (x,))
 
-    def _bw():
-        x._accum_owned(out._grad * mask)
+    def _bw(g):
+        x._accum_owned(g * mask)
 
     out._backward = _bw
     return out
@@ -353,8 +351,8 @@ def smooth_l1(x: Value) -> Value:
     d = x.data
     out = Value(np.where(np.abs(d) <= 1.0, 0.5 * d * d, np.abs(d) - 0.5), (x,))
 
-    def _bw():
-        x._accum_owned(out._grad * np.clip(d, -1.0, 1.0))
+    def _bw(g):
+        x._accum_owned(g * np.clip(d, -1.0, 1.0))
 
     out._backward = _bw
     return out
@@ -365,8 +363,7 @@ def smooth_l1(x: Value) -> Value:
 def vsum(x: Value, axis=None, keepdims=False) -> Value:
     out = Value(x.data.sum(axis=axis, keepdims=keepdims), (x,))
 
-    def _bw():
-        g = out._grad
+    def _bw(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         x._accum(np.broadcast_to(g, x.shape))
@@ -387,8 +384,7 @@ def vmax(x: Value, axis: int, keepdims=False) -> Value:
     first = hit & (np.cumsum(hit, axis=axis) == 1)
     out = Value(mx if keepdims else np.squeeze(mx, axis=axis), (x,))
 
-    def _bw():
-        g = out._grad
+    def _bw(g):
         if not keepdims:
             g = np.expand_dims(g, axis)
         x._accum_owned(first * g)
@@ -413,8 +409,7 @@ def softmax(x, axis: int = -1):
     y = e / e.sum(axis=axis, keepdims=True)
     out = Value(y, (x,))
 
-    def _bw():
-        g = out._grad
+    def _bw(g):
         x._accum_owned(y * (g - (g * y).sum(axis=axis, keepdims=True)))
 
     out._backward = _bw
@@ -425,8 +420,8 @@ def reshape(x: Value, shape) -> Value:
     orig = x.shape
     out = Value(x.data.reshape(shape), (x,))
 
-    def _bw():
-        x._accum(out._grad.reshape(orig))
+    def _bw(g):
+        x._accum(g.reshape(orig))
 
     out._backward = _bw
     return out
@@ -438,8 +433,7 @@ def concat(items: Sequence, axis: int = 0) -> Value:
     sizes = [d.shape[axis] for d in datas]
     offsets = np.cumsum([0] + sizes)
 
-    def _bw():
-        g = out._grad
+    def _bw(g):
         for v, lo, hi in zip(items, offsets[:-1], offsets[1:]):
             if isinstance(v, Value):
                 sl = [slice(None)] * g.ndim
@@ -455,9 +449,9 @@ def take(x: Value, indices) -> Value:
     idx = np.asarray(indices, dtype=np.intp)
     out = Value(x.data[idx], (x,))
 
-    def _bw():
+    def _bw(g):
         buf = np.zeros_like(x.data)
-        np.add.at(buf, idx, out._grad)
+        np.add.at(buf, idx, g)
         x._accum_owned(buf)
 
     out._backward = _bw
@@ -471,8 +465,8 @@ def segment_sum(x: Value, segment_ids, num_segments: int) -> Value:
     np.add.at(data, seg, x.data)
     out = Value(data, (x,))
 
-    def _bw():
-        x._accum_owned(out._grad[seg])
+    def _bw(g):
+        x._accum_owned(g[seg])
 
     out._backward = _bw
     return out

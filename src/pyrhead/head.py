@@ -1,9 +1,11 @@
 """The pyramid RoI head: per-level grids, learned radii, gated attention,
 level fusion, and classification/box-refinement outputs.
 
-The forward pass batches grid points of a level by neighbor count so a
-whole scene runs through a handful of tensor ops instead of one operator
-call per grid point; the math is identical to the per-point operators.
+The forward pass runs each pyramid level as one ragged batch over all
+RoIs of a scene: one capped gather, one gated attention call over the
+neighbor slots of every grid point, and one segment sum per level, instead
+of one operator call per grid point. The math is identical to the
+per-point operators.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .geometry import (Box3D, PyramidConfig, default_pyramid_config,
 from .nn import LinearParams, MLPParams, init_linear, init_mlp
 from .operators import (AttentionParams, GateOverride, gated_attention_batched,
                         init_attention_params, soft_radius_coeff)
-from .spatial import PointSet, SpatialIndex, batch_query_capped
+from .spatial import PointSet, SpatialIndex, gather_level
 
 CONFIG_SCHEMA_VERSION = "pyrhead-config/1"
 CHECKPOINT_MAGIC = b"PYRH"
@@ -174,9 +176,11 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
                  ) -> tuple[Value, list[np.ndarray]]:
     """Fused per-RoI features [R, fusion_out] and per-level effective radii.
 
-    Grid points are grouped by (level, neighbor count) so each group runs
-    as one batched attention; accumulation order is canonical, making the
-    result independent of scheduling.
+    Each level is one ragged batch over all RoIs: a single capped gather
+    lays the neighbors of every grid point end to end, one gated attention
+    call aggregates each grid point's slots, and one segment sum adds the
+    grid features of each RoI. Grid points without a neighbor contribute
+    zero to their RoI's level mean.
     """
     R = len(rois)
     gates = cfg.gates()
@@ -193,42 +197,27 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
             r_np = r_vec.data.copy()
             gather_r = r_np + 5.0 * tau
         else:
-            r_vec = None
             r_np = np.full(R, lv.r_pre)
             gather_r = r_np
         radii_used.append(r_np)
-        groups: dict[int, list] = {}
-        for ri, roi in enumerate(rois):
-            pts = pyramid_grid_points(roi, lv)
-            # capped nearest sets in canonical ascending-id order
-            gathered = batch_query_capped(idx, pts, gather_r[ri],
-                                          lv.max_neighbors)
-            for gp, (ids, dists) in zip(pts, gathered):
-                if ids.size == 0:
-                    continue
-                groups.setdefault(ids.size, []).append(
-                    (ri, (ps.coords[ids] - gp) @ derot[ri], ps.feats[ids],
-                     dists))
-        chunks: list[Value] = []
-        seg: list[int] = []
-        for m in sorted(groups):
-            rows = groups[m]
-            offs = np.stack([row[1] for row in rows])
-            feats = np.stack([row[2] for row in rows])
-            row_rois = [row[0] for row in rows]
-            if cfg.darp_enabled:
-                dist = np.stack([row[3] for row in rows])
-                r_rows = reshape(take(r_vec, row_rois), (len(rows), 1))
-                coeff = soft_radius_coeff(dist, r_rows, tau)
-            else:
-                coeff = None
-            chunks.append(gated_attention_batched(offs, feats,
-                                                  params.attention[li],
-                                                  gates, coeff))
-            seg.extend(row_rois)
-        if chunks:
-            stacked = concat(chunks, axis=0)
-            sums = segment_sum(stacked, seg, R)
+        centers = np.stack([pyramid_grid_points(roi, lv) for roi in rois])
+        row, ids, dist = gather_level(idx, centers, gather_r, lv.max_neighbors)
+        if ids.size:
+            # ascending ids within each grid point and one rotation matmul
+            # per RoI: the summation order and product of the per-point path
+            order = np.lexsort((ids, row))
+            row, ids, dist = row[order], ids[order], dist[order]
+            roi_of = row // lv.grid.count
+            diff = ps.coords[ids] - centers.reshape(-1, 3)[row]
+            bounds = np.searchsorted(roi_of, np.arange(R + 1))
+            offs = np.concatenate([diff[lo:hi] @ rot for rot, lo, hi
+                                   in zip(derot, bounds[:-1], bounds[1:])])
+            starts = np.flatnonzero(np.diff(row, prepend=-1))
+            coeff = (soft_radius_coeff(dist, take(r_vec, roi_of), tau)
+                     if cfg.darp_enabled else None)
+            grid_feats = gated_attention_batched(offs, ps.feats[ids], params.attention[li],
+                                                 gates, coeff, starts)
+            sums = segment_sum(grid_feats, roi_of[starts], R)
             lvl_mean = mul(sums, 1.0 / lv.grid.count)
         else:
             lvl_mean = Value(np.zeros((R, cfg.d_model)))

@@ -140,6 +140,8 @@ class NeighborBundle:
     @classmethod
     def gather(cls, ps: PointSet, idx: SpatialIndex, grid_point,
                radius: float, max_k: int) -> "NeighborBundle":
+        if max_k < 1:
+            raise ValueError(f"max_k must be >= 1, got {max_k}")
         gp = np.asarray(grid_point, dtype=np.float64).reshape(3)
         ids, _ = idx.query(gp, radius, max_k)
         return cls(gp, ids, ps.coords[ids] - gp, ps.feats[ids],
@@ -244,46 +246,56 @@ def point_transformer_feature(nb: NeighborBundle,
 
 # -- unified gated operator -------------------------------------------------
 
-def _gate_core(k: Value, q: Value, v: Value, params: AttentionParams,
-               gates: GateOverride | None, coeff) -> Value:
-    """Fused gating, per-head softmax and weighted combination.
+def _gate_backward(lp: LinearParams, gate: np.ndarray, inp: np.ndarray,
+                   d_inp: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Backward of a learned gate that multiplies ``scaled``, row by row.
 
+    ``d_inp`` is the gradient of ``gate * scaled``; accumulates the gate's
+    weight gradients and returns the gradient of its input ``inp``.
+    """
+    dz = np.einsum("nd,nd->n", d_inp, scaled)[:, None] * gate * (1.0 - gate)
+    lp.W._accum_owned(inp.T @ dz)
+    lp.b._accum_owned(dz.sum(axis=0))
+    return dz @ lp.W.data.T
+
+
+def _gate_core(k: Value, q: Value, v: Value, params: AttentionParams,
+               gates: GateOverride | None, coeff, starts: np.ndarray) -> Value:
+    """Fused gating, per-segment softmax and per-segment weighted sum.
+
+    k, q and v are [N, d_model] slots: the neighbors of S grid points laid
+    end to end, grid point s owning slots ``starts[s]`` up to the next start.
     One tape node covers everything between the k/q/v projections and the
-    [g, d_model] output; the backward below is the hand-derived adjoint of
+    [S, d_model] output; the backward below is the hand-derived adjoint of
     that computation.
     """
     kd, qd, vd = k.data, q.data, v.data
-    g, m, dm = kd.shape
+    n, dm = kd.shape
     heads, dh = params.heads, params.head_width
+    seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
     qkd = qd * kd
     learned = gates is None
     if learned:
-        wgk, bgk = params.gate_key.W.data, params.gate_key.b.data
-        wgq, bgq = params.gate_pos.W.data, params.gate_pos.b.data
-        wgc, bgc = params.gate_cross.W.data, params.gate_cross.b.data
-        wgv, bgv = params.gate_value.W.data, params.gate_value.b.data
-        gk = _np_sig(kd @ wgk + bgk)
-        gq = _np_sig(qd @ wgq + bgq)
-        gqk = _np_sig(qkd @ wgc + bgc)
-        gv = _np_sig(qd @ wgv + bgv)
+        gk = _np_sig(kd @ params.gate_key.W.data + params.gate_key.b.data)
+        gq = _np_sig(qd @ params.gate_pos.W.data + params.gate_pos.b.data)
+        gqk = _np_sig(qkd @ params.gate_cross.W.data + params.gate_cross.b.data)
+        gv = _np_sig(qd @ params.gate_value.W.data + params.gate_value.b.data)
     else:
         gk, gq, gqk, gv = gates.key, gates.pos, gates.cross, gates.value
     a = gk * kd + gq * qd + gqk * qkd
-    wwd, bwd = params.w_head.W.data, params.w_head.b.data
-    logits = a @ wwd + bwd
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    w = e / e.sum(axis=1, keepdims=True)
+    wwd = params.w_head.W.data
+    logits = a @ wwd + params.w_head.b.data
+    e = np.exp(logits - np.maximum.reduceat(logits, starts, axis=0)[seg])
+    w = e / np.add.reduceat(e, starts, axis=0)[seg]
     s_val = coeff if isinstance(coeff, Value) else None
     sd = None
     if coeff is not None:
-        sd = (coeff.data if s_val is not None else np.asarray(coeff)).reshape(g, m)
-        wc = w * sd[:, :, None]
+        sd = (coeff.data if s_val is not None else np.asarray(coeff)).reshape(n, 1)
+        wc = w * sd
     else:
         wc = w
-    val = vd + gv * qd
-    val4 = val.reshape(g, m, heads, dh)
-    out_data = np.einsum("gmh,gmhd->ghd", wc, val4).reshape(g, dm)
+    val3 = (vd + gv * qd).reshape(n, heads, dh)
+    out_data = np.add.reduceat((wc[:, :, None] * val3).reshape(n, dm), starts, axis=0)
 
     parents = [k, q, v, params.w_head.W, params.w_head.b]
     if learned:
@@ -292,79 +304,56 @@ def _gate_core(k: Value, q: Value, v: Value, params: AttentionParams,
             parents.extend((lp.W, lp.b))
     if s_val is not None:
         parents.append(s_val)
-    out = Value(out_data, tuple(parents))
 
-    def _bw():
-        gh = out._grad.reshape(g, heads, dh)
-        dwc = np.einsum("gmhd,ghd->gmh", val4, gh)
-        dval = (wc[:, :, :, None] * gh[:, None, :, :]).reshape(g, m, dm)
+    def _bw(gout):
+        gh = gout.reshape(-1, heads, dh)[seg]
+        dwc = np.einsum("nhd,nhd->nh", val3, gh)
+        dval = (wc[:, :, None] * gh).reshape(n, dm)
+        dw = dwc
         if sd is not None:
-            dw = dwc * sd[:, :, None]
+            dw = dwc * sd
             if s_val is not None:
-                s_val._accum_owned((dwc * w).sum(axis=2).reshape(s_val.shape))
-        else:
-            dw = dwc
-        dlogits = w * (dw - (dw * w).sum(axis=1, keepdims=True))
+                s_val._accum_owned((dwc * w).sum(axis=1).reshape(s_val.shape))
+        dlogits = w * (dw - np.add.reduceat(dw * w, starts, axis=0)[seg])
         da = dlogits @ wwd.T
-        params.w_head.W._accum_owned(a.reshape(-1, dm).T @ dlogits.reshape(-1, heads))
-        params.w_head.b._accum_owned(dlogits.sum(axis=(0, 1)))
-        dqk = da * gqk if (learned or gqk != 0.0) else None
-        dk = da * gk if (learned or gk != 0.0) else None
-        dq = da * gq if (learned or gq != 0.0) else None
-        dv = dval
-        dq_v = dval * gv if (learned or gv != 0.0) else None
+        params.w_head.W._accum_owned(a.T @ dlogits)
+        params.w_head.b._accum_owned(dlogits.sum(axis=0))
+        dk = da * gk
+        dq = da * gq + dval * gv
+        dqk = da * gqk
         if learned:
-            for lp, gate, inp, grad_in in (
-                    (params.gate_key, gk, kd, "k"),
-                    (params.gate_pos, gq, qd, "q"),
-                    (params.gate_cross, gqk, qkd, "qk"),
-                    (params.gate_value, gv, qd, "v"),
-            ):
-                if grad_in == "k":
-                    dgate = (da * kd).sum(axis=-1, keepdims=True)
-                elif grad_in == "q":
-                    dgate = (da * qd).sum(axis=-1, keepdims=True)
-                elif grad_in == "qk":
-                    dgate = (da * qkd).sum(axis=-1, keepdims=True)
-                else:
-                    dgate = (dval * qd).sum(axis=-1, keepdims=True)
-                dz = dgate * gate * (1.0 - gate)
-                lp.W._accum_owned(inp.reshape(-1, dm).T @ dz.reshape(-1, 1))
-                lp.b._accum_owned(dz.sum(axis=(0, 1)))
-                back = dz @ lp.W.data.T
-                if grad_in == "k":
-                    dk += back
-                elif grad_in == "qk":
-                    dqk += back
-                else:
-                    dq = back if dq is None else dq + back
-        if dqk is not None:
-            dk = dqk * qd if dk is None else dk + dqk * qd
-            dq = dqk * kd if dq is None else dq + dqk * kd
-        if dq_v is not None:
-            dq = dq_v if dq is None else dq + dq_v
-        if dk is not None:
-            k._accum_owned(dk)
-        if dq is not None:
-            q._accum_owned(dq)
-        v._accum_owned(dv)
+            dk += _gate_backward(params.gate_key, gk, kd, da, kd)
+            dq += _gate_backward(params.gate_pos, gq, qd, da, qd)
+            dqk += _gate_backward(params.gate_cross, gqk, qkd, da, qkd)
+            dq += _gate_backward(params.gate_value, gv, qd, dval, qd)
+        k._accum_owned(dk + dqk * qd)
+        q._accum_owned(dq + dqk * kd)
+        v._accum_owned(dval)
 
-    out._backward = _bw
-    return out
+    return Value(out_data, tuple(parents), _bw)
 
 
 def gated_attention_batched(offsets: np.ndarray, feats, params: AttentionParams,
-                            gates: GateOverride | None = None, coeff=None) -> Value:
-    """Unified operator over a batch of grid points sharing a neighbor count.
+                            gates: GateOverride | None = None, coeff=None,
+                            starts=None) -> Value:
+    """Unified operator over the neighbors of a batch of grid points.
 
-    offsets: [g,m,3] array; feats: [g,m,d] array or Value; coeff: optional
-    [g,m] per-neighbor multiplier applied after the softmax (no
-    renormalization). Returns the [g, d_model] grid features.
+    offsets: [N,3] array; feats: [N,d] array or Value; coeff: optional [N]
+    per-neighbor multiplier applied after the softmax (no
+    renormalization). ``starts`` holds the first slot of each grid point's
+    neighbors, ascending from 0, every grid point owning at least one slot;
+    by default all N slots belong to one grid point. Returns the
+    [len(starts), d_model] grid features.
     """
+    n = len(offsets)
+    starts = np.zeros(1, dtype=np.intp) if starts is None \
+        else np.asarray(starts, dtype=np.intp)
+    if n == 0 or starts[0] != 0 or starts[-1] >= n or np.any(np.diff(starts) <= 0):
+        raise ValueError("every grid point needs at least one neighbor slot, in order")
     k = params.key(feats)
     q = params.q_pos(offsets)
     v = params.value(feats)
-    return _gate_core(k, q, v, params, gates, coeff)
+    return _gate_core(k, q, v, params, gates, coeff, starts)
 
 
 def roi_grid_attention(nb: NeighborBundle, params: AttentionParams,
@@ -374,13 +363,7 @@ def roi_grid_attention(nb: NeighborBundle, params: AttentionParams,
     nb = nb.sorted_by_id()
     if len(nb) == 0:
         return _zeros_feature(params.d_model)
-    m = len(nb)
-    feats = nb.feats
-    feats = reshape(feats, (1, m, feats.shape[1])) if isinstance(feats, Value) \
-        else feats.reshape(1, m, -1)
-    coeff = None if nb.coeff is None else np.asarray(nb.coeff).reshape(1, m)
-    out = gated_attention_batched(nb.offsets.reshape(1, m, 3), feats, params,
-                                  gates, coeff)
+    out = gated_attention_batched(nb.offsets, nb.feats, params, gates, nb.coeff)
     return reshape(out, (params.d_model,))
 
 
@@ -409,12 +392,6 @@ def roi_grid_attention_darp(nb: NeighborBundle, params: AttentionParams,
     if dists.max() > cutoff + tol:
         raise ContractViolationError(
             f"neighbor at {dists.max():.6g} exceeds sampling range {cutoff:.6g}")
-    m = len(nb)
-    s = soft_radius_coeff(dists, r, tau)
-    s = reshape(s, (1, m)) if isinstance(s, Value) else s.reshape(1, m)
-    feats = nb.feats
-    feats = reshape(feats, (1, m, feats.shape[1])) if isinstance(feats, Value) \
-        else feats.reshape(1, m, -1)
-    out = gated_attention_batched(nb.offsets.reshape(1, m, 3), feats, params,
-                                  gates, s)
+    out = gated_attention_batched(nb.offsets, nb.feats, params, gates,
+                                  soft_radius_coeff(dists, r, tau))
     return reshape(out, (params.d_model,))

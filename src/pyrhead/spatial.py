@@ -29,8 +29,10 @@ class PointSet:
         if self.feats.ndim != 2 or self.feats.shape[0] != self.coords.shape[0]:
             raise ValueError(
                 f"coords/feats row mismatch: {self.coords.shape} vs {self.feats.shape}")
-        if self.coords.size and not np.all(np.isfinite(self.coords)):
+        if not np.all(np.isfinite(self.coords)):
             raise ValueError("point coordinates must be finite")
+        if not np.all(np.isfinite(self.feats)):
+            raise ValueError("point features must be finite")
 
     def __len__(self) -> int:
         return self.coords.shape[0]
@@ -57,13 +59,22 @@ class PointSet:
         raw = Path(path).read_bytes()
         if raw[:4] != PSET_MAGIC:
             raise ValueError(f"{path}: not a PSET file")
+        if len(raw) < 12:
+            raise ValueError(f"{path}: PSET header needs 12 bytes, file has {len(raw)}")
         n, d = struct.unpack("<II", raw[4:12])
+        expected = 12 + 4 * n * (3 + d)
+        if len(raw) != expected:
+            raise ValueError(f"{path}: PSET with {n} points of width {d} needs "
+                             f"{expected} bytes, file has {len(raw)}")
         off = 12
         coords = np.frombuffer(raw, dtype="<f4", count=n * 3, offset=off)
         off += n * 3 * 4
         feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=off)
-        return cls(coords.reshape(n, 3).astype(np.float64),
-                   feats.reshape(n, d).astype(np.float64))
+        try:
+            return cls(coords.reshape(n, 3).astype(np.float64),
+                       feats.reshape(n, d).astype(np.float64))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
     def to_json(self) -> str:
         return json.dumps({"coords": self.coords.tolist(),
@@ -151,60 +162,57 @@ class SpatialIndex:
             return np.empty(0, dtype=np.int64)
         return np.sort(np.concatenate(chunks))
 
-    def query_capped_ids(self, center, r: float, max_k: int
-                         ) -> tuple[np.ndarray, np.ndarray]:
-        """Same capped-nearest set as ``query`` but returned in id order.
-
-        The selection rule is identical (nearest max_k, ties by ascending
-        id); only the output ordering differs, matching the canonical
-        summation order the aggregation operators use.
-        """
-        center = np.asarray(center, dtype=np.float64).reshape(3)
-        cand = self._candidates(center, r)
-        if cand.size == 0:
-            return cand, np.empty(0)
-        d = np.linalg.norm(self.ps.coords[cand] - center, axis=1)
-        keep = d <= r
-        cand, d = cand[keep], d[keep]
-        if cand.size > max_k:
-            sel = np.lexsort((cand, d))[:max_k]
-            cand, d = cand[sel], d[sel]
-        order = np.argsort(cand)
-        return cand[order], d[order]
-
 
 def build_index(ps: PointSet, cell: float) -> SpatialIndex:
     return SpatialIndex(ps, cell)
 
 
-def batch_query_capped(idx: SpatialIndex, centers: np.ndarray, r: float,
-                       max_k: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """query_capped_ids for many centers sharing one radius.
+def gather_level(idx: SpatialIndex, centers, radius, max_k: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Capped radius gather for the grid points of many RoIs at once.
 
-    Computes one distance matrix against the points near the centers'
-    bounding box; per-center selection (nearest max_k, ties by ascending
-    id, output in id order) is identical to query_capped_ids.
+    ``centers`` is [R, c, 3] (c grid points for each of R RoIs) and
+    ``radius`` one radius per RoI, or a scalar for all. Row ``i*c + j`` is
+    grid point j of RoI i. Returns flat (row, ids, dist) arrays sorted by
+    row, then distance, then id, keeping the nearest ``max_k`` ids of each
+    row; rows without a neighbor do not appear. Distances use the same norm
+    ufunc path as ``SpatialIndex.query``, so boundary decisions agree.
     """
-    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
-    local = idx.region_ids(centers.min(axis=0) - r, centers.max(axis=0) + r)
-    if local.size == 0:
-        empty = np.empty(0, dtype=np.int64), np.empty(0)
-        return [empty for _ in range(len(centers))]
-    sub = idx.ps.coords[local]
-    # same norm ufunc path as query() so boundary decisions agree exactly
-    dmat = np.linalg.norm(centers[:, None, :] - sub[None, :, :], axis=2)
-    out = []
-    for row in range(len(centers)):
-        keep = np.nonzero(dmat[row] <= r)[0]
-        ids = local[keep]
-        d = dmat[row, keep]
-        if ids.size > max_k:
-            sel = np.lexsort((ids, d))[:max_k]
-            ids, d = ids[sel], d[sel]
-            order = np.argsort(ids)
-            ids, d = ids[order], d[order]
-        out.append((ids, d))
-    return out
+    if max_k < 1:
+        raise ValueError(f"max_k must be >= 1, got {max_k}")
+    centers = np.asarray(centers, dtype=np.float64)
+    n_rois, count = centers.shape[:2]
+    radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), (n_rois,))
+    if np.any(radius <= 0):
+        raise ValueError("gather radius must be positive")
+    rows, ids, dists = [], [], []
+    for i, (pts, r) in enumerate(zip(centers, radius)):
+        local = idx.region_ids(pts.min(axis=0) - r, pts.max(axis=0) + r)
+        if local.size == 0:
+            continue
+        sub = idx.ps.coords[local]
+        # squared distances pick a slight superset cheaply; the exact norm
+        # then decides membership for the survivors only
+        d2 = np.zeros((len(pts), len(sub)))
+        for axis in range(3):
+            diff = pts[:, axis, None] - sub[:, axis]
+            d2 += diff * diff
+        row, col = np.nonzero(d2 <= r * r * (1.0 + 1e-9))
+        dist = np.linalg.norm(pts[row] - sub[col], axis=1)
+        inside = dist <= r
+        rows.append(row[inside] + i * count)
+        ids.append(local[col[inside]])
+        dists.append(dist[inside])
+    if not rows:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0)
+    row, ids, dist = np.concatenate(rows), np.concatenate(ids), np.concatenate(dists)
+    # ids ascend within a row (region_ids is sorted, nonzero is row-major)
+    # and lexsort is stable, so equal distances stay in id order
+    order = np.lexsort((dist, row))
+    row, ids, dist = row[order], ids[order], dist[order]
+    rank = np.arange(row.size) - np.searchsorted(row, row)
+    keep = rank < max_k
+    return row[keep], ids[keep], dist[keep]
 
 
 def ball_query(idx: SpatialIndex, center, r: float, max_k: int) -> np.ndarray:
@@ -221,17 +229,3 @@ def extended_query(idx: SpatialIndex, center, r: float, tau: float,
     if tau <= 0:
         raise ValueError("tau must be positive")
     return ball_query(idx, center, r + 5.0 * tau, max_k)
-
-
-def brute_force_query(ps: PointSet, center, r: float,
-                      max_k: int | None = None) -> np.ndarray:
-    """Reference scan over all points; the oracle the index must agree with."""
-    center = np.asarray(center, dtype=np.float64).reshape(3)
-    if len(ps) == 0:
-        return np.empty(0, dtype=np.int64)
-    d = np.linalg.norm(ps.coords - center, axis=1)
-    ids = np.nonzero(d <= r)[0]
-    order = np.lexsort((ids, d[ids]))
-    if max_k is not None and order.size > max_k:
-        order = order[:max_k]
-    return ids[order].astype(np.int64)

@@ -1,0 +1,198 @@
+"""Reference implementations the production code is checked against.
+
+- ``brute_force_query``: a linear scan over every point, the oracle for
+  all radius queries.
+- ``batch_query_capped``, ``grouped_gated_attention`` and
+  ``grouped_forward_rois``: the head's former forward pass, which queried
+  each RoI's grid points against one distance matrix, grouped the grid
+  points of a level by exact neighbour count and ran one ``[g, m]`` gated
+  attention per group. The ragged per-level path must reproduce its
+  scores, residuals and parameter gradients.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from pyrhead.autodiff import (Value, _np_sigmoid, concat, mul, reshape,
+                              segment_sum, take)
+from pyrhead.darp import context_embedding, predict_radius
+from pyrhead.geometry import pyramid_grid_points, rot_z
+from pyrhead.operators import soft_radius_coeff
+
+
+def brute_force_query(ps, center, r: float, max_k: int | None = None) -> np.ndarray:
+    """Ids within the closed ball, sorted by (distance, id), capped at max_k."""
+    center = np.asarray(center, dtype=np.float64).reshape(3)
+    if len(ps) == 0:
+        return np.empty(0, dtype=np.int64)
+    d = np.linalg.norm(ps.coords - center, axis=1)
+    ids = np.nonzero(d <= r)[0]
+    order = np.lexsort((ids, d[ids]))
+    if max_k is not None and order.size > max_k:
+        order = order[:max_k]
+    return ids[order].astype(np.int64)
+
+
+def batch_query_capped(idx, centers: np.ndarray, r: float, max_k: int
+                       ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per center: the nearest max_k ids within r (ties by id), in id order."""
+    centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
+    local = idx.region_ids(centers.min(axis=0) - r, centers.max(axis=0) + r)
+    if local.size == 0:
+        empty = np.empty(0, dtype=np.int64), np.empty(0)
+        return [empty for _ in range(len(centers))]
+    sub = idx.ps.coords[local]
+    dmat = np.linalg.norm(centers[:, None, :] - sub[None, :, :], axis=2)
+    out = []
+    for row in range(len(centers)):
+        keep = np.nonzero(dmat[row] <= r)[0]
+        ids = local[keep]
+        d = dmat[row, keep]
+        if ids.size > max_k:
+            sel = np.lexsort((ids, d))[:max_k]
+            ids, d = ids[sel], d[sel]
+            order = np.argsort(ids)
+            ids, d = ids[order], d[order]
+        out.append((ids, d))
+    return out
+
+
+def _gate_core_gm(k: Value, q: Value, v: Value, params, gates, coeff) -> Value:
+    """The fused ``[g, m]`` gating, softmax and combination node."""
+    kd, qd, vd = k.data, q.data, v.data
+    g, m, dm = kd.shape
+    heads, dh = params.heads, params.head_width
+    qkd = qd * kd
+    learned = gates is None
+    if learned:
+        wgk, bgk = params.gate_key.W.data, params.gate_key.b.data
+        wgq, bgq = params.gate_pos.W.data, params.gate_pos.b.data
+        wgc, bgc = params.gate_cross.W.data, params.gate_cross.b.data
+        wgv, bgv = params.gate_value.W.data, params.gate_value.b.data
+        gk = _np_sigmoid(kd @ wgk + bgk)
+        gq = _np_sigmoid(qd @ wgq + bgq)
+        gqk = _np_sigmoid(qkd @ wgc + bgc)
+        gv = _np_sigmoid(qd @ wgv + bgv)
+    else:
+        gk, gq, gqk, gv = gates.key, gates.pos, gates.cross, gates.value
+    a = gk * kd + gq * qd + gqk * qkd
+    wwd, bwd = params.w_head.W.data, params.w_head.b.data
+    logits = a @ wwd + bwd
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    w = e / e.sum(axis=1, keepdims=True)
+    s_val = coeff if isinstance(coeff, Value) else None
+    sd = None
+    if coeff is not None:
+        sd = (coeff.data if s_val is not None else np.asarray(coeff)).reshape(g, m)
+        wc = w * sd[:, :, None]
+    else:
+        wc = w
+    val = vd + gv * qd
+    val4 = val.reshape(g, m, heads, dh)
+    out_data = np.einsum("gmh,gmhd->ghd", wc, val4).reshape(g, dm)
+
+    parents = [k, q, v, params.w_head.W, params.w_head.b]
+    if learned:
+        for lp in (params.gate_key, params.gate_pos, params.gate_cross,
+                   params.gate_value):
+            parents.extend((lp.W, lp.b))
+    if s_val is not None:
+        parents.append(s_val)
+
+    def _bw(gout):
+        gh = gout.reshape(g, heads, dh)
+        dwc = np.einsum("gmhd,ghd->gmh", val4, gh)
+        dval = (wc[:, :, :, None] * gh[:, None, :, :]).reshape(g, m, dm)
+        if sd is not None:
+            dw = dwc * sd[:, :, None]
+            if s_val is not None:
+                s_val._accum_owned((dwc * w).sum(axis=2).reshape(s_val.shape))
+        else:
+            dw = dwc
+        dlogits = w * (dw - (dw * w).sum(axis=1, keepdims=True))
+        da = dlogits @ wwd.T
+        params.w_head.W._accum_owned(a.reshape(-1, dm).T @ dlogits.reshape(-1, heads))
+        params.w_head.b._accum_owned(dlogits.sum(axis=(0, 1)))
+        dk = da * gk
+        dq = da * gq + dval * gv
+        dqk = da * gqk
+        if learned:
+            for lp, gate, inp, dgate in (
+                    (params.gate_key, gk, kd, (da * kd).sum(axis=-1, keepdims=True)),
+                    (params.gate_pos, gq, qd, (da * qd).sum(axis=-1, keepdims=True)),
+                    (params.gate_cross, gqk, qkd, (da * qkd).sum(axis=-1, keepdims=True)),
+                    (params.gate_value, gv, qd, (dval * qd).sum(axis=-1, keepdims=True)),
+            ):
+                dz = dgate * gate * (1.0 - gate)
+                lp.W._accum_owned(inp.reshape(-1, dm).T @ dz.reshape(-1, 1))
+                lp.b._accum_owned(dz.sum(axis=(0, 1)))
+                back = dz @ lp.W.data.T
+                if lp is params.gate_key:
+                    dk = dk + back
+                elif lp is params.gate_cross:
+                    dqk = dqk + back
+                else:
+                    dq = dq + back
+        k._accum_owned(dk + dqk * qd)
+        q._accum_owned(dq + dqk * kd)
+        v._accum_owned(dval)
+
+    return Value(out_data, tuple(parents), _bw)
+
+
+def grouped_gated_attention(offsets, feats, params, gates=None, coeff=None) -> Value:
+    """Unified operator over ``[g, m]`` grid points sharing a neighbour count."""
+    k = params.key(feats)
+    q = params.q_pos(offsets)
+    v = params.value(feats)
+    return _gate_core_gm(k, q, v, params, gates, coeff)
+
+
+def grouped_forward_rois(cfg, params, ps, idx, rois, tau):
+    """Fused per-RoI features, grid points grouped by (level, neighbour count)."""
+    R = len(rois)
+    gates = cfg.gates()
+    ctxs = [context_embedding(roi, ps, idx, params.context) for roi in rois]
+    ctx_batch = concat([reshape(c, (1, c.size)) for c in ctxs], axis=0)
+    derot = [rot_z(roi.yaw) for roi in rois]
+    level_feats = []
+    for li, lv in enumerate(cfg.pyramid.levels):
+        if cfg.darp_enabled:
+            r_vec = predict_radius(ctx_batch, li, params.radius)
+            gather_r = r_vec.data + 5.0 * tau
+        else:
+            r_vec = None
+            gather_r = np.full(R, lv.r_pre)
+        groups: dict[int, list] = {}
+        for ri, roi in enumerate(rois):
+            pts = pyramid_grid_points(roi, lv)
+            gathered = batch_query_capped(idx, pts, gather_r[ri], lv.max_neighbors)
+            for gp, (ids, dists) in zip(pts, gathered):
+                if ids.size == 0:
+                    continue
+                groups.setdefault(ids.size, []).append(
+                    (ri, (ps.coords[ids] - gp) @ derot[ri], ps.feats[ids], dists))
+        chunks: list[Value] = []
+        seg: list[int] = []
+        for m in sorted(groups):
+            rows = groups[m]
+            offs = np.stack([row[1] for row in rows])
+            feats = np.stack([row[2] for row in rows])
+            row_rois = [row[0] for row in rows]
+            if cfg.darp_enabled:
+                dist = np.stack([row[3] for row in rows])
+                r_rows = reshape(take(r_vec, row_rois), (len(rows), 1))
+                coeff = soft_radius_coeff(dist, r_rows, tau)
+            else:
+                coeff = None
+            chunks.append(grouped_gated_attention(offs, feats, params.attention[li],
+                                                  gates, coeff))
+            seg.extend(row_rois)
+        if chunks:
+            sums = segment_sum(concat(chunks, axis=0), seg, R)
+            lvl_mean = mul(sums, 1.0 / lv.grid.count)
+        else:
+            lvl_mean = Value(np.zeros((R, cfg.d_model)))
+        level_feats.append(params.reduce[li](lvl_mean))
+    return params.fusion(concat(level_feats, axis=1))

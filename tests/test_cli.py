@@ -114,6 +114,31 @@ class TestExitCodes:
         assert code == 2
         assert "line 3" in err and "column" in err
 
+    def test_attend_rejects_zero_max_k(self, capsys):
+        for op in ("unified", "darp"):
+            code, out, err = invoke(["attend", "--op", op, "--max-k", "0"], capsys)
+            assert code == 2 and out == ""
+            assert "max_k" in err
+
+    @pytest.mark.parametrize("defect", ["truncated", "trailing", "nan_feature"])
+    def test_attend_rejects_bad_pset(self, tmp_path, capsys, defect):
+        from pyrhead.spatial import PointSet
+        path = tmp_path / "scene.pset"
+        PointSet(np.zeros((5, 3)), np.ones((5, 8))).save(path)
+        raw = path.read_bytes()
+        size = 12 + 5 * 11 * 4
+        if defect == "truncated":
+            raw, want = raw[:-3], f"needs {size} bytes, file has {size - 3}"
+        elif defect == "trailing":
+            raw, want = raw + b"\0" * 8, f"needs {size} bytes, file has {size + 8}"
+        else:
+            raw = raw[:-4] + np.array([np.nan], dtype="<f4").tobytes()
+            want = "features must be finite"
+        path.write_bytes(raw)
+        code, out, err = invoke(["attend", "--op", "graph", "--scene", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert str(path) in err and want in err
+
     def test_help_includes_schema_version(self, capsys):
         assert run(["--help"]) == 0
         assert CONFIG_SCHEMA_VERSION in capsys.readouterr().out

@@ -274,3 +274,26 @@ class TestPersistence:
         bad = cfg.to_json().replace(CONFIG_SCHEMA_VERSION, "other/9")
         with pytest.raises(ValueError):
             HeadConfig.from_json(bad)
+
+
+class TestTapeFreesItself:
+    def test_step_and_forward_leave_no_reference_cycles(self):
+        import gc
+        cfg = HeadConfig()
+        scene = generate_scene(SceneConfig(seed=5))
+        idx = scene_index(scene)
+        params = init_head_params(cfg, 0)
+        targets = [(assign_label(p, scene.gt_boxes[g], cfg.iou_positive),
+                    scene.gt_boxes[g])
+                   for p, g in zip(scene.proposals, scene.proposal_gt)]
+        gc.collect()
+        gc.disable()
+        try:
+            dets, _ = run_head(cfg, params, scene.ps, idx, scene.proposals, 0.01)
+            loss(dets, targets, cfg).backward()
+            run_head(cfg, params, scene.ps, idx, scene.proposals, 0.01)
+            del dets
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert any(np.any(p.grad) for _, p in params.named_parameters())

@@ -4,19 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pyrhead.spatial import (PointSet, ball_query, batch_query_capped,
-                             build_index, extended_query)
-
-
-def scan_oracle(coords, center, r, max_k=None):
-    """Linear scan; sorted by (distance, id), capped at max_k nearest."""
-    center = np.asarray(center, float)
-    d = np.linalg.norm(coords - center, axis=1) if len(coords) else np.zeros(0)
-    ids = np.nonzero(d <= r)[0]
-    order = np.lexsort((ids, d[ids]))
-    if max_k is not None:
-        order = order[:max_k]
-    return ids[order]
+from oracles import brute_force_query
+from pyrhead.spatial import (PointSet, ball_query, build_index, extended_query,
+                             gather_level)
 
 
 def random_pointset(rng, n, span=20.0):
@@ -49,7 +39,7 @@ class TestBallQuery:
         idx = build_index(ps, cell=1.0)
         center = np.array([2.0, 2.0, 2.0])
         got = ball_query(idx, center, 50.0, 5)
-        np.testing.assert_array_equal(got, scan_oracle(ps.coords, center, 50.0, 5))
+        np.testing.assert_array_equal(got, brute_force_query(ps, center, 50.0, 5))
 
     def test_large_scene_matches_scan(self):
         rng = np.random.default_rng(3)
@@ -60,7 +50,7 @@ class TestBallQuery:
             r = float(rng.uniform(0.2, 3.0))
             got = ball_query(idx, center, r, 10**9)
             np.testing.assert_array_equal(np.sort(got),
-                                          np.sort(scan_oracle(ps.coords, center, r)))
+                                          np.sort(brute_force_query(ps, center, r)))
 
     def test_ordered_by_distance_then_id(self):
         coords = np.array([[1.0, 0, 0], [0.5, 0, 0], [-0.5, 0, 0]])
@@ -89,9 +79,9 @@ class TestBallQuery:
         inner = ball_query(idx, center, r1, 10**9)
         outer = ball_query(idx, center, r2, 10**9)
         np.testing.assert_array_equal(np.sort(inner),
-                                      np.sort(scan_oracle(ps.coords, center, r1)))
+                                      np.sort(brute_force_query(ps, center, r1)))
         np.testing.assert_array_equal(np.sort(outer),
-                                      np.sort(scan_oracle(ps.coords, center, r2)))
+                                      np.sort(brute_force_query(ps, center, r2)))
         assert set(inner.tolist()) <= set(outer.tolist())
 
     def test_determinism_across_runs(self):
@@ -130,12 +120,21 @@ class TestExtendedQuery:
             r, tau = float(rng.uniform(0.3, 2.0)), float(rng.uniform(1e-4, 0.2))
             got = extended_query(idx, c, r, tau, 10**9)
             np.testing.assert_array_equal(
-                np.sort(got), np.sort(scan_oracle(ps.coords, c, r + 5 * tau)))
+                np.sort(got), np.sort(brute_force_query(ps, c, r + 5 * tau)))
 
     def test_tau_must_be_positive(self):
         idx = build_index(PointSet.empty(1), cell=1.0)
         with pytest.raises(ValueError):
             extended_query(idx, [0, 0, 0], 1.0, 0.0, 4)
+
+
+def _gather_rows(idx, centers, radius, max_k):
+    """gather_level's flat output split into one (ids, dists) pair per row."""
+    centers = np.asarray(centers, float)
+    row, ids, dist = gather_level(idx, centers, radius, max_k)
+    assert np.all(np.diff(row) >= 0)
+    n_rows = centers.shape[0] * centers.shape[1]
+    return [(ids[row == i], dist[row == i]) for i in range(n_rows)]
 
 
 class TestBatchQuery:
@@ -144,13 +143,50 @@ class TestBatchQuery:
         rng = np.random.default_rng(seed)
         ps = random_pointset(rng, 1500, span=12.0)
         idx = build_index(ps, cell=1.1)
-        centers = rng.uniform(0, 12, size=(40, 3))
-        for r, cap in [(0.5, 4), (1.4, 8), (3.0, 16)]:
-            batch = batch_query_capped(idx, centers, r, cap)
-            for c, (ids, d) in zip(centers, batch):
-                want_ids, want_d = idx.query_capped_ids(c, r, cap)
-                np.testing.assert_array_equal(ids, want_ids)
-                np.testing.assert_array_equal(d, want_d)
+        centers = rng.uniform(0, 12, size=(4, 10, 3))
+        for radius, cap in [(0.5, 4), (1.4, 8), (3.0, 16),
+                            (rng.uniform(0.3, 3.0, 4), 6)]:
+            r_roi = np.broadcast_to(radius, (4,))
+            rows = _gather_rows(idx, centers, radius, cap)
+            for c, r, (ids, d) in zip(centers.reshape(-1, 3), np.repeat(r_roi, 10), rows):
+                want = brute_force_query(ps, c, r, cap)
+                np.testing.assert_array_equal(ids, want)
+                np.testing.assert_array_equal(d, np.linalg.norm(ps.coords[want] - c, axis=1))
+
+    def test_boundary_point_and_equidistant_ties(self):
+        # one point at exactly r, six at an equal distance inside: the
+        # boundary point is kept and the cap keeps the lowest ids among ties
+        center = np.array([0.5, 0.5, 0.5])
+        shell = np.concatenate([np.eye(3), -np.eye(3)]) * 0.25 + center
+        coords = np.concatenate([[center + [1.0, 0.0, 0.0]], shell[::-1],
+                                 [center + [0.0, 1.5, 0.0]]])
+        ps = PointSet(coords, np.zeros((len(coords), 1)))
+        idx = build_index(ps, cell=0.6)
+        (ids, d), = _gather_rows(idx, center.reshape(1, 1, 3), 1.0, 10)
+        np.testing.assert_array_equal(ids, [1, 2, 3, 4, 5, 6, 0])
+        assert d[-1] == 1.0
+        np.testing.assert_array_equal(ids, brute_force_query(ps, center, 1.0, 10))
+        for cap in (1, 4, 6):
+            (ids, _), = _gather_rows(idx, center.reshape(1, 1, 3), 1.0, cap)
+            np.testing.assert_array_equal(ids, [1, 2, 3, 4, 5, 6][:cap])
+            np.testing.assert_array_equal(ids, brute_force_query(ps, center, 1.0, cap))
+
+    def test_empty_rows_are_absent(self):
+        ps = PointSet(np.array([[0.0, 0.0, 0.0]]), np.zeros((1, 1)))
+        idx = build_index(ps, cell=1.0)
+        centers = np.array([[[5.0, 5.0, 5.0], [0.1, 0.0, 0.0]]])
+        row, ids, dist = gather_level(idx, centers, 0.5, 4)
+        np.testing.assert_array_equal(row, [1])
+        np.testing.assert_array_equal(ids, [0])
+        row, ids, dist = gather_level(build_index(PointSet.empty(1), 1.0), centers, 0.5, 4)
+        assert row.size == ids.size == dist.size == 0
+
+    def test_invalid_args(self):
+        idx = build_index(PointSet.empty(1), cell=1.0)
+        with pytest.raises(ValueError, match="max_k"):
+            gather_level(idx, np.zeros((1, 1, 3)), 1.0, 0)
+        with pytest.raises(ValueError, match="radius"):
+            gather_level(idx, np.zeros((2, 1, 3)), [1.0, 0.0], 4)
 
 
 class TestPointSetIO:
@@ -190,3 +226,35 @@ class TestPointSetIO:
     def test_mismatched_rows_raise(self):
         with pytest.raises(ValueError):
             PointSet(np.zeros((3, 3)), np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("cut, size", [(-5, 12 + 17 * 7 * 4 - 5), (6, 6)])
+    def test_truncated_file_names_path_and_sizes(self, tmp_path, cut, size):
+        path = tmp_path / "short.pset"
+        PointSet(np.zeros((17, 3)), np.ones((17, 4))).save(path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError) as err:
+            PointSet.load(path)
+        assert str(path) in str(err.value)
+        assert f"has {size}" in str(err.value)
+        if cut < 0:
+            assert f"needs {12 + 17 * 7 * 4} bytes" in str(err.value)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.pset"
+        PointSet(np.zeros((2, 3)), np.ones((2, 4))).save(path)
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(ValueError, match=f"needs {12 + 2 * 7 * 4} bytes, file has {16 + 2 * 7 * 4}"):
+            PointSet.load(path)
+
+    def test_nonfinite_features_rejected(self, tmp_path):
+        feats = np.ones((2, 4))
+        feats[1, 2] = np.nan
+        with pytest.raises(ValueError, match="features"):
+            PointSet(np.zeros((2, 3)), feats)
+        path = tmp_path / "nan.pset"
+        PointSet(np.zeros((2, 3)), np.ones((2, 4))).save(path)
+        raw = bytearray(path.read_bytes())
+        raw[-4:] = np.array([np.inf], dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="features"):
+            PointSet.load(path)
