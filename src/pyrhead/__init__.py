@@ -17,13 +17,12 @@ from .geometry import (Box3D, GridSpec, PyramidConfig, PyramidLevelConfig,
 from .head import (CONFIG_SCHEMA_VERSION, Detection, HeadConfig, HeadParams,
                    extract_roi_features, init_head_params, loss, refine,
                    run_head)
-from .operators import (AttentionParams, GateOverride, NeighborBundle,
-                        attention_feature, graph_feature, hard_membership,
-                        point_transformer_feature, pool_feature,
-                        roi_grid_attention, roi_grid_attention_darp,
+from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
+                        AttentionParams, GateOverride, NeighborBundle,
+                        hard_membership, pool_feature, roi_grid_attention,
+                        roi_grid_attention_darp, sampling_range,
                         soft_radius_coeff)
-from .spatial import (PointSet, SpatialIndex, ball_query, build_index,
-                      extended_query)
+from .spatial import PointSet, SpatialIndex, build_index, gather_level
 from .synth import (Scene, SceneConfig, evaluate, generate_scene,
                     generate_scenes, single_level_baseline, sparsity_stats,
                     train_toy)
@@ -35,11 +34,11 @@ __all__ = [
     "Box3D", "GridSpec", "PyramidConfig", "PyramidLevelConfig",
     "default_pyramid_config", "grid_points", "pyramid_grid_points",
     "pyramid_point_count",
-    "PointSet", "SpatialIndex", "ball_query", "build_index", "extended_query",
+    "PointSet", "SpatialIndex", "build_index", "gather_level",
     "AttentionParams", "GateOverride", "NeighborBundle",
-    "pool_feature", "graph_feature", "attention_feature",
-    "point_transformer_feature", "roi_grid_attention",
-    "roi_grid_attention_darp", "soft_radius_coeff", "hard_membership",
+    "GRAPH_GATES", "ATTENTION_GATES", "TRANSFORMER_GATES",
+    "pool_feature", "roi_grid_attention", "roi_grid_attention_darp",
+    "sampling_range", "soft_radius_coeff", "hard_membership",
     "ContextAggregatorParams", "RadiusHeadParams", "TemperatureSchedule",
     "context_embedding", "predict_radius", "temperature",
     "CONFIG_SCHEMA_VERSION", "HeadConfig", "HeadParams", "Detection",

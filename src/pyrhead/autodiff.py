@@ -9,7 +9,7 @@ gradients are supported. All math is 64-bit.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -138,18 +138,6 @@ class Value:
     def __rsub__(self, other):
         return add(mul(self, -1.0), other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __pow__(self, exponent):
-        return powi(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def reshape(self, *shape):
         return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
 
@@ -195,51 +183,6 @@ def mul(a, b) -> Value:
     return out
 
 
-def div(a, b) -> Value:
-    ad, bd = _data(a), _data(b)
-    out = Value(ad / bd, _parents_of(a, b))
-
-    def _bw(g):
-        if isinstance(a, Value):
-            a._accum_owned(_unbroadcast(g / bd, ad.shape))
-        if isinstance(b, Value):
-            b._accum_owned(_unbroadcast(-g * ad / (bd * bd), bd.shape))
-
-    out._backward = _bw
-    return out
-
-
-def powi(a: Value, exponent: float) -> Value:
-    ad = _data(a)
-    out = Value(ad ** exponent, _parents_of(a))
-
-    def _bw(g):
-        a._accum_owned(g * exponent * ad ** (exponent - 1))
-
-    out._backward = _bw
-    return out
-
-
-def matmul(a, b) -> Value:
-    """``a @ b`` where ``b`` is a 2-D matrix and ``a`` has any leading dims."""
-    ad, bd = _data(a), _data(b)
-    if bd.ndim != 2:
-        raise ValueError(f"matmul expects a 2-D right operand, got shape {bd.shape}")
-    if ad.ndim < 1 or ad.shape[-1] != bd.shape[0]:
-        raise ValueError(f"matmul dimension mismatch: {ad.shape} @ {bd.shape}")
-    out = Value(np.matmul(ad, bd), _parents_of(a, b))
-
-    def _bw(g):
-        if isinstance(a, Value):
-            a._accum_owned(np.matmul(g, bd.T))
-        if isinstance(b, Value):
-            k = ad.shape[-1]
-            b._accum_owned(np.matmul(ad.reshape(-1, k).T, g.reshape(-1, bd.shape[1])))
-
-    out._backward = _bw
-    return out
-
-
 def linear(x, W, b) -> Value:
     """Affine map ``x @ W + b`` as one fused node; raises on non-chaining shapes."""
     Wd, bd = _data(W), _data(b)
@@ -247,14 +190,14 @@ def linear(x, W, b) -> Value:
     if xd.ndim < 1 or xd.shape[-1] != Wd.shape[0] or bd.shape != (Wd.shape[1],):
         raise ValueError(
             f"linear dimension mismatch: x{xd.shape} W{Wd.shape} b{bd.shape}")
-    out = Value(np.matmul(xd, Wd) + bd, _parents_of(x, W, b))
+    out = Value(xd @ Wd + bd, _parents_of(x, W, b))
 
     def _bw(g):
         if isinstance(x, Value):
-            x._accum_owned(np.matmul(g, Wd.T))
+            x._accum_owned(g @ Wd.T)
         if isinstance(W, Value):
             k = xd.shape[-1]
-            W._accum_owned(np.matmul(xd.reshape(-1, k).T, g.reshape(-1, Wd.shape[1])))
+            W._accum_owned(xd.reshape(-1, k).T @ g.reshape(-1, Wd.shape[1]))
         if isinstance(b, Value):
             b._accum_owned(g.reshape(-1, Wd.shape[1]).sum(axis=0))
 
@@ -298,27 +241,6 @@ def relu(x: Value) -> Value:
 
     def _bw(g):
         x._accum_owned(g * mask)
-
-    out._backward = _bw
-    return out
-
-
-def vexp(x: Value) -> Value:
-    y = np.exp(x.data)
-    out = Value(y, (x,))
-
-    def _bw(g):
-        x._accum_owned(g * y)
-
-    out._backward = _bw
-    return out
-
-
-def vlog(x: Value) -> Value:
-    out = Value(np.log(x.data), (x,))
-
-    def _bw(g):
-        x._accum_owned(g / x.data)
 
     out._backward = _bw
     return out
@@ -370,11 +292,6 @@ def vsum(x: Value, axis=None, keepdims=False) -> Value:
 
     out._backward = _bw
     return out
-
-
-def vmean(x: Value, axis=None, keepdims=False) -> Value:
-    n = x.size if axis is None else x.shape[axis]
-    return mul(vsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def vmax(x: Value, axis: int, keepdims=False) -> Value:

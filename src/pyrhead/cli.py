@@ -1,7 +1,8 @@
 """Command-line interface: grid generation, operator evaluation, gradient
 checks, toy training, sparsity statistics, and microbenchmarks.
 
-Exit codes: 0 success, 1 check failure, 2 usage or config error.
+Exit codes: 0 success, 1 check failure, 2 usage or config error (a
+diverged training run included).
 """
 from __future__ import annotations
 
@@ -19,15 +20,20 @@ from .geometry import Box3D, GridSpec, PyramidConfig, PyramidLevelConfig, pyrami
 from .gradcheck import format_report, run_gradcheck
 from .head import CONFIG_SCHEMA_VERSION, HeadConfig, init_head_params, run_head
 from .nn import init_mlp
-from .operators import (GateOverride, NeighborBundle, attention_feature,
-                        graph_feature, init_attention_params,
-                        point_transformer_feature, pool_feature,
-                        roi_grid_attention, roi_grid_attention_darp)
-from .spatial import PointSet, ball_query, build_index
-from .synth import SceneConfig, generate_scenes, sparsity_stats, train_toy
+from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
+                        GateOverride, NeighborBundle, init_attention_params,
+                        pool_feature, roi_grid_attention,
+                        roi_grid_attention_darp)
+from .spatial import PointSet, build_index
+from .synth import (SceneConfig, TrainingDiverged, generate_scenes,
+                    sparsity_stats, train_toy)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+
+# attend ops that are the unified operator with its gates pinned
+PINNED_GATES = {"graph": GRAPH_GATES, "attention": ATTENTION_GATES,
+                "transformer": TRANSFORMER_GATES}
 
 
 class CliError(Exception):
@@ -132,14 +138,8 @@ def cmd_attend(args) -> int:
         if args.op == "pool":
             mlp = init_mlp(rng, [ps.feat_width + 3, 64, args.d_model])
             out = pool_feature(nb, mlp)
-        elif args.op == "graph":
-            out = graph_feature(nb, params)
-        elif args.op == "attention":
-            out = attention_feature(nb, params)
-        elif args.op == "transformer":
-            out = point_transformer_feature(nb, params)
-        else:  # unified
-            out = roi_grid_attention(nb, params, gates)
+        else:
+            out = roi_grid_attention(nb, params, PINNED_GATES.get(args.op, gates))
     doc = {"op": args.op, "neighbors": len(nb), "f_grid": out.data.tolist()}
     if args.format == "csv":
         _write_out(args, "\n".join(repr(v) for v in out.data.tolist()) + "\n")
@@ -175,9 +175,12 @@ def _head_config(args) -> HeadConfig:
 def cmd_train_toy(args) -> int:
     head_cfg = _head_config(args)
     scene_cfg = SceneConfig()
-    result = train_toy(head_cfg, scene_cfg, steps=args.steps, lr=args.lr,
-                       seed=args.seed, n_scenes=args.scenes,
-                       momentum=args.momentum, threads=_threads(args))
+    try:
+        result = train_toy(head_cfg, scene_cfg, steps=args.steps, lr=args.lr,
+                           seed=args.seed, n_scenes=args.scenes,
+                           momentum=args.momentum, threads=_threads(args))
+    except TrainingDiverged as exc:
+        raise CliError(f"{exc}; lower --lr (was {args.lr})") from None
     text = result.to_csv() if args.format == "csv" else result.to_json() + "\n"
     _write_out(args, text)
     if args.out:
@@ -209,7 +212,7 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     hits = 0
     for c in queries:
-        hits += ball_query(idx, c, args.radius, max_k=64).size
+        hits += idx.query(c, args.radius, max_k=64)[0].size
     query_s = time.perf_counter() - t0
     head_cfg = HeadConfig()
     params = init_head_params(head_cfg, args.seed)

@@ -15,14 +15,14 @@ import numpy as np
 
 from .autodiff import Value, finite_diff_grad, rel_error, vsum, mul
 from .darp import context_embedding, init_context_params, init_radius_head, predict_radius
-from .geometry import Box3D, GridSpec, PyramidConfig, PyramidLevelConfig
+from .geometry import (Box3D, GridSpec, PyramidConfig, PyramidLevelConfig,
+                       pyramid_grid_points)
 from .head import HeadConfig, assign_label, init_head_params, loss, run_head
 from .nn import init_mlp
 from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
-                        NeighborBundle, attention_feature, graph_feature,
-                        init_attention_params, point_transformer_feature,
-                        pool_feature, roi_grid_attention,
-                        roi_grid_attention_darp)
+                        NeighborBundle, init_attention_params, pool_feature,
+                        roi_grid_attention, roi_grid_attention_darp,
+                        sampling_range)
 from .spatial import PointSet, build_index
 from .synth import SceneConfig, generate_scene, scene_index
 
@@ -87,14 +87,16 @@ def _operator_checks(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     d = 8
     results = []
+    # the graph, attention and point-transformer groups check the unified
+    # operator with those gates pinned; "unified" checks the learned gates
     cases = [
         ("pool", None),
-        ("graph", graph_feature),
-        ("attention", attention_feature),
-        ("point_transformer", point_transformer_feature),
+        ("graph", GRAPH_GATES),
+        ("attention", ATTENTION_GATES),
+        ("point_transformer", TRANSFORMER_GATES),
         ("unified", None),
     ]
-    for name, fn in cases:
+    for name, gates in cases:
         m = int(rng.integers(2, 9))
         nb = _random_bundle(rng, m, d)
         u = rng.normal(size=64)
@@ -106,12 +108,8 @@ def _operator_checks(seed: int) -> list[CheckResult]:
             make = lambda nb=nb, mlp=mlp, u=u: _projection_loss(pool_feature(nb, mlp), u)
         else:
             leaves.update(dict(params.named_parameters()))
-            if name == "unified":
-                make = lambda nb=nb, p=params, u=u: _projection_loss(
-                    roi_grid_attention(nb, p), u)
-            else:
-                make = lambda nb=nb, p=params, u=u, fn=fn: _projection_loss(
-                    fn(nb, p), u)
+            make = lambda nb=nb, p=params, u=u, g=gates: _projection_loss(
+                roi_grid_attention(nb, p, g), u)
         results.append(CheckResult(name, _compare(make, leaves)))
     return results
 
@@ -121,7 +119,7 @@ def _darp_checks(seed: int) -> list[CheckResult]:
     d = 8
     tau = 1e-3
     r = Value(0.9)
-    cutoff = r.item() + 5.0 * tau
+    cutoff = sampling_range(r.item(), tau)
     m = 6
     # keep every neighbor at least 3*tau below the sampling cutoff so the
     # discrete membership cannot flip under the probe step
@@ -184,26 +182,22 @@ def tiny_head_config() -> HeadConfig:
     )
 
 
-def _head_scene(seed: int) -> tuple:
-    cfg = SceneConfig(extent=14.0, z_extent=3.0, n_objects=2,
-                      obj_points_min=15, obj_points_max=25,
-                      clutter_density=0.0, proposals_per_object=1, seed=seed)
-    scene = generate_scene(cfg)
-    return scene
+def _head_scene(seed: int):
+    return generate_scene(SceneConfig(
+        extent=14.0, z_extent=3.0, n_objects=2, obj_points_min=15,
+        obj_points_max=25, clutter_density=0.0, proposals_per_object=1,
+        seed=seed))
 
 
 def _boundary_clearance(scene, head_cfg: HeadConfig, params, tau: float) -> float:
     """Smallest |distance - cutoff| over all (grid point, point) pairs."""
-    from .darp import context_embedding as ctx_emb
-    from .geometry import pyramid_grid_points
-
     idx = scene_index(scene)
     clear = math.inf
     for roi in scene.proposals:
-        ctx = ctx_emb(roi, scene.ps, idx, params.context)
+        ctx = context_embedding(roi, scene.ps, idx, params.context)
         for li, lv in enumerate(head_cfg.pyramid.levels):
             r_eff = predict_radius(ctx, li, params.radius).item()
-            cutoff = r_eff + 5.0 * tau
+            cutoff = sampling_range(r_eff, tau)
             for gp in pyramid_grid_points(roi, lv):
                 d = np.linalg.norm(scene.ps.coords - gp, axis=1)
                 if d.size:

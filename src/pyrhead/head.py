@@ -25,7 +25,8 @@ from .geometry import (Box3D, PyramidConfig, default_pyramid_config,
                        pyramid_grid_points, rot_z, wrap_angle)
 from .nn import LinearParams, MLPParams, init_linear, init_mlp
 from .operators import (AttentionParams, GateOverride, gated_attention_batched,
-                        init_attention_params, soft_radius_coeff)
+                        init_attention_params, sampling_range,
+                        soft_radius_coeff)
 from .spatial import PointSet, SpatialIndex, gather_level
 
 CONFIG_SCHEMA_VERSION = "pyrhead-config/1"
@@ -195,7 +196,7 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
         if cfg.darp_enabled:
             r_vec = predict_radius(ctx_batch, li, params.radius)  # [R]
             r_np = r_vec.data.copy()
-            gather_r = r_np + 5.0 * tau
+            gather_r = sampling_range(r_np, tau)
         else:
             r_np = np.full(R, lv.r_pre)
             gather_r = r_np
@@ -203,7 +204,7 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
         centers = np.stack([pyramid_grid_points(roi, lv) for roi in rois])
         row, ids, dist = gather_level(idx, centers, gather_r, lv.max_neighbors)
         if ids.size:
-            # ascending ids within each grid point and one rotation matmul
+            # ascending ids within each grid point and one rotation product
             # per RoI: the summation order and product of the per-point path
             order = np.lexsort((ids, row))
             row, ids, dist = row[order], ids[order], dist[order]
@@ -360,27 +361,36 @@ def save_checkpoint(params: HeadParams, path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Named tensors of a checkpoint; a short or padded file raises ValueError."""
     raw = Path(path).read_bytes()
-    magic, version, count = struct.unpack("<4sII", raw[:12])
-    if magic != CHECKPOINT_MAGIC:
+    if raw[:4] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a head checkpoint")
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if off + n > len(raw):
+            raise ValueError(f"{path}: checkpoint needs at least {off + n} bytes, "
+                             f"file has {len(raw)}")
+        off += n
+        return raw[off - n:off]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    _, version, count = unpack("<4sII")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    off = 12
     out: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (nlen,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        name = raw[off:off + nlen].decode("utf-8")
-        off += nlen
-        (ndim,) = struct.unpack_from("<B", raw, off)
-        off += 1
-        shape = struct.unpack_from(f"<{ndim}I", raw, off)
-        off += 4 * ndim
-        n = int(np.prod(shape)) if ndim else 1
-        out[name] = np.frombuffer(raw, dtype="<f8", count=n,
-                                  offset=off).reshape(shape).copy()
-        off += 8 * n
+        (nlen,) = unpack("<H")
+        name = take(nlen).decode("utf-8")
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
+        out[name] = np.frombuffer(take(8 * math.prod(shape)),
+                                  dtype="<f8").reshape(shape).copy()
+    if off != len(raw):
+        raise ValueError(f"{path}: checkpoint needs {off} bytes, file has {len(raw)}")
     return out
 
 

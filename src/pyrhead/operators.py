@@ -1,9 +1,12 @@
 """Feature-aggregation operators over point neighborhoods of a grid point.
 
-The unified gated attention subsumes the graph, standard-attention and
-point-transformer forms through four gate scalars; fixing the gates to
-(1,0,0,0), (0,0,1,0) or (1,1,0,1) reproduces the corresponding operator.
-A soft radius coefficient makes the aggregation radius differentiable.
+The unified gated attention is the one attention operator: it subsumes the
+graph, standard-attention and point-transformer forms through four gate
+scalars, and fixing the gates to GRAPH_GATES (1,0,0,0), ATTENTION_GATES
+(0,0,1,0) or TRANSFORMER_GATES (1,1,0,1) reproduces the corresponding
+operator. Max pooling is the only other aggregation. A soft radius
+coefficient makes the aggregation radius differentiable; it needs the
+neighbors within the widened sampling range r + 5*tau.
 """
 from __future__ import annotations
 
@@ -12,8 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import (Value, add, concat, mul, reshape, sigmoid, softmax,
-                       take, vmax, vsum)
+from .autodiff import Value, add, concat, mul, reshape, sigmoid, take, vmax
 from .autodiff import _np_sigmoid as _np_sig
 from .nn import LinearParams, MLPParams, init_linear
 from .spatial import PointSet, SpatialIndex
@@ -140,8 +142,6 @@ class NeighborBundle:
     @classmethod
     def gather(cls, ps: PointSet, idx: SpatialIndex, grid_point,
                radius: float, max_k: int) -> "NeighborBundle":
-        if max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {max_k}")
         gp = np.asarray(grid_point, dtype=np.float64).reshape(3)
         ids, _ = idx.query(gp, radius, max_k)
         return cls(gp, ids, ps.coords[ids] - gp, ps.feats[ids],
@@ -150,12 +150,21 @@ class NeighborBundle:
     @classmethod
     def gather_extended(cls, ps: PointSet, idx: SpatialIndex, grid_point,
                         r: float, tau: float, max_k: int) -> "NeighborBundle":
-        if tau <= 0:
-            raise ValueError("tau must be positive")
-        return cls.gather(ps, idx, grid_point, r + 5.0 * tau, max_k)
+        return cls.gather(ps, idx, grid_point, sampling_range(r, tau), max_k)
 
 
 # -- radius membership ----------------------------------------------------
+
+def sampling_range(r, tau: float):
+    """Gather radius r + 5*tau that soft membership at radius r needs.
+
+    Beyond it the membership weight is below 1 - sigmoid(5) ~ 6.7e-3.
+    ``r`` may be a float or an array of radii.
+    """
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    return r + 5.0 * tau
+
 
 def soft_radius_coeff(d, r, tau):
     """Soft ball membership 1 - sigmoid((d - r) / tau).
@@ -181,19 +190,10 @@ def hard_membership(d, r):
     return float(out) if np.ndim(d) == 0 else out
 
 
-# -- standalone operators ---------------------------------------------------
+# -- empty neighborhoods and max pooling ------------------------------------
 
 def _zeros_feature(width: int) -> Value:
     return Value(np.zeros(width))
-
-
-def _per_head_combine(weights: Value, values: Value, heads: int) -> Value:
-    """Sum_i weights[i,h] * values[i, h-th slice]; concatenation over heads."""
-    m, dm = values.shape
-    dh = dm // heads
-    w3 = reshape(weights, (m, heads, 1))
-    v3 = reshape(values, (m, heads, dh))
-    return reshape(vsum(mul(w3, v3), axis=0), (dm,))
 
 
 def pool_feature(nb: NeighborBundle, mlp: MLPParams) -> Value:
@@ -206,42 +206,6 @@ def pool_feature(nb: NeighborBundle, mlp: MLPParams) -> Value:
         return _zeros_feature(mlp.d_out)
     x = concat([nb.feats, nb.offsets], axis=1)
     return vmax(mlp(x), axis=0)
-
-
-def graph_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
-    """Edge-weighted combination: weights from the positional embedding only."""
-    nb = nb.sorted_by_id()
-    if len(nb) == 0:
-        return _zeros_feature(params.d_model)
-    v = params.value(nb.feats)
-    q = params.q_pos(nb.offsets)
-    w = softmax(params.w_head(q), axis=0)
-    return _per_head_combine(w, v, params.heads)
-
-
-def attention_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
-    """Standard attention: weights from the query-key elementwise product."""
-    nb = nb.sorted_by_id()
-    if len(nb) == 0:
-        return _zeros_feature(params.d_model)
-    k = params.key(nb.feats)
-    v = params.value(nb.feats)
-    q = params.q_pos(nb.offsets)
-    w = softmax(params.w_head(mul(q, k)), axis=0)
-    return _per_head_combine(w, v, params.heads)
-
-
-def point_transformer_feature(nb: NeighborBundle,
-                              params: AttentionParams) -> Value:
-    """Vector attention with the positional embedding added to key and value."""
-    nb = nb.sorted_by_id()
-    if len(nb) == 0:
-        return _zeros_feature(params.d_model)
-    k = params.key(nb.feats)
-    v = params.value(nb.feats)
-    q = params.q_pos(nb.offsets)
-    w = softmax(params.w_head(add(k, q)), axis=0)
-    return _per_head_combine(w, add(v, q), params.heads)
 
 
 # -- unified gated operator -------------------------------------------------
@@ -376,11 +340,9 @@ def roi_grid_attention_darp(nb: NeighborBundle, params: AttentionParams,
     a mismatched gather radius raises ContractViolationError. The output
     is differentiable in r through the membership coefficient only.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
     params.check_finite()
     r_now = r.item() if isinstance(r, Value) else float(r)
-    cutoff = r_now + 5.0 * tau
+    cutoff = sampling_range(r_now, tau)
     tol = 1e-9 * max(1.0, cutoff)
     if nb.gather_radius is not None and abs(nb.gather_radius - cutoff) > tol:
         raise ContractViolationError(

@@ -1,8 +1,12 @@
 """Point-of-interest storage and exact radius-bounded neighbor queries.
 
-The index is a uniform hash grid: points are bucketed by integer cell, a
-query scans the cells overlapping the ball's bounding cube and filters by
-exact Euclidean distance, so results are identical to a brute-force scan.
+The index is a uniform hash grid: points are bucketed by integer cell.
+``SpatialIndex.region_ids`` is the one cell scan: it visits the cells that
+overlap a box, clamped to the range of occupied cells, so its cost is
+bounded by the data however large the box. ``SpatialIndex.query`` (one
+ball) and ``gather_level`` (the capped balls of a pyramid level) take their
+candidates from it and filter by exact Euclidean distance, so results are
+identical to a brute-force scan.
 """
 from __future__ import annotations
 
@@ -109,20 +113,8 @@ class SpatialIndex:
         starts = np.concatenate(([0], change, [n]))
         for a, b in zip(starts[:-1], starts[1:]):
             self._buckets[tuple(sk[a])] = np.sort(order[a:b])
-
-    def _candidates(self, center: np.ndarray, r: float) -> np.ndarray:
-        lo = np.floor((center - r) / self.cell).astype(np.int64)
-        hi = np.floor((center + r) / self.cell).astype(np.int64)
-        chunks = []
-        for i in range(lo[0], hi[0] + 1):
-            for j in range(lo[1], hi[1] + 1):
-                for k in range(lo[2], hi[2] + 1):
-                    b = self._buckets.get((i, j, k))
-                    if b is not None:
-                        chunks.append(b)
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(chunks)
+        # occupied cell-key bounds: no cell scan ever leaves them
+        self._key_lo, self._key_hi = sk.min(axis=0), sk.max(axis=0)
 
     def query(self, center, r: float, max_k: int | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -131,10 +123,12 @@ class SpatialIndex:
         Sorted by (distance, id); if more than max_k qualify only the
         nearest max_k are kept.
         """
-        if r <= 0:
-            raise ValueError("query radius must be positive")
+        if not 0 < r < np.inf:
+            raise ValueError(f"query radius must be positive and finite, got {r}")
+        if max_k is not None and max_k < 1:
+            raise ValueError(f"max_k must be >= 1, got {max_k}")
         center = np.asarray(center, dtype=np.float64).reshape(3)
-        cand = self._candidates(center, r)
+        cand = self.region_ids(center - r, center + r)
         if cand.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
         d = np.linalg.norm(self.ps.coords[cand] - center, axis=1)
@@ -149,8 +143,9 @@ class SpatialIndex:
         """Ascending ids of all points in cells overlapping the box [lo, hi]."""
         if not self._buckets:
             return np.empty(0, dtype=np.int64)
-        clo = np.floor(lo / self.cell).astype(np.int64)
-        chi = np.floor(hi / self.cell).astype(np.int64)
+        # clamping in float space keeps infinite bounds meaningful
+        clo = np.maximum(np.floor(lo / self.cell), self._key_lo).astype(np.int64)
+        chi = np.minimum(np.floor(hi / self.cell), self._key_hi).astype(np.int64)
         chunks = []
         for i in range(clo[0], chi[0] + 1):
             for j in range(clo[1], chi[1] + 1):
@@ -183,8 +178,8 @@ def gather_level(idx: SpatialIndex, centers, radius, max_k: int
     centers = np.asarray(centers, dtype=np.float64)
     n_rois, count = centers.shape[:2]
     radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), (n_rois,))
-    if np.any(radius <= 0):
-        raise ValueError("gather radius must be positive")
+    if not np.all((0 < radius) & (radius < np.inf)):
+        raise ValueError("gather radius must be positive and finite")
     rows, ids, dists = [], [], []
     for i, (pts, r) in enumerate(zip(centers, radius)):
         local = idx.region_ids(pts.min(axis=0) - r, pts.max(axis=0) + r)
@@ -214,18 +209,3 @@ def gather_level(idx: SpatialIndex, centers, radius, max_k: int
     keep = rank < max_k
     return row[keep], ids[keep], dist[keep]
 
-
-def ball_query(idx: SpatialIndex, center, r: float, max_k: int) -> np.ndarray:
-    """Ids of the (at most max_k nearest) points within radius r of center."""
-    if max_k < 1:
-        raise ValueError("max_k must be >= 1")
-    ids, _ = idx.query(center, r, max_k)
-    return ids
-
-
-def extended_query(idx: SpatialIndex, center, r: float, tau: float,
-                   max_k: int) -> np.ndarray:
-    """Ball query over the widened range r + 5*tau used by soft-radius sampling."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return ball_query(idx, center, r + 5.0 * tau, max_k)

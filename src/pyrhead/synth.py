@@ -21,7 +21,7 @@ from .geometry import (Box3D, PyramidConfig, default_pyramid_config,
                        pyramid_grid_points, rot_z, wrap_angle)
 from .head import (HeadConfig, HeadParams, assign_label, derotated_iou,
                    init_head_params, loss, run_head)
-from .spatial import PointSet, SpatialIndex, ball_query, build_index
+from .spatial import PointSet, SpatialIndex, build_index, gather_level
 
 BUCKET_EDGES = [0, 10, 50, 100, 500]
 BUCKET_LABELS = ["0-10", "10-50", "50-100", "100-500", "500+"]
@@ -251,12 +251,10 @@ def pyramid_gathered_ids(ps: PointSet, idx: SpatialIndex, roi: Box3D,
                          pyramid: PyramidConfig) -> set[int]:
     """Union of point ids collected by every grid point of every level."""
     ids: set[int] = set()
-    if len(ps) == 0:
-        return ids
     for lv in pyramid.levels:
-        for gp in pyramid_grid_points(roi, lv):
-            got = ball_query(idx, gp, lv.r_pre, lv.max_neighbors)
-            ids.update(int(i) for i in got)
+        centers = pyramid_grid_points(roi, lv)[None]
+        _, got, _ = gather_level(idx, centers, lv.r_pre, lv.max_neighbors)
+        ids.update(got.tolist())
     return ids
 
 
@@ -350,14 +348,18 @@ def scene_index(scene: Scene, cell: float = 2.4) -> SpatialIndex:
     return build_index(scene.ps, cell)
 
 
+class TrainingDiverged(RuntimeError):
+    """Training left the finite range; the learning rate is the usual cause."""
+
+
 def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
               lr: float, seed: int, n_scenes: int = 200, momentum: float = 0.9,
               threads: int = 1) -> TrainResult:
     """Momentum SGD on the head loss over a deterministic scene set.
 
     The radius trajectory records the per-level effective radius averaged
-    over the step's RoIs. Aborts with a diagnostic if the loss goes
-    non-finite.
+    over the step's RoIs. Raises TrainingDiverged if the loss or the
+    gradient norm goes non-finite or the box residuals leave their range.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -390,10 +392,14 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
         sc = scenes[step % len(scenes)]
         idx = indexes[step % len(scenes)]
         tau = temperature(step, sched)
-        step_loss, step_radii = scene_loss(sc, idx, tau)
+        try:
+            step_loss, step_radii = scene_loss(sc, idx, tau)
+        except RuntimeError as exc:  # from apply_residuals
+            raise TrainingDiverged(
+                f"training diverged at step {step}: box residuals out of range") from exc
         value = step_loss.item()
         if not math.isfinite(value):
-            raise RuntimeError(f"training diverged: loss {value} at step {step}")
+            raise TrainingDiverged(f"training diverged at step {step}: loss {value}")
         params.zero_grad()
         step_loss.backward()
         sq = 0.0
@@ -404,6 +410,8 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
             v *= momentum
             v -= lr * g
             p.data = p.data + v
+        if not math.isfinite(sq):
+            raise TrainingDiverged(f"training diverged at step {step}: gradient norm {sq}")
         losses.append(value)
         grad_norms.append(math.sqrt(sq))
         radii.append([float(np.mean(r)) if r.size else float(rp)

@@ -2,6 +2,11 @@
 
 - ``brute_force_query``: a linear scan over every point, the oracle for
   all radius queries.
+- ``graph_feature``, ``attention_feature`` and
+  ``point_transformer_feature``: the graph, standard-attention and
+  point-transformer operators written out on their own. The unified
+  gated attention with GRAPH_GATES, ATTENTION_GATES or TRANSFORMER_GATES
+  must reproduce each of them (the paper's gate-reduction claim).
 - ``batch_query_capped``, ``grouped_gated_attention`` and
   ``grouped_forward_rois``: the head's former forward pass, which queried
   each RoI's grid points against one distance matrix, grouped the grid
@@ -13,11 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from pyrhead.autodiff import (Value, _np_sigmoid, concat, mul, reshape,
-                              segment_sum, take)
+from pyrhead.autodiff import (Value, _np_sigmoid, add, concat, mul, reshape,
+                              segment_sum, softmax, take, vsum)
 from pyrhead.darp import context_embedding, predict_radius
 from pyrhead.geometry import pyramid_grid_points, rot_z
-from pyrhead.operators import soft_radius_coeff
+from pyrhead.operators import (AttentionParams, NeighborBundle, _zeros_feature,
+                               soft_radius_coeff)
 
 
 def brute_force_query(ps, center, r: float, max_k: int | None = None) -> np.ndarray:
@@ -31,6 +37,51 @@ def brute_force_query(ps, center, r: float, max_k: int | None = None) -> np.ndar
     if max_k is not None and order.size > max_k:
         order = order[:max_k]
     return ids[order].astype(np.int64)
+
+
+def _per_head_combine(weights: Value, values: Value, heads: int) -> Value:
+    """Sum_i weights[i,h] * values[i, h-th slice]; concatenation over heads."""
+    m, dm = values.shape
+    dh = dm // heads
+    w3 = reshape(weights, (m, heads, 1))
+    v3 = reshape(values, (m, heads, dh))
+    return reshape(vsum(mul(w3, v3), axis=0), (dm,))
+
+
+def graph_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
+    """Edge-weighted combination: weights from the positional embedding only."""
+    nb = nb.sorted_by_id()
+    if len(nb) == 0:
+        return _zeros_feature(params.d_model)
+    v = params.value(nb.feats)
+    q = params.q_pos(nb.offsets)
+    w = softmax(params.w_head(q), axis=0)
+    return _per_head_combine(w, v, params.heads)
+
+
+def attention_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
+    """Standard attention: weights from the query-key elementwise product."""
+    nb = nb.sorted_by_id()
+    if len(nb) == 0:
+        return _zeros_feature(params.d_model)
+    k = params.key(nb.feats)
+    v = params.value(nb.feats)
+    q = params.q_pos(nb.offsets)
+    w = softmax(params.w_head(mul(q, k)), axis=0)
+    return _per_head_combine(w, v, params.heads)
+
+
+def point_transformer_feature(nb: NeighborBundle,
+                              params: AttentionParams) -> Value:
+    """Vector attention with the positional embedding added to key and value."""
+    nb = nb.sorted_by_id()
+    if len(nb) == 0:
+        return _zeros_feature(params.d_model)
+    k = params.key(nb.feats)
+    v = params.value(nb.feats)
+    q = params.q_pos(nb.offsets)
+    w = softmax(params.w_head(add(k, q)), axis=0)
+    return _per_head_combine(w, add(v, q), params.heads)
 
 
 def batch_query_capped(idx, centers: np.ndarray, r: float, max_k: int

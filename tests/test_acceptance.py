@@ -17,13 +17,12 @@ from pyrhead.geometry import (Box3D, GridSpec, PyramidLevelConfig,
                               pyramid_point_count)
 from pyrhead.gradcheck import run_gradcheck
 from pyrhead.head import HeadConfig
+from oracles import attention_feature, graph_feature, point_transformer_feature
 from pyrhead.operators import (ATTENTION_GATES, GRAPH_GATES,
                                TRANSFORMER_GATES, NeighborBundle,
-                               attention_feature, graph_feature,
                                hard_membership, init_attention_params,
-                               point_transformer_feature, roi_grid_attention,
-                               soft_radius_coeff)
-from pyrhead.spatial import PointSet, ball_query, build_index, extended_query
+                               roi_grid_attention, soft_radius_coeff)
+from pyrhead.spatial import PointSet, build_index
 from pyrhead.synth import (SceneConfig, evaluate, generate_scenes,
                            single_level_baseline, train_toy)
 
@@ -154,11 +153,11 @@ def test_spatial_index_exactness():
             center = rng.uniform(-2, span + 2, 3)
             r = float(rng.uniform(0.2, 5.0))
             tau = float(rng.uniform(1e-4, 0.1))
-            got = ball_query(idx, center, r, 10**9)
+            got = idx.query(center, r, 10**9)[0]
             d = np.linalg.norm(coords - center, axis=1)
             want = np.nonzero(d <= r)[0]
             assert set(got.tolist()) == set(want.tolist())
-            got_e = extended_query(idx, center, r, tau, 10**9)
+            got_e = NeighborBundle.gather_extended(ps, idx, center, r, tau, 10**9).ids
             want_e = np.nonzero(d <= r + 5 * tau)[0]
             assert set(got_e.tolist()) == set(want_e.tolist())
         scenes += 1
@@ -246,7 +245,7 @@ def test_microbenchmark_ball_query():
     started = time.perf_counter()
     total = 0
     for c in queries:
-        total += ball_query(idx, c, r, max_k=64).size
+        total += idx.query(c, r, max_k=64)[0].size
     elapsed = time.perf_counter() - started
     ok = elapsed < 1.0
     report("microbenchmark-ball-query", ok,

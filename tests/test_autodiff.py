@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pyrhead.autodiff import (Value, add, clamp_min, concat, finite_diff_grad,
-                              linear, matmul, mul, rel_error, reshape,
-                              segment_sum, sigmoid, smooth_l1, softmax,
-                              softplus, take, vmax, vmean, vsum)
+                              linear, mul, rel_error, reshape, segment_sum,
+                              sigmoid, smooth_l1, softmax, softplus, take,
+                              vmax, vsum)
 
 
 def fd_against_tape(make_loss, leaves, h=1e-5, tol=1e-4):
@@ -60,8 +60,6 @@ class TestLinear:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             linear(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
-        with pytest.raises(ValueError):
-            matmul(Value(np.zeros((2, 3))), np.zeros((4, 2)))
 
 
 class TestSigmoid:
@@ -213,6 +211,6 @@ class TestReverseMode:
 
         def make():
             cat = concat([a, b, np.ones((1, 3))], axis=0)
-            return vmean(reshape(cat, (12,)))
+            return mul(vsum(reshape(cat, (12,))), 1.0 / 12)
 
         fd_against_tape(make, {"a": a, "b": b})

@@ -52,17 +52,33 @@ class TestGridgen:
 
 
 class TestAttend:
-    def test_unified_with_graph_gates_matches_graph(self, capsys):
+    @pytest.mark.parametrize("op", ["graph", "attention", "transformer"])
+    def test_unified_with_graph_gates_matches_graph(self, op, capsys):
+        # each named op is the unified operator with pinned gates; both must
+        # match the standalone oracle of that operator
+        import oracles
+        from pyrhead.cli import _fixture_scene
+        from pyrhead.operators import NeighborBundle, init_attention_params
+        from pyrhead.spatial import build_index
+        gates, oracle = {
+            "graph": ("1,0,0,0", oracles.graph_feature),
+            "attention": ("0,0,1,0", oracles.attention_feature),
+            "transformer": ("1,1,0,1", oracles.point_transformer_feature)}[op]
         base = ["--seed", "5", "--radius", "1.4", "--grid-point", "0,0,0"]
-        code, out_graph, _ = invoke(["attend", "--op", "graph"] + base, capsys)
+        code, out_op, _ = invoke(["attend", "--op", op] + base, capsys)
         assert code == 0
         code, out_unified, _ = invoke(
-            ["attend", "--op", "unified", "--gates", "1,0,0,0"] + base, capsys)
+            ["attend", "--op", "unified", "--gates", gates] + base, capsys)
         assert code == 0
-        a = np.array(json.loads(out_graph)["f_grid"])
-        b = np.array(json.loads(out_unified)["f_grid"])
-        scale = max(np.max(np.abs(a)), 1e-12)
-        assert np.max(np.abs(a - b)) / scale < 1e-6
+        ps = _fixture_scene(5)
+        nb = NeighborBundle.gather(ps, build_index(ps, 1.4), [0, 0, 0], 1.4, 16)
+        params = init_attention_params(np.random.default_rng(5), ps.feat_width)
+        want = oracle(nb, params).data
+        assert len(nb) > 1
+        scale = max(np.max(np.abs(want)), 1e-12)
+        for out in (out_op, out_unified):
+            got = np.array(json.loads(out)["f_grid"])
+            assert np.max(np.abs(got - want)) / scale < 1e-6
 
     def test_scene_fixture_json(self, tmp_path, capsys):
         from pyrhead.spatial import PointSet
@@ -173,6 +189,16 @@ class TestStatsAndTrain:
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("lr,steps,scenes", [("50", "40", "4"), ("1e6", "2", "2")])
+    def test_diverged_training_exits_two(self, tmp_path, capsys, lr, steps, scenes):
+        code, out, err = invoke(["train-toy", "--lr", lr, "--steps", steps,
+                                 "--scenes", scenes,
+                                 "--out", str(tmp_path / "m.json")], capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "training diverged" in err and "--lr" in err
+
     def test_train_toy_csv_format(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
         code, _, _ = invoke(["train-toy", "--steps", "2", "--scenes", "1",
@@ -247,6 +273,11 @@ class TestBench:
 
 
 class TestModuleEntry:
+    def test_public_names_resolve(self):
+        import pyrhead
+        missing = [name for name in pyrhead.__all__ if not hasattr(pyrhead, name)]
+        assert missing == []
+
     def test_python_dash_m(self):
         proc = subprocess.run(
             [sys.executable, "-m", "pyrhead", "gridgen",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import graph_feature
 from pyrhead.autodiff import Value, reshape
 from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig,
                               PyramidLevelConfig, default_pyramid_config,
@@ -15,7 +16,7 @@ from pyrhead.head import (CONFIG_SCHEMA_VERSION, HeadConfig, apply_checkpoint,
                           init_head_params, load_checkpoint, loss, refine,
                           run_head, save_checkpoint)
 from pyrhead.nn import init_mlp
-from pyrhead.operators import GateOverride, NeighborBundle, graph_feature
+from pyrhead.operators import NeighborBundle
 from pyrhead.spatial import PointSet, build_index
 from pyrhead.synth import SceneConfig, generate_scene, scene_index
 
@@ -261,6 +262,28 @@ class TestPersistence:
         other = init_head_params(tiny_config(d_model=32), 0)
         with pytest.raises((ValueError, KeyError)):
             apply_checkpoint(other, load_checkpoint(path))
+
+    @pytest.mark.parametrize("cut", [-5, 6])
+    def test_truncated_checkpoint_names_path_and_sizes(self, tmp_path, cut):
+        path = tmp_path / "short.ckpt"
+        save_checkpoint(init_head_params(tiny_config(), 0), path)
+        full = len(path.read_bytes())
+        path.write_bytes(path.read_bytes()[:cut])
+        size = full + cut if cut < 0 else cut
+        with pytest.raises(ValueError) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        assert f"file has {size}" in str(err.value)
+        need = full if cut < 0 else 12
+        assert f"needs at least {need} bytes" in str(err.value)
+
+    def test_checkpoint_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.ckpt"
+        save_checkpoint(init_head_params(tiny_config(), 0), path)
+        full = len(path.read_bytes())
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(ValueError, match=f"needs {full} bytes, file has {full + 4}"):
+            load_checkpoint(path)
 
     def test_config_json_round_trip(self):
         cfg = HeadConfig()

@@ -1,20 +1,20 @@
-"""Aggregation operators: closed-form cases, cross-implementation gate
-reductions, soft-radius membership, permutation invariance, gradients."""
+"""Aggregation operators: closed-form cases, gate reductions against the
+standalone oracles, soft-radius membership, permutation invariance,
+gradients."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import attention_feature, graph_feature, point_transformer_feature
 from pyrhead.autodiff import Value, finite_diff_grad, mul, rel_error, vsum
 from pyrhead.nn import init_mlp
 from pyrhead.operators import (ATTENTION_GATES, GRAPH_GATES,
                                TRANSFORMER_GATES, ContractViolationError,
                                GateOverride, NeighborBundle,
-                               attention_feature, graph_feature,
                                hard_membership, init_attention_params,
-                               point_transformer_feature, pool_feature,
-                               roi_grid_attention, roi_grid_attention_darp,
-                               soft_radius_coeff)
+                               pool_feature, roi_grid_attention,
+                               roi_grid_attention_darp, soft_radius_coeff)
 
 D_IN = 8
 
@@ -78,13 +78,27 @@ class TestPoolFeature:
             pool_feature(nb, init_mlp(rng, [D_IN + 2, 8]))
 
 
+def graph_op(nb, params):
+    return roi_grid_attention(nb, params, GRAPH_GATES)
+
+
+def attention_op(nb, params):
+    return roi_grid_attention(nb, params, ATTENTION_GATES)
+
+
+def transformer_op(nb, params):
+    return roi_grid_attention(nb, params, TRANSFORMER_GATES)
+
+
 class TestStandaloneOperators:
+    """Closed forms of the unified operator with each operator's gates pinned."""
+
     def test_graph_singleton_returns_value_embedding(self):
         rng = np.random.default_rng(0)
         nb = make_bundle(rng, 1)
         params = init_attention_params(rng, D_IN)
         want = params.value(np.asarray(nb.feats)).data.reshape(-1)
-        np.testing.assert_allclose(graph_feature(nb, params).data, want,
+        np.testing.assert_allclose(graph_op(nb, params).data, want,
                                    atol=1e-12)
 
     def test_graph_identical_neighbors_average_to_one(self):
@@ -94,15 +108,15 @@ class TestStandaloneOperators:
                              np.repeat(one.offsets, 2, axis=0),
                              np.repeat(np.asarray(one.feats), 2, axis=0))
         params = init_attention_params(rng, D_IN)
-        np.testing.assert_allclose(graph_feature(two, params).data,
-                                   graph_feature(one, params).data, atol=1e-12)
+        np.testing.assert_allclose(graph_op(two, params).data,
+                                   graph_op(one, params).data, atol=1e-12)
 
     def test_attention_singleton(self):
         rng = np.random.default_rng(2)
         nb = make_bundle(rng, 1)
         params = init_attention_params(rng, D_IN)
         want = params.value(np.asarray(nb.feats)).data.reshape(-1)
-        np.testing.assert_allclose(attention_feature(nb, params).data, want,
+        np.testing.assert_allclose(attention_op(nb, params).data, want,
                                    atol=1e-12)
 
     def test_attention_zero_maps_give_mean_value(self):
@@ -112,7 +126,7 @@ class TestStandaloneOperators:
         zero_linear(params.q_pos)
         zero_linear(params.key)
         want = params.value(np.asarray(nb.feats)).data.mean(axis=0)
-        np.testing.assert_allclose(attention_feature(nb, params).data, want,
+        np.testing.assert_allclose(attention_op(nb, params).data, want,
                                    atol=1e-12)
 
     def test_transformer_singleton_zero_qpos(self):
@@ -121,7 +135,7 @@ class TestStandaloneOperators:
         params = init_attention_params(rng, D_IN)
         zero_linear(params.q_pos)
         want = params.value(np.asarray(nb.feats)).data.reshape(-1)
-        np.testing.assert_allclose(point_transformer_feature(nb, params).data,
+        np.testing.assert_allclose(transformer_op(nb, params).data,
                                    want, atol=1e-12)
 
     def test_transformer_zero_key_value_gives_qpos(self):
@@ -131,7 +145,7 @@ class TestStandaloneOperators:
         zero_linear(params.key)
         zero_linear(params.value)
         want = params.q_pos(nb.offsets).data.reshape(-1)
-        np.testing.assert_allclose(point_transformer_feature(nb, params).data,
+        np.testing.assert_allclose(transformer_op(nb, params).data,
                                    want, atol=1e-12)
 
 
@@ -181,8 +195,7 @@ class TestGateReductions:
         perm = rng.permutation(m)
         shuffled = NeighborBundle(nb.grid_point, nb.ids[perm],
                                   nb.offsets[perm], np.asarray(nb.feats)[perm])
-        for fn in (graph_feature, attention_feature,
-                   point_transformer_feature, roi_grid_attention):
+        for fn in (graph_op, attention_op, transformer_op, roi_grid_attention):
             a, b = fn(nb, params).data, fn(shuffled, params).data
             assert np.max(np.abs(a - b)) < 1e-12
 
@@ -328,10 +341,9 @@ class TestOperatorGradients:
         u32, u64 = rng.normal(size=32), rng.normal(size=64)
         builders = {
             "pool": lambda: vsum(mul(pool_feature(nb, mlp), u32)),
-            "graph": lambda: vsum(mul(graph_feature(nb, params), u64)),
-            "attention": lambda: vsum(mul(attention_feature(nb, params), u64)),
-            "transformer": lambda: vsum(mul(
-                point_transformer_feature(nb, params), u64)),
+            "graph": lambda: vsum(mul(graph_op(nb, params), u64)),
+            "attention": lambda: vsum(mul(attention_op(nb, params), u64)),
+            "transformer": lambda: vsum(mul(transformer_op(nb, params), u64)),
             "unified": lambda: vsum(mul(roi_grid_attention(nb, params), u64)),
             "darp": lambda: vsum(mul(
                 roi_grid_attention_darp(nb, params, r, tau), u64)),

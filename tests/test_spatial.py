@@ -1,12 +1,14 @@
 """Spatial index exactness against brute-force scans, file round trips."""
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_query
-from pyrhead.spatial import (PointSet, ball_query, build_index, extended_query,
-                             gather_level)
+from pyrhead.operators import NeighborBundle
+from pyrhead.spatial import PointSet, build_index, gather_level
 
 
 def random_pointset(rng, n, span=20.0):
@@ -16,29 +18,29 @@ def random_pointset(rng, n, span=20.0):
 class TestBallQuery:
     def test_empty_pointset(self):
         idx = build_index(PointSet.empty(4), cell=1.0)
-        assert ball_query(idx, [0, 0, 0], 1.0, 8).size == 0
+        assert idx.query([0, 0, 0], 1.0, 8)[0].size == 0
 
     def test_single_point_at_origin(self):
         ps = PointSet(np.zeros((1, 3)), np.zeros((1, 2)))
         idx = build_index(ps, cell=1.0)
-        np.testing.assert_array_equal(ball_query(idx, [0, 0, 0], 1.0, 8), [0])
+        np.testing.assert_array_equal(idx.query([0, 0, 0], 1.0, 8)[0], [0])
 
     def test_membership_by_distance(self):
         ps = PointSet(np.array([[0.5, 0, 0], [1.5, 0, 0]]), np.zeros((2, 1)))
         idx = build_index(ps, cell=1.0)
-        np.testing.assert_array_equal(ball_query(idx, [0, 0, 0], 1.0, 8), [0])
+        np.testing.assert_array_equal(idx.query([0, 0, 0], 1.0, 8)[0], [0])
 
     def test_boundary_point_included(self):
         ps = PointSet(np.array([[1.0, 0.0, 0.0]]), np.zeros((1, 1)))
         idx = build_index(ps, cell=0.7)
-        np.testing.assert_array_equal(ball_query(idx, [0, 0, 0], 1.0, 4), [0])
+        np.testing.assert_array_equal(idx.query([0, 0, 0], 1.0, 4)[0], [0])
 
     def test_cap_keeps_nearest_by_sort_oracle(self):
         rng = np.random.default_rng(1)
         ps = random_pointset(rng, 20, span=4.0)
         idx = build_index(ps, cell=1.0)
         center = np.array([2.0, 2.0, 2.0])
-        got = ball_query(idx, center, 50.0, 5)
+        got = idx.query(center, 50.0, 5)[0]
         np.testing.assert_array_equal(got, brute_force_query(ps, center, 50.0, 5))
 
     def test_large_scene_matches_scan(self):
@@ -48,22 +50,23 @@ class TestBallQuery:
         for _ in range(100):
             center = rng.uniform(0, 20, 3)
             r = float(rng.uniform(0.2, 3.0))
-            got = ball_query(idx, center, r, 10**9)
+            got = idx.query(center, r, 10**9)[0]
             np.testing.assert_array_equal(np.sort(got),
                                           np.sort(brute_force_query(ps, center, r)))
 
     def test_ordered_by_distance_then_id(self):
         coords = np.array([[1.0, 0, 0], [0.5, 0, 0], [-0.5, 0, 0]])
         idx = build_index(PointSet(coords, np.zeros((3, 1))), cell=1.0)
-        np.testing.assert_array_equal(ball_query(idx, [0, 0, 0], 2.0, 8),
+        np.testing.assert_array_equal(idx.query([0, 0, 0], 2.0, 8)[0],
                                       [1, 2, 0])
 
     def test_invalid_args(self):
         idx = build_index(PointSet.empty(1), cell=1.0)
-        with pytest.raises(ValueError):
-            ball_query(idx, [0, 0, 0], -1.0, 4)
-        with pytest.raises(ValueError):
-            ball_query(idx, [0, 0, 0], 1.0, 0)
+        for bad_r in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius"):
+                idx.query([0, 0, 0], bad_r, 4)
+        with pytest.raises(ValueError, match="max_k"):
+            idx.query([0, 0, 0], 1.0, 0)
         with pytest.raises(ValueError):
             build_index(PointSet.empty(1), cell=0.0)
 
@@ -76,8 +79,8 @@ class TestBallQuery:
         idx = build_index(ps, cell=float(rng.uniform(0.4, 3.0)))
         center = rng.uniform(-1, 9, 3)
         r1, r2 = sorted(rng.uniform(0.1, 4.0, 2))
-        inner = ball_query(idx, center, r1, 10**9)
-        outer = ball_query(idx, center, r2, 10**9)
+        inner = idx.query(center, r1, 10**9)[0]
+        outer = idx.query(center, r2, 10**9)[0]
         np.testing.assert_array_equal(np.sort(inner),
                                       np.sort(brute_force_query(ps, center, r1)))
         np.testing.assert_array_equal(np.sort(outer),
@@ -91,8 +94,8 @@ class TestBallQuery:
         b = build_index(ps, cell=1.0)
         for _ in range(10):
             c = rng.uniform(0, 20, 3)
-            np.testing.assert_array_equal(ball_query(a, c, 2.0, 7),
-                                          ball_query(b, c, 2.0, 7))
+            np.testing.assert_array_equal(a.query(c, 2.0, 7)[0],
+                                          b.query(c, 2.0, 7)[0])
 
 
 class TestExtendedQuery:
@@ -101,14 +104,15 @@ class TestExtendedQuery:
         ps = random_pointset(rng, 200, span=5.0)
         idx = build_index(ps, cell=1.0)
         c = np.array([2.5, 2.5, 2.5])
-        np.testing.assert_array_equal(extended_query(idx, c, 1.0, 1e-15, 64),
-                                      ball_query(idx, c, 1.0, 64))
+        got = NeighborBundle.gather_extended(ps, idx, c, 1.0, 1e-15, 64)
+        np.testing.assert_array_equal(got.ids, idx.query(c, 1.0, 64)[0])
 
     def test_range_arithmetic(self):
         tau, r = 0.1, 1.0
         coords = np.array([[r + 4 * tau, 0, 0], [r + 6 * tau, 0, 0]])
-        idx = build_index(PointSet(coords, np.zeros((2, 1))), cell=1.0)
-        got = extended_query(idx, [0, 0, 0], r, tau, 8)
+        ps = PointSet(coords, np.zeros((2, 1)))
+        idx = build_index(ps, cell=1.0)
+        got = NeighborBundle.gather_extended(ps, idx, [0, 0, 0], r, tau, 8).ids
         np.testing.assert_array_equal(got, [0])
 
     def test_matches_scan_at_widened_radius(self):
@@ -118,14 +122,15 @@ class TestExtendedQuery:
         for _ in range(25):
             c = rng.uniform(0, 20, 3)
             r, tau = float(rng.uniform(0.3, 2.0)), float(rng.uniform(1e-4, 0.2))
-            got = extended_query(idx, c, r, tau, 10**9)
+            got = NeighborBundle.gather_extended(ps, idx, c, r, tau, 10**9).ids
             np.testing.assert_array_equal(
                 np.sort(got), np.sort(brute_force_query(ps, c, r + 5 * tau)))
 
     def test_tau_must_be_positive(self):
-        idx = build_index(PointSet.empty(1), cell=1.0)
+        ps = PointSet.empty(1)
+        idx = build_index(ps, cell=1.0)
         with pytest.raises(ValueError):
-            extended_query(idx, [0, 0, 0], 1.0, 0.0, 4)
+            NeighborBundle.gather_extended(ps, idx, [0, 0, 0], 1.0, 0.0, 4)
 
 
 def _gather_rows(idx, centers, radius, max_k):
@@ -185,8 +190,43 @@ class TestBatchQuery:
         idx = build_index(PointSet.empty(1), cell=1.0)
         with pytest.raises(ValueError, match="max_k"):
             gather_level(idx, np.zeros((1, 1, 3)), 1.0, 0)
-        with pytest.raises(ValueError, match="radius"):
-            gather_level(idx, np.zeros((2, 1, 3)), [1.0, 0.0], 4)
+        for bad_r in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="radius"):
+                gather_level(idx, np.zeros((2, 1, 3)), [1.0, bad_r], 4)
+
+
+class TestBoundedCellScan:
+    """Scan cost is bounded by the occupied cells, not by the radius."""
+
+    def scene(self):
+        rng = np.random.default_rng(21)
+        ps = random_pointset(rng, 300, span=10.0)
+        return ps, build_index(ps, cell=1.0)
+
+    def test_huge_radius_query_is_fast_and_exact(self):
+        ps, idx = self.scene()
+        for center in ([5.0, 5.0, 5.0], [-3e3, 40.0, 7.0]):
+            started = time.perf_counter()
+            ids, _ = idx.query(center, 1e4, 64)
+            elapsed = time.perf_counter() - started
+            np.testing.assert_array_equal(ids, brute_force_query(ps, center, 1e4, 64))
+            assert elapsed < 0.05
+
+    def test_huge_radius_gather_is_fast_and_exact(self):
+        ps, idx = self.scene()
+        centers = np.array([[[5.0, 5.0, 5.0], [-3e3, 40.0, 7.0]]])
+        started = time.perf_counter()
+        rows = _gather_rows(idx, centers, 1e4, 64)
+        elapsed = time.perf_counter() - started
+        for c, (ids, _) in zip(centers[0], rows):
+            np.testing.assert_array_equal(ids, brute_force_query(ps, c, 1e4, 64))
+        assert elapsed < 0.05
+
+    def test_box_outside_occupied_cells_is_empty(self):
+        _, idx = self.scene()
+        assert idx.region_ids(np.full(3, 50.0), np.full(3, 1e9)).size == 0
+        np.testing.assert_array_equal(
+            idx.region_ids(np.full(3, -np.inf), np.full(3, np.inf)), np.arange(300))
 
 
 class TestPointSetIO:

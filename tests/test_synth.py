@@ -120,6 +120,22 @@ class TestSparsityStats:
             gathered = pyramid_gathered_ids(scene.ps, idx, box, wide)
             assert len(gathered) >= interior_count(box, scene.ps)
 
+    def test_gathered_ids_equal_union_of_capped_scans(self):
+        from oracles import brute_force_query
+        from pyrhead.geometry import pyramid_grid_points
+        pyramid = default_pyramid_config()
+        for seed in (0, 4):
+            sc = generate_scene(dataclasses.replace(FAST, seed=seed))
+            idx = build_index(sc.ps, cell=2.4)
+            for roi in sc.proposals:
+                want = set()
+                for lv in pyramid.levels:
+                    for gp in pyramid_grid_points(roi, lv):
+                        want.update(brute_force_query(sc.ps, gp, lv.r_pre,
+                                                      lv.max_neighbors).tolist())
+                assert pyramid_gathered_ids(sc.ps, idx, roi, pyramid) == want
+                assert want
+
     def test_csv_shape(self):
         stats = sparsity_stats(generate_scenes(FAST, 3))
         lines = stats.to_csv().strip().splitlines()
