@@ -5,7 +5,9 @@ A minimal tape: every operation records its parents and a backward closure,
 each the gradient of its output. A closure refers to its inputs but never to
 its own output, so the tape holds no reference cycles and reference counting
 frees it as soon as the last result goes out of scope. Only first-order
-gradients are supported. All math is 64-bit.
+gradients are supported. All math is 64-bit. The ops here are the ones the
+library calls; ops that only the reference implementations use live with
+them in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -123,26 +125,6 @@ class Value:
         return add(self, other)
 
     __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Value) else -_as_array(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def sum(self, axis=None, keepdims=False):
-        return vsum(self, axis=axis, keepdims=keepdims)
 
 
 def _data(x) -> Array:
@@ -310,29 +292,6 @@ def vmax(x: Value, axis: int, keepdims=False) -> Value:
     return out
 
 
-def softmax(x, axis: int = -1):
-    """Normalized exponentials along ``axis``; shift-invariant by construction."""
-    if not isinstance(x, Value):
-        d = _as_array(x)
-        if d.shape[axis] == 0:
-            raise ValueError("softmax of empty input")
-        z = d - d.max(axis=axis, keepdims=True)
-        e = np.exp(z)
-        return e / e.sum(axis=axis, keepdims=True)
-    if x.shape[axis] == 0:
-        raise ValueError("softmax of empty input")
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Value(y, (x,))
-
-    def _bw(g):
-        x._accum_owned(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-
-    out._backward = _bw
-    return out
-
-
 def reshape(x: Value, shape) -> Value:
     orig = x.shape
     out = Value(x.data.reshape(shape), (x,))
@@ -370,20 +329,6 @@ def take(x: Value, indices) -> Value:
         buf = np.zeros_like(x.data)
         np.add.at(buf, idx, g)
         x._accum_owned(buf)
-
-    out._backward = _bw
-    return out
-
-
-def segment_sum(x: Value, segment_ids, num_segments: int) -> Value:
-    """Sum rows of ``x`` into ``num_segments`` buckets along axis 0."""
-    seg = np.asarray(segment_ids, dtype=np.intp)
-    data = np.zeros((num_segments,) + x.shape[1:])
-    np.add.at(data, seg, x.data)
-    out = Value(data, (x,))
-
-    def _bw(g):
-        x._accum_owned(g[seg])
 
     out._backward = _bw
     return out

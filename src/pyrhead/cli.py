@@ -114,6 +114,8 @@ def cmd_gridgen(args) -> int:
 
 
 def cmd_attend(args) -> int:
+    if args.gates and args.op not in ("unified", "darp"):
+        raise CliError(f"--gates applies to --op unified or darp, not {args.op}")
     seed = args.seed
     rng = np.random.default_rng(seed)
     if args.scene:
@@ -184,7 +186,7 @@ def cmd_train_toy(args) -> int:
     text = result.to_csv() if args.format == "csv" else result.to_json() + "\n"
     _write_out(args, text)
     if args.out:
-        summary = {"initial_loss": result.initial_loss,
+        summary = {"initial_loss": result.untrained_loss,
                    "final_loss": result.final_loss,
                    "max_radius_shift": result.max_radius_shift()}
         sys.stdout.write(json.dumps(summary) + "\n")
@@ -277,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--tau", type=float, default=0.01)
     p.add_argument("--max-k", type=int, default=16)
-    p.add_argument("--gates", help="fixed gates pos,key,cross,value")
+    p.add_argument("--gates",
+                   help="fixed gates pos,key,cross,value (--op unified or darp)")
     p.add_argument("--d-model", type=int, default=64)
     p.add_argument("--heads", type=int, default=4)
     p.set_defaults(fn=cmd_attend)

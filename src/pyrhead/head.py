@@ -2,23 +2,24 @@
 level fusion, and classification/box-refinement outputs.
 
 The forward pass runs each pyramid level as one ragged batch over all
-RoIs of a scene: one capped gather, one gated attention call over the
-neighbor slots of every grid point, and one segment sum per level, instead
-of one operator call per grid point. The math is identical to the
-per-point operators.
+RoIs of a scene: one capped gather and one gated attention call that
+returns a feature for every grid point (zeros where a grid point has no
+neighbor), summed per RoI, instead of one operator call per grid point.
+The math is identical to the per-point operators.
 """
 from __future__ import annotations
 
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .autodiff import (Value, add, concat, mul, reshape, segment_sum, sigmoid,
-                       smooth_l1, softplus, take, vsum)
+from .autodiff import (Value, add, concat, mul, reshape, sigmoid, smooth_l1,
+                       softplus, take, vsum)
 from .darp import (ContextAggregatorParams, RadiusHeadParams, context_embedding,
                    init_context_params, init_radius_head, predict_radius)
 from .geometry import (Box3D, PyramidConfig, default_pyramid_config,
@@ -56,10 +57,6 @@ class HeadConfig:
     gate_override: tuple[float, float, float, float] | None = None
 
     @property
-    def num_levels(self) -> int:
-        return len(self.pyramid)
-
-    @property
     def fusion_out(self) -> int:
         return self.fusion_widths[-1]
 
@@ -69,53 +66,56 @@ class HeadConfig:
         return GateOverride.from_tuple(self.gate_override)
 
     def to_json(self) -> str:
-        doc = {
-            "schema_version": CONFIG_SCHEMA_VERSION,
-            "pyramid": json.loads(self.pyramid.to_json()),
-            "feat_width": self.feat_width,
-            "d_model": self.d_model,
-            "heads": self.heads,
-            "reduce_width": self.reduce_width,
-            "fusion_widths": list(self.fusion_widths),
-            "darp_enabled": self.darp_enabled,
-            "context_radii": list(self.context_radii),
-            "context_sphere_width": self.context_sphere_width,
-            "radius_hidden": self.radius_hidden,
-            "r_min": self.r_min,
-            "tau_start": self.tau_start,
-            "tau_end": self.tau_end,
-            "iou_positive": self.iou_positive,
-            "reg_weight": self.reg_weight,
-            "gate_override": list(self.gate_override) if self.gate_override else None,
-        }
+        doc = {"schema_version": CONFIG_SCHEMA_VERSION}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            doc[f.name] = (json.loads(v.to_json()) if isinstance(v, PyramidConfig)
+                           else list(v) if isinstance(v, tuple) else v)
         return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "HeadConfig":
+        """Config from JSON; an unknown, missing or mistyped field raises ValueError."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("head config must be a JSON object")
         version = doc.get("schema_version")
         if version != CONFIG_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported config schema {version!r}, expected {CONFIG_SCHEMA_VERSION}")
-        gates = doc.get("gate_override")
-        return cls(
-            pyramid=PyramidConfig.from_json(json.dumps(doc["pyramid"])),
-            feat_width=int(doc["feat_width"]),
-            d_model=int(doc["d_model"]),
-            heads=int(doc["heads"]),
-            reduce_width=int(doc["reduce_width"]),
-            fusion_widths=tuple(doc["fusion_widths"]),
-            darp_enabled=bool(doc["darp_enabled"]),
-            context_radii=tuple(doc["context_radii"]),
-            context_sphere_width=int(doc["context_sphere_width"]),
-            radius_hidden=int(doc["radius_hidden"]),
-            r_min=float(doc["r_min"]),
-            tau_start=float(doc["tau_start"]),
-            tau_end=float(doc["tau_end"]),
-            iou_positive=float(doc["iou_positive"]),
-            reg_weight=float(doc["reg_weight"]),
-            gate_override=tuple(gates) if gates else None,
-        )
+        names = [f.name for f in fields(cls)]
+        for key in doc:
+            if key != "schema_version" and key not in names:
+                raise ValueError(f"unknown config field {key!r}")
+        for name in names:
+            if name not in doc:
+                raise ValueError(f"config field {name!r} is missing")
+        types = get_type_hints(cls)
+        return cls(**{name: _config_value(name, types[name], doc[name])
+                      for name in names})
+
+
+def _config_value(name: str, tp, v):
+    """JSON value ``v`` of config field ``name`` as type ``tp``, or ValueError."""
+    args = get_args(tp)
+    if type(None) in args:
+        if v is None:
+            return None
+        tp, args = args[0], get_args(args[0])
+    if tp is PyramidConfig and isinstance(v, dict):
+        return PyramidConfig.from_json(json.dumps(v))
+    if get_origin(tp) is tuple and isinstance(v, list):
+        item_types = [args[0]] * len(v) if args[-1] is Ellipsis else args
+        if len(item_types) == len(v):
+            return tuple(_config_value(name, t, x) for t, x in zip(item_types, v))
+    if tp is bool and isinstance(v, bool):
+        return v
+    if tp is int and isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if tp is float and isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise ValueError(f"config field {name!r}: {json.dumps(v)} is not a valid "
+                     f"{getattr(tp, '__name__', tp)}")
 
 
 @dataclass
@@ -178,10 +178,10 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
     """Fused per-RoI features [R, fusion_out] and per-level effective radii.
 
     Each level is one ragged batch over all RoIs: a single capped gather
-    lays the neighbors of every grid point end to end, one gated attention
-    call aggregates each grid point's slots, and one segment sum adds the
-    grid features of each RoI. Grid points without a neighbor contribute
-    zero to their RoI's level mean.
+    lays the neighbors of every grid point end to end, and one gated
+    attention call returns the feature of every grid point, which are
+    summed per RoI. Grid points without a neighbor contribute zero to
+    their RoI's level mean.
     """
     R = len(rois)
     gates = cfg.gates()
@@ -203,26 +203,21 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
         radii_used.append(r_np)
         centers = np.stack([pyramid_grid_points(roi, lv) for roi in rois])
         row, ids, dist = gather_level(idx, centers, gather_r, lv.max_neighbors)
-        if ids.size:
-            # ascending ids within each grid point and one rotation product
-            # per RoI: the summation order and product of the per-point path
-            order = np.lexsort((ids, row))
-            row, ids, dist = row[order], ids[order], dist[order]
-            roi_of = row // lv.grid.count
-            diff = ps.coords[ids] - centers.reshape(-1, 3)[row]
-            bounds = np.searchsorted(roi_of, np.arange(R + 1))
-            offs = np.concatenate([diff[lo:hi] @ rot for rot, lo, hi
-                                   in zip(derot, bounds[:-1], bounds[1:])])
-            starts = np.flatnonzero(np.diff(row, prepend=-1))
-            coeff = (soft_radius_coeff(dist, take(r_vec, roi_of), tau)
-                     if cfg.darp_enabled else None)
-            grid_feats = gated_attention_batched(offs, ps.feats[ids], params.attention[li],
-                                                 gates, coeff, starts)
-            sums = segment_sum(grid_feats, roi_of[starts], R)
-            lvl_mean = mul(sums, 1.0 / lv.grid.count)
-        else:
-            lvl_mean = Value(np.zeros((R, cfg.d_model)))
-        level_feats.append(params.reduce[li](lvl_mean))
+        # ascending ids within each grid point and one rotation product per
+        # RoI: the summation order and product of the per-point path
+        order = np.lexsort((ids, row))
+        row, ids, dist = row[order], ids[order], dist[order]
+        roi_of = row // lv.grid.count
+        diff = ps.coords[ids] - centers.reshape(-1, 3)[row]
+        bounds = np.searchsorted(roi_of, np.arange(R + 1))
+        offs = np.concatenate([diff[lo:hi] @ rot for rot, lo, hi
+                               in zip(derot, bounds[:-1], bounds[1:])])
+        coeff = (soft_radius_coeff(dist, take(r_vec, roi_of), tau)
+                 if cfg.darp_enabled else None)
+        grid = gated_attention_batched(offs, ps.feats[ids], params.attention[li],
+                                       gates, coeff, row, R * lv.grid.count)
+        sums = vsum(reshape(grid, (R, lv.grid.count, cfg.d_model)), axis=1)
+        level_feats.append(params.reduce[li](mul(sums, 1.0 / lv.grid.count)))
     fused = params.fusion(concat(level_feats, axis=1))
     return fused, radii_used
 

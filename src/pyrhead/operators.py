@@ -4,7 +4,10 @@ The unified gated attention is the one attention operator: it subsumes the
 graph, standard-attention and point-transformer forms through four gate
 scalars, and fixing the gates to GRAPH_GATES (1,0,0,0), ATTENTION_GATES
 (0,0,1,0) or TRANSFORMER_GATES (1,1,0,1) reproduces the corresponding
-operator. Max pooling is the only other aggregation. A soft radius
+operator. ``gated_attention_batched`` is its one entry point: it returns a
+feature for every grid point of a batch, zeros where a grid point has no
+neighbor, and the per-point ``roi_grid_attention(_darp)`` are one-row calls
+of it. Max pooling is the only other aggregation. A soft radius
 coefficient makes the aggregation radius differentiable; it needs the
 neighbors within the widened sampling range r + 5*tau.
 """
@@ -108,7 +111,6 @@ class NeighborBundle:
     ids: np.ndarray
     offsets: np.ndarray                 # p_i - p_grid, shape [m,3]
     feats: np.ndarray | Value           # [m,d]
-    coeff: np.ndarray | None = None     # optional fixed per-neighbor weights
     gather_radius: float | None = None  # radius the ids were collected at
 
     def __post_init__(self):
@@ -118,8 +120,6 @@ class NeighborBundle:
         m = len(self.ids)
         if self.offsets.shape[0] != m or self.feats.shape[0] != m:
             raise ValueError("bundle arrays disagree on neighbor count")
-        if self.coeff is not None and len(self.coeff) != m:
-            raise ValueError("bundle coeff length mismatch")
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -134,10 +134,8 @@ class NeighborBundle:
             return self
         feats = take(self.feats, order) if isinstance(self.feats, Value) \
             else self.feats[order]
-        coeff = None if self.coeff is None else np.asarray(self.coeff)[order]
         return NeighborBundle(self.grid_point, self.ids[order],
-                              self.offsets[order], feats, coeff,
-                              self.gather_radius)
+                              self.offsets[order], feats, self.gather_radius)
 
     @classmethod
     def gather(cls, ps: PointSet, idx: SpatialIndex, grid_point,
@@ -190,11 +188,7 @@ def hard_membership(d, r):
     return float(out) if np.ndim(d) == 0 else out
 
 
-# -- empty neighborhoods and max pooling ------------------------------------
-
-def _zeros_feature(width: int) -> Value:
-    return Value(np.zeros(width))
-
+# -- max pooling --------------------------------------------------------------
 
 def pool_feature(nb: NeighborBundle, mlp: MLPParams) -> Value:
     """Channelwise max over MLP([feature, offset]) of each neighbor."""
@@ -203,7 +197,7 @@ def pool_feature(nb: NeighborBundle, mlp: MLPParams) -> Value:
         raise ValueError(
             f"pool MLP expects width {nb.feats.shape[1] + 3}, has {mlp.d_in}")
     if len(nb) == 0:
-        return _zeros_feature(mlp.d_out)
+        return Value(np.zeros(mlp.d_out))
     x = concat([nb.feats, nb.offsets], axis=1)
     return vmax(mlp(x), axis=0)
 
@@ -224,18 +218,20 @@ def _gate_backward(lp: LinearParams, gate: np.ndarray, inp: np.ndarray,
 
 
 def _gate_core(k: Value, q: Value, v: Value, params: AttentionParams,
-               gates: GateOverride | None, coeff, starts: np.ndarray) -> Value:
+               gates: GateOverride | None, coeff, row: np.ndarray,
+               n_rows: int) -> Value:
     """Fused gating, per-segment softmax and per-segment weighted sum.
 
-    k, q and v are [N, d_model] slots: the neighbors of S grid points laid
-    end to end, grid point s owning slots ``starts[s]`` up to the next start.
-    One tape node covers everything between the k/q/v projections and the
-    [S, d_model] output; the backward below is the hand-derived adjoint of
-    that computation.
+    k, q and v are [N, d_model] slots: the neighbors of grid points laid
+    end to end, slot i belonging to grid point ``row[i]`` (ascending). One
+    tape node covers everything between the k/q/v projections and the
+    [n_rows, d_model] output, whose rows without a slot stay zero; the
+    backward below is the hand-derived adjoint of that computation.
     """
     kd, qd, vd = k.data, q.data, v.data
     n, dm = kd.shape
     heads, dh = params.heads, params.head_width
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
     seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
     qkd = qd * kd
     learned = gates is None
@@ -259,7 +255,9 @@ def _gate_core(k: Value, q: Value, v: Value, params: AttentionParams,
     else:
         wc = w
     val3 = (vd + gv * qd).reshape(n, heads, dh)
-    out_data = np.add.reduceat((wc[:, :, None] * val3).reshape(n, dm), starts, axis=0)
+    out_data = np.zeros((n_rows, dm))
+    out_data[row[starts]] = np.add.reduceat((wc[:, :, None] * val3).reshape(n, dm),
+                                            starts, axis=0)
 
     parents = [k, q, v, params.w_head.W, params.w_head.b]
     if learned:
@@ -270,7 +268,7 @@ def _gate_core(k: Value, q: Value, v: Value, params: AttentionParams,
         parents.append(s_val)
 
     def _bw(gout):
-        gh = gout.reshape(-1, heads, dh)[seg]
+        gh = gout.reshape(-1, heads, dh)[row]
         dwc = np.einsum("nhd,nhd->nh", val3, gh)
         dval = (wc[:, :, None] * gh).reshape(n, dm)
         dw = dwc
@@ -299,35 +297,39 @@ def _gate_core(k: Value, q: Value, v: Value, params: AttentionParams,
 
 def gated_attention_batched(offsets: np.ndarray, feats, params: AttentionParams,
                             gates: GateOverride | None = None, coeff=None,
-                            starts=None) -> Value:
+                            row=None, n_rows: int = 1) -> Value:
     """Unified operator over the neighbors of a batch of grid points.
 
     offsets: [N,3] array; feats: [N,d] array or Value; coeff: optional [N]
     per-neighbor multiplier applied after the softmax (no
-    renormalization). ``starts`` holds the first slot of each grid point's
-    neighbors, ascending from 0, every grid point owning at least one slot;
-    by default all N slots belong to one grid point. Returns the
-    [len(starts), d_model] grid features.
+    renormalization). ``row`` is the grid point of each slot, ascending
+    within [0, n_rows); by default all N slots belong to grid point 0.
+    Returns the [n_rows, d_model] grid features, zero for a grid point
+    that owns no slot.
     """
     n = len(offsets)
-    starts = np.zeros(1, dtype=np.intp) if starts is None \
-        else np.asarray(starts, dtype=np.intp)
-    if n == 0 or starts[0] != 0 or starts[-1] >= n or np.any(np.diff(starts) <= 0):
-        raise ValueError("every grid point needs at least one neighbor slot, in order")
+    row = np.zeros(n, dtype=np.intp) if row is None else np.asarray(row, dtype=np.intp)
+    if row.shape != (n,):
+        raise ValueError(f"row has shape {row.shape}, expected one entry per slot ({n})")
+    if n and (row[0] < 0 or row[-1] >= n_rows or np.any(np.diff(row) < 0)):
+        raise ValueError(f"row must ascend within [0, {n_rows})")
+    if n == 0:
+        return Value(np.zeros((n_rows, params.d_model)))
     k = params.key(feats)
     q = params.q_pos(offsets)
     v = params.value(feats)
-    return _gate_core(k, q, v, params, gates, coeff, starts)
+    return _gate_core(k, q, v, params, gates, coeff, row, n_rows)
 
 
 def roi_grid_attention(nb: NeighborBundle, params: AttentionParams,
                        gates: GateOverride | None = None) -> Value:
-    """Gated attention over one grid point's neighbors (learned gates by default)."""
+    """Gated attention over one grid point's neighbors (learned gates by default).
+
+    A grid point without neighbors gets a zero feature.
+    """
     params.check_finite()
     nb = nb.sorted_by_id()
-    if len(nb) == 0:
-        return _zeros_feature(params.d_model)
-    out = gated_attention_batched(nb.offsets, nb.feats, params, gates, nb.coeff)
+    out = gated_attention_batched(nb.offsets, nb.feats, params, gates)
     return reshape(out, (params.d_model,))
 
 
@@ -348,10 +350,8 @@ def roi_grid_attention_darp(nb: NeighborBundle, params: AttentionParams,
         raise ContractViolationError(
             f"bundle gathered at {nb.gather_radius}, operator expects {cutoff}")
     nb = nb.sorted_by_id()
-    if len(nb) == 0:
-        return _zeros_feature(params.d_model)
     dists = nb.distances()
-    if dists.max() > cutoff + tol:
+    if np.any(dists > cutoff + tol):
         raise ContractViolationError(
             f"neighbor at {dists.max():.6g} exceeds sampling range {cutoff:.6g}")
     out = gated_attention_batched(nb.offsets, nb.feats, params, gates,

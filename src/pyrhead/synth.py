@@ -303,10 +303,6 @@ class TrainResult:
     untrained_loss: float           # pre-training loss over a scene sample
     params: HeadParams = field(repr=False)
 
-    @property
-    def initial_loss(self) -> float:
-        return self.untrained_loss
-
     # per-step losses vary with the scene on deck, so the trained endpoint
     # is window-averaged (up to 20 steps) rather than a single sample
     @property
@@ -363,6 +359,9 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if head_cfg.feat_width != scene_cfg.feat_width:
+        raise ValueError(f"config field 'feat_width' is {head_cfg.feat_width}, "
+                         f"but the scenes have {scene_cfg.feat_width} features per point")
     cfg2 = dataclasses.replace(scene_cfg, seed=scene_cfg.seed + seed)
     scenes = generate_scenes(cfg2, n_scenes, threads=threads)
     indexes = [scene_index(sc) for sc in scenes]
@@ -430,16 +429,6 @@ class EvalResult:
     hit_rate: float                # IoU >= threshold among all proposals
     label_base_rate: float         # majority-class share of the labels
     bucket_accuracy: dict[str, float]
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "accuracy": self.accuracy,
-            "mean_iou": self.mean_iou,
-            "hit_rate": self.hit_rate,
-            "label_base_rate": self.label_base_rate,
-            "bucket_accuracy": self.bucket_accuracy,
-        }, indent=2)
 
 
 def evaluate(head_cfg: HeadConfig, params: HeadParams, scenes: list[Scene],

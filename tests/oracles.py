@@ -2,6 +2,8 @@
 
 - ``brute_force_query``: a linear scan over every point, the oracle for
   all radius queries.
+- ``softmax`` and ``segment_sum``: autodiff ops that only these
+  references use.
 - ``graph_feature``, ``attention_feature`` and
   ``point_transformer_feature``: the graph, standard-attention and
   point-transformer operators written out on their own. The unified
@@ -19,10 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from pyrhead.autodiff import (Value, _np_sigmoid, add, concat, mul, reshape,
-                              segment_sum, softmax, take, vsum)
+                              take, vsum)
 from pyrhead.darp import context_embedding, predict_radius
 from pyrhead.geometry import pyramid_grid_points, rot_z
-from pyrhead.operators import (AttentionParams, NeighborBundle, _zeros_feature,
+from pyrhead.operators import (AttentionParams, NeighborBundle,
                                soft_radius_coeff)
 
 
@@ -39,6 +41,43 @@ def brute_force_query(ps, center, r: float, max_k: int | None = None) -> np.ndar
     return ids[order].astype(np.int64)
 
 
+def softmax(x, axis: int = -1):
+    """Normalized exponentials along ``axis``; shift-invariant by construction."""
+    if not isinstance(x, Value):
+        d = np.asarray(x, dtype=np.float64)
+        if d.shape[axis] == 0:
+            raise ValueError("softmax of empty input")
+        z = d - d.max(axis=axis, keepdims=True)
+        e = np.exp(z)
+        return e / e.sum(axis=axis, keepdims=True)
+    if x.shape[axis] == 0:
+        raise ValueError("softmax of empty input")
+    z = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(z)
+    y = e / e.sum(axis=axis, keepdims=True)
+    out = Value(y, (x,))
+
+    def _bw(g):
+        x._accum_owned(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+
+    out._backward = _bw
+    return out
+
+
+def segment_sum(x: Value, segment_ids, num_segments: int) -> Value:
+    """Sum rows of ``x`` into ``num_segments`` buckets along axis 0."""
+    seg = np.asarray(segment_ids, dtype=np.intp)
+    data = np.zeros((num_segments,) + x.shape[1:])
+    np.add.at(data, seg, x.data)
+    out = Value(data, (x,))
+
+    def _bw(g):
+        x._accum_owned(g[seg])
+
+    out._backward = _bw
+    return out
+
+
 def _per_head_combine(weights: Value, values: Value, heads: int) -> Value:
     """Sum_i weights[i,h] * values[i, h-th slice]; concatenation over heads."""
     m, dm = values.shape
@@ -52,7 +91,7 @@ def graph_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
     """Edge-weighted combination: weights from the positional embedding only."""
     nb = nb.sorted_by_id()
     if len(nb) == 0:
-        return _zeros_feature(params.d_model)
+        return Value(np.zeros(params.d_model))
     v = params.value(nb.feats)
     q = params.q_pos(nb.offsets)
     w = softmax(params.w_head(q), axis=0)
@@ -63,7 +102,7 @@ def attention_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
     """Standard attention: weights from the query-key elementwise product."""
     nb = nb.sorted_by_id()
     if len(nb) == 0:
-        return _zeros_feature(params.d_model)
+        return Value(np.zeros(params.d_model))
     k = params.key(nb.feats)
     v = params.value(nb.feats)
     q = params.q_pos(nb.offsets)
@@ -76,7 +115,7 @@ def point_transformer_feature(nb: NeighborBundle,
     """Vector attention with the positional embedding added to key and value."""
     nb = nb.sorted_by_id()
     if len(nb) == 0:
-        return _zeros_feature(params.d_model)
+        return Value(np.zeros(params.d_model))
     k = params.key(nb.feats)
     v = params.value(nb.feats)
     q = params.q_pos(nb.offsets)

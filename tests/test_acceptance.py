@@ -182,12 +182,12 @@ def test_toy_training():
         res_b = train_toy(base_cfg, scene_cfg, steps=TRAIN_STEPS, lr=TRAIN_LR,
                           seed=seed, n_scenes=TRAIN_SCENES)
         acc_b = evaluate(base_cfg, res_b.params, ev_scenes).accuracy
-        halved = res.final_loss < 0.5 * res.initial_loss
+        halved = res.final_loss < 0.5 * res.untrained_loss
         gap = acc - acc_b
         moved = res.max_radius_shift() > 1e-3
         ok = halved and gap >= 0.05 and moved
         all_ok &= ok
-        rows.append(f"seed {seed}: loss {res.initial_loss:.3f}->"
+        rows.append(f"seed {seed}: loss {res.untrained_loss:.3f}->"
                     f"{res.final_loss:.3f} halved={halved}, acc {acc:.3f} vs "
                     f"baseline {acc_b:.3f} gap={gap:+.3f}, "
                     f"radius_shift={res.max_radius_shift():.4f} moved={moved}")

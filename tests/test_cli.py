@@ -136,6 +136,14 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert "max_k" in err
 
+    @pytest.mark.parametrize("op", ["pool", "graph", "attention", "transformer"])
+    def test_attend_rejects_gates_for_ops_without_them(self, capsys, op):
+        code, out, err = invoke(["attend", "--op", op, "--gates", "1,0,0,0"], capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "--gates" in err and op in err
+
     @pytest.mark.parametrize("defect", ["truncated", "trailing", "nan_feature"])
     def test_attend_rejects_bad_pset(self, tmp_path, capsys, defect):
         from pyrhead.spatial import PointSet
@@ -198,6 +206,22 @@ class TestStatsAndTrain:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "training diverged" in err and "--lr" in err
+
+    @pytest.mark.parametrize("edit,field", [
+        ({"feat_width": 11}, "feat_width"),
+        ({"feat_widht": 8}, "feat_widht"),
+        ({"darp_enabled": "no"}, "darp_enabled"),
+    ])
+    def test_train_toy_rejects_bad_config(self, tmp_path, capsys, edit, field):
+        from pyrhead.head import HeadConfig
+        doc = json.loads(HeadConfig().to_json())
+        doc.update(edit)
+        cfg = tmp_path / "head.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = invoke(["train-toy", "--config", str(cfg), "--steps", "1",
+                                 "--scenes", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and field in err
 
     def test_train_toy_csv_format(self, tmp_path, capsys):
         path = tmp_path / "m.csv"

@@ -1,5 +1,6 @@
 """Full-head behavior: cross-implementation pipeline checks, refinement
 semantics, loss closed forms, determinism, persistence."""
+import json
 import math
 
 import numpy as np
@@ -297,6 +298,30 @@ class TestPersistence:
         bad = cfg.to_json().replace(CONFIG_SCHEMA_VERSION, "other/9")
         with pytest.raises(ValueError):
             HeadConfig.from_json(bad)
+
+    @pytest.mark.parametrize("edit,field", [
+        ({"feat_widht": 8}, "feat_widht"),
+        ({"reg_weight": None}, "reg_weight"),
+        ({"darp_enabled": "no"}, "darp_enabled"),
+        ({"heads": "4"}, "heads"),
+        ({"d_model": True}, "d_model"),
+        ({"fusion_widths": [128, 1.5]}, "fusion_widths"),
+        ({"gate_override": [1.0, 0.0]}, "gate_override"),
+        ({"pyramid": [1]}, "pyramid"),
+    ], ids=["unknown", "missing", "bool_str", "int_str", "int_bool",
+            "tuple_item", "tuple_len", "pyramid"])
+    def test_config_rejects_bad_field(self, edit, field):
+        doc = json.loads(HeadConfig().to_json())
+        doc.update(edit)
+        if None in edit.values():
+            del doc[field]
+        with pytest.raises(ValueError, match=repr(field)):
+            HeadConfig.from_json(json.dumps(doc))
+
+    def test_config_json_round_trip_with_gates(self):
+        cfg = tiny_config(gate_override=(1.0, 0.0, 0.5, 0.0), darp_enabled=False)
+        back = HeadConfig.from_json(cfg.to_json())
+        assert back == cfg and back.to_json() == cfg.to_json()
 
 
 class TestTapeFreesItself:

@@ -1,6 +1,8 @@
 """Aggregation operators: closed-form cases, gate reductions against the
 standalone oracles, soft-radius membership, permutation invariance,
 gradients."""
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from pyrhead.nn import init_mlp
 from pyrhead.operators import (ATTENTION_GATES, GRAPH_GATES,
                                TRANSFORMER_GATES, ContractViolationError,
                                GateOverride, NeighborBundle,
-                               hard_membership, init_attention_params,
+                               gated_attention_batched, hard_membership,
+                               init_attention_params,
                                pool_feature, roi_grid_attention,
                                roi_grid_attention_darp, soft_radius_coeff)
 
@@ -169,9 +172,24 @@ class TestGateReductions:
         rng = np.random.default_rng(0)
         params = init_attention_params(rng, D_IN)
         nb = NeighborBundle(np.zeros(3), np.zeros(0, int),
-                            np.zeros((0, 3)), np.zeros((0, D_IN)))
+                            np.zeros((0, 3)), np.zeros((0, D_IN)),
+                            gather_radius=0.9 + 5e-3)
         np.testing.assert_array_equal(roi_grid_attention(nb, params).data,
                                       np.zeros(64))
+        np.testing.assert_array_equal(
+            roi_grid_attention_darp(nb, params, Value(0.9), 1e-3).data, np.zeros(64))
+        np.testing.assert_array_equal(
+            gated_attention_batched(nb.offsets, nb.feats, params, row=[], n_rows=3).data,
+            np.zeros((3, 64)))
+
+    @pytest.mark.parametrize("row", [[0, 2, 1], [-1, 0, 0], [0, 1, 3], [0, 1]],
+                             ids=["descending", "negative", "past_end", "short"])
+    def test_bad_row_raises(self, row):
+        rng = np.random.default_rng(2)
+        params = init_attention_params(rng, D_IN)
+        nb = make_bundle(rng, 3)
+        with pytest.raises(ValueError, match="row"):
+            gated_attention_batched(nb.offsets, nb.feats, params, row=row, n_rows=3)
 
     def test_nonfinite_parameter_raises(self):
         rng = np.random.default_rng(1)
@@ -328,9 +346,10 @@ class TestDarpOperator:
 
 class TestOperatorGradients:
     @pytest.mark.parametrize("name", ["pool", "graph", "attention",
-                                      "transformer", "unified", "darp"])
+                                      "transformer", "unified", "darp",
+                                      "sparse_rows"])
     def test_all_gradients_match_fd(self, name):
-        rng = np.random.default_rng(hash(name) % 2**31)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         m = int(rng.integers(2, 8))
         tau, r = 1e-3, Value(0.9)
         nb = make_bundle(rng, m, radius=0.9 + 5 * tau, margin=3 * tau)
@@ -339,6 +358,17 @@ class TestOperatorGradients:
         params = init_attention_params(rng, D_IN)
         mlp = init_mlp(rng, [D_IN + 3, 16, 32])
         u32, u64 = rng.normal(size=32), rng.normal(size=64)
+        # slots of grid points 0, 2 and 3 of five: rows 1 and 4 own none
+        row = np.sort(np.r_[0, 2, 3, rng.choice([0, 2, 3], size=m - 3)]) \
+            if m >= 3 else np.array([0, 3])
+        u_rows = rng.normal(size=(5, 64))
+
+        def sparse_rows():
+            out = gated_attention_batched(nb.offsets, nb.feats, params, row=row,
+                                          n_rows=5)
+            np.testing.assert_array_equal(out.data[[1, 4]], 0.0)
+            return vsum(mul(out, u_rows))
+
         builders = {
             "pool": lambda: vsum(mul(pool_feature(nb, mlp), u32)),
             "graph": lambda: vsum(mul(graph_op(nb, params), u64)),
@@ -347,6 +377,7 @@ class TestOperatorGradients:
             "unified": lambda: vsum(mul(roi_grid_attention(nb, params), u64)),
             "darp": lambda: vsum(mul(
                 roi_grid_attention_darp(nb, params, r, tau), u64)),
+            "sparse_rows": sparse_rows,
         }
         make = builders[name]
         leaves = {"feats": nb.feats}
@@ -377,7 +408,9 @@ class TestOperatorGradients:
         params = init_attention_params(rng, D_IN)
         nb = NeighborBundle(np.zeros(3), np.zeros(0, int),
                             np.zeros((0, 3)), np.zeros((0, D_IN)))
-        out = vsum(roi_grid_attention(nb, params))
-        out.backward()
+        r = Value(0.9)
+        vsum(roi_grid_attention(nb, params)).backward()
+        vsum(roi_grid_attention_darp(nb, params, r, 1e-3)).backward()
         for _, p in params.named_parameters():
             np.testing.assert_array_equal(p.grad, np.zeros_like(p.data))
+        assert r.grad == 0.0
