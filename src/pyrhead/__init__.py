@@ -12,8 +12,8 @@ from .darp import (ContextAggregatorParams, RadiusHeadParams,
                    TemperatureSchedule, context_embedding, predict_radius,
                    temperature)
 from .geometry import (Box3D, GridSpec, PyramidConfig, PyramidLevelConfig,
-                       default_pyramid_config, grid_points,
-                       pyramid_grid_points, pyramid_point_count)
+                       default_pyramid_config, pyramid_grid_points,
+                       pyramid_point_count)
 from .head import (CONFIG_SCHEMA_VERSION, Detection, HeadConfig, HeadParams,
                    extract_roi_features, init_head_params, loss, refine,
                    run_head)
@@ -32,8 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Value", "finite_diff_grad", "rel_error",
     "Box3D", "GridSpec", "PyramidConfig", "PyramidLevelConfig",
-    "default_pyramid_config", "grid_points", "pyramid_grid_points",
-    "pyramid_point_count",
+    "default_pyramid_config", "pyramid_grid_points", "pyramid_point_count",
     "PointSet", "SpatialIndex", "build_index", "gather_level",
     "AttentionParams", "GateOverride", "NeighborBundle",
     "GRAPH_GATES", "ATTENTION_GATES", "TRANSFORMER_GATES",

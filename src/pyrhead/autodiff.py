@@ -199,22 +199,10 @@ def _np_sigmoid(d: Array) -> Array:
 
 
 def sigmoid(x):
-    """Elementwise logistic function; saturates without overflow.
-
-    Accepts a Value (differentiable) or a plain array/scalar.
-    """
-    if not isinstance(x, Value):
-        d = _as_array(x)
-        r = _np_sigmoid(np.atleast_1d(d))
-        return r.reshape(d.shape) if d.shape else float(r[0])
-    y = _np_sigmoid(np.atleast_1d(x.data)).reshape(x.shape)
-    out = Value(y, (x,))
-
-    def _bw(g):
-        x._accum_owned(g * y * (1.0 - y))
-
-    out._backward = _bw
-    return out
+    """Elementwise logistic function of an array or scalar; saturates without overflow."""
+    d = _as_array(x)
+    r = _np_sigmoid(np.atleast_1d(d))
+    return r.reshape(d.shape) if d.shape else float(r[0])
 
 
 def relu(x: Value) -> Value:

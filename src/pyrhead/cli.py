@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -25,8 +24,8 @@ from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                         pool_feature, roi_grid_attention,
                         roi_grid_attention_darp)
 from .spatial import PointSet, build_index
-from .synth import (SceneConfig, TrainingDiverged, generate_scenes,
-                    sparsity_stats, train_toy)
+from .synth import (INDEX_CELL, SceneConfig, TrainingDiverged,
+                    generate_scenes, sparsity_stats, train_toy)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -68,18 +67,6 @@ def _write_out(args, text: str) -> None:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("PYRHEAD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise CliError(f"PYRHEAD_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def _fixture_scene(seed: int, n: int = 64, feat_width: int = 8) -> PointSet:
@@ -180,7 +167,7 @@ def cmd_train_toy(args) -> int:
     try:
         result = train_toy(head_cfg, scene_cfg, steps=args.steps, lr=args.lr,
                            seed=args.seed, n_scenes=args.scenes,
-                           momentum=args.momentum, threads=_threads(args))
+                           momentum=args.momentum, threads=max(1, args.threads))
     except TrainingDiverged as exc:
         raise CliError(f"{exc}; lower --lr (was {args.lr})") from None
     text = result.to_csv() if args.format == "csv" else result.to_json() + "\n"
@@ -195,7 +182,7 @@ def cmd_train_toy(args) -> int:
 
 def cmd_stats(args) -> int:
     scene_cfg = SceneConfig(seed=args.seed)
-    scenes = generate_scenes(scene_cfg, args.scenes, threads=_threads(args))
+    scenes = generate_scenes(scene_cfg, args.scenes, threads=max(1, args.threads))
     table = sparsity_stats(scenes)
     _write_out(args, table.to_csv())
     return 0
@@ -220,7 +207,7 @@ def cmd_bench(args) -> int:
     params = init_head_params(head_cfg, args.seed)
     fx_cfg = SceneConfig(seed=args.seed, n_objects=2)
     scene = generate_scenes(fx_cfg, 1)[0]
-    sidx = build_index(scene.ps, 2.4)
+    sidx = build_index(scene.ps, INDEX_CELL)
     t0 = time.perf_counter()
     run_head(head_cfg, params, scene.ps, sidx, scene.proposals,
              head_cfg.tau_end)
@@ -240,6 +227,16 @@ def cmd_bench(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+# Flags that several subcommands share; each subcommand takes only those it reads.
+SHARED_FLAGS = {
+    "config": dict(help="JSON config path"),
+    "seed": dict(type=int, default=0, help="rng seed"),
+    "out": dict(help="output file (stdout if omitted)"),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "threads": dict(type=int, default=1, help="scene-generation worker threads"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     epilog = f"Config schema version: {CONFIG_SCHEMA_VERSION}"
     parser = argparse.ArgumentParser(
@@ -250,17 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON config path")
-        p.add_argument("--seed", type=int, default=0, help="rng seed")
-        p.add_argument("--out", help="output file (stdout if omitted)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker cap (PYRHEAD_THREADS as fallback)")
+    def shared(p, *names):
+        for name in names:
+            p.add_argument(f"--{name}", **SHARED_FLAGS[name])
 
     p = sub.add_parser("gridgen", help="print RoI grid points for a box",
                        epilog=epilog)
-    common(p)
+    shared(p, "config", "out", "format")
     p.add_argument("--box", required=True,
                    help="corner_x,corner_y,corner_z,W,L,H,yaw")
     p.add_argument("--grid", default="2,2,2", help="points per axis, e.g. 6,6,6")
@@ -270,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attend", help="run one aggregation operator on a scene",
                        epilog=epilog)
-    common(p)
+    shared(p, "seed", "out", "format")
     p.add_argument("--op", required=True,
                    choices=("pool", "graph", "attention", "transformer",
                             "unified", "darp"))
@@ -288,12 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="compare tape gradients with finite differences",
                        epilog=epilog)
-    common(p)
+    shared(p, "seed", "out", "format")
+    p.add_argument("--threads", type=int, default=1,
+                   help="no effect: the checks run on one thread")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="train the head on synthetic scenes",
                        epilog=epilog)
-    common(p)
+    shared(p, "config", "seed", "out", "format", "threads")
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.0075)
     p.add_argument("--scenes", type=int, default=200)
@@ -302,13 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="sparsity histograms as CSV",
                        epilog=epilog)
-    common(p)
+    shared(p, "seed", "out", "threads")
     p.add_argument("--scenes", type=int, default=20)
     p.set_defaults(fn=cmd_stats)
 
     p = sub.add_parser("bench", help="time ball queries and a head forward",
                        epilog=epilog)
-    common(p)
+    shared(p, "seed", "out")
     p.add_argument("--points", type=int, default=100_000)
     p.add_argument("--queries", type=int, default=4096)
     p.add_argument("--radius", type=float, default=2.4)

@@ -47,28 +47,26 @@ def init_context_params(rng: np.random.Generator, feat_width: int,
     return ContextAggregatorParams(radii=tuple(radii), mlps=mlps)
 
 
+# Damps the predicted radius offset (and its gradient): the soft membership
+# makes radius gradients spike near the sampling boundary, and an undamped
+# head can race to the clamp floor before the rest of the network has
+# learned anything.
+OFFSET_SCALE = 0.1
+
+
 @dataclass
 class RadiusHeadParams:
-    """Per-level offset MLPs plus the predefined radii they perturb.
-
-    offset_scale damps the predicted offset (and its gradient): the soft
-    membership makes radius gradients spike near the sampling boundary, and
-    an undamped head can race to the clamp floor before the rest of the
-    network has learned anything.
-    """
+    """Per-level offset MLPs plus the predefined radii they perturb."""
 
     r_pre: list[float]
     mlps: list[MLPParams]
     r_min: float = 0.05
-    offset_scale: float = 0.1
 
     def __post_init__(self):
         if any(r <= 0 for r in self.r_pre):
             raise ValueError("predefined radii must be positive")
         if len(self.mlps) != len(self.r_pre):
             raise ValueError("one radius MLP per pyramid level required")
-        if self.offset_scale <= 0:
-            raise ValueError("offset_scale must be positive")
 
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Value]]:
         for i, m in enumerate(self.mlps):
@@ -138,5 +136,5 @@ def predict_radius(ctx: Value, level: int, params: RadiusHeadParams) -> Value:
     dr = params.mlps[level](ctx)
     if dr.ndim >= 1 and dr.shape[-1] == 1:
         dr = reshape(dr, dr.shape[:-1])
-    return clamp_min(mul(dr, params.offset_scale) + params.r_pre[level],
+    return clamp_min(mul(dr, OFFSET_SCALE) + params.r_pre[level],
                      params.r_min)

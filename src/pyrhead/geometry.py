@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import get_args, get_origin
 
 import numpy as np
 
@@ -145,19 +146,64 @@ class PyramidConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "PyramidConfig":
-        doc = json.loads(text)
-        anchor = doc.get("anchor_mode", "center")
-        levels = [
-            PyramidLevelConfig(
-                grid=GridSpec(tuple(lv["grid"])),
-                ratios=tuple(lv["ratios"]),
-                max_neighbors=int(lv["max_neighbors"]),
-                r_pre=float(lv["r_pre"]),
-                anchor_mode=anchor,
-            )
-            for lv in doc["levels"]
-        ]
-        return cls(levels)
+        """Pyramid from JSON; an unknown, missing or mistyped field raises ValueError."""
+        return _config_value("", cls, json.loads(text))
+
+
+_LEVEL_FIELDS = {"grid": tuple[int, int, int], "ratios": tuple[float, float, float],
+                "max_neighbors": int, "r_pre": float}
+
+
+def _config_fields(doc, types: dict, where: str = "") -> dict:
+    """The fields of JSON object ``doc``, each read by ``_config_value``.
+
+    An unknown, missing or mistyped field raises ValueError naming it;
+    ``where`` is the dotted path of ``doc`` inside the config.
+    """
+    if not isinstance(doc, dict):
+        what = f"config field {where[:-1]!r}" if where else "config"
+        raise ValueError(f"{what} must be a JSON object")
+    for key in doc:
+        if key not in types:
+            raise ValueError(f"unknown config field {where + key!r}")
+    for name in types:
+        if name not in doc:
+            raise ValueError(f"config field {where + name!r} is missing")
+    return {name: _config_value(where + name, tp, doc[name]) for name, tp in types.items()}
+
+
+def _config_value(name: str, tp, v):
+    """JSON value ``v`` of config field ``name`` as type ``tp``, or ValueError.
+
+    ``name`` is the field's dotted path, empty for a whole pyramid config.
+    """
+    args = get_args(tp)
+    if type(None) in args:
+        if v is None:
+            return None
+        tp, args = args[0], get_args(args[0])
+    if tp is PyramidConfig:
+        where = name + "." if name else ""
+        doc = _config_fields(v, {"anchor_mode": str, "levels": list}, where)
+        levels = []
+        for i, lv in enumerate(doc["levels"]):
+            f = _config_fields(lv, _LEVEL_FIELDS, f"{where}levels[{i}].")
+            levels.append(PyramidLevelConfig(GridSpec(f["grid"]), f["ratios"],
+                                             f["max_neighbors"], f["r_pre"],
+                                             doc["anchor_mode"]))
+        return PyramidConfig(levels)
+    if get_origin(tp) is tuple and isinstance(v, list):
+        item_types = [args[0]] * len(v) if args[-1] is Ellipsis else args
+        if len(item_types) == len(v):
+            return tuple(_config_value(name, t, x) for t, x in zip(item_types, v))
+    if tp in (bool, str, list) and isinstance(v, tp):
+        return v
+    if tp is int and isinstance(v, int) and not isinstance(v, bool):
+        return v
+    if tp is float and isinstance(v, (int, float)) and not isinstance(v, bool):
+        return float(v)
+    raise ValueError(f"config field {name!r}: {json.dumps(v)} is not a valid "
+                     f"{tp if get_origin(tp) else tp.__name__}")
 
 
 def default_pyramid_config(anchor_mode: str = "center") -> PyramidConfig:
@@ -193,13 +239,6 @@ def _rotate_about(points: np.ndarray, pivot: np.ndarray, yaw: float) -> np.ndarr
     if yaw == 0.0:
         return points
     return (points - pivot) @ rot_z(yaw).T + pivot
-
-
-def grid_points(box: Box3D, grid: GridSpec) -> np.ndarray:
-    """Standard RoI-grid: cell centers of an N_w x N_l x N_h lattice in the box."""
-    step = box.extents / np.array(grid.sizes, dtype=np.float64)
-    pts = step * (_lattice(grid.sizes) + 0.5) + box.corner
-    return _rotate_about(pts, box.center, box.yaw)
 
 
 def pyramid_grid_points(box: Box3D, level: PyramidLevelConfig) -> np.ndarray:

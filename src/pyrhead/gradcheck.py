@@ -24,7 +24,7 @@ from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                         roi_grid_attention, roi_grid_attention_darp,
                         sampling_range)
 from .spatial import PointSet, build_index
-from .synth import SceneConfig, generate_scene, scene_index
+from .synth import INDEX_CELL, SceneConfig, generate_scene
 
 TOLERANCE = 1e-4
 FD_STEP = 1e-5
@@ -191,7 +191,7 @@ def _head_scene(seed: int):
 
 def _boundary_clearance(scene, head_cfg: HeadConfig, params, tau: float) -> float:
     """Smallest |distance - cutoff| over all (grid point, point) pairs."""
-    idx = scene_index(scene)
+    idx = build_index(scene.ps, INDEX_CELL)
     clear = math.inf
     for roi in scene.proposals:
         ctx = context_embedding(roi, scene.ps, idx, params.context)
@@ -219,7 +219,7 @@ def _head_checks(seed: int) -> list[CheckResult]:
                                                size=mlp.layers[-1].W.shape)
         if _boundary_clearance(scene, head_cfg, params, tau) <= 2.0 * tau:
             continue
-        idx = scene_index(scene)
+        idx = build_index(scene.ps, INDEX_CELL)
         targets = [(assign_label(p, scene.gt_boxes[g], head_cfg.iou_positive),
                     scene.gt_boxes[g])
                    for p, g in zip(scene.proposals, scene.proposal_gt)]

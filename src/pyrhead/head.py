@@ -14,7 +14,7 @@ import math
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -22,8 +22,9 @@ from .autodiff import (Value, add, concat, mul, reshape, sigmoid, smooth_l1,
                        softplus, take, vsum)
 from .darp import (ContextAggregatorParams, RadiusHeadParams, context_embedding,
                    init_context_params, init_radius_head, predict_radius)
-from .geometry import (Box3D, PyramidConfig, default_pyramid_config,
-                       pyramid_grid_points, rot_z, wrap_angle)
+from .geometry import (Box3D, PyramidConfig, _config_fields,
+                       default_pyramid_config, pyramid_grid_points, rot_z,
+                       wrap_angle)
 from .nn import LinearParams, MLPParams, init_linear, init_mlp
 from .operators import (AttentionParams, GateOverride, gated_attention_batched,
                         init_attention_params, sampling_range,
@@ -79,43 +80,11 @@ class HeadConfig:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("head config must be a JSON object")
-        version = doc.get("schema_version")
+        version = doc.pop("schema_version", None)
         if version != CONFIG_SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported config schema {version!r}, expected {CONFIG_SCHEMA_VERSION}")
-        names = [f.name for f in fields(cls)]
-        for key in doc:
-            if key != "schema_version" and key not in names:
-                raise ValueError(f"unknown config field {key!r}")
-        for name in names:
-            if name not in doc:
-                raise ValueError(f"config field {name!r} is missing")
-        types = get_type_hints(cls)
-        return cls(**{name: _config_value(name, types[name], doc[name])
-                      for name in names})
-
-
-def _config_value(name: str, tp, v):
-    """JSON value ``v`` of config field ``name`` as type ``tp``, or ValueError."""
-    args = get_args(tp)
-    if type(None) in args:
-        if v is None:
-            return None
-        tp, args = args[0], get_args(args[0])
-    if tp is PyramidConfig and isinstance(v, dict):
-        return PyramidConfig.from_json(json.dumps(v))
-    if get_origin(tp) is tuple and isinstance(v, list):
-        item_types = [args[0]] * len(v) if args[-1] is Ellipsis else args
-        if len(item_types) == len(v):
-            return tuple(_config_value(name, t, x) for t, x in zip(item_types, v))
-    if tp is bool and isinstance(v, bool):
-        return v
-    if tp is int and isinstance(v, int) and not isinstance(v, bool):
-        return v
-    if tp is float and isinstance(v, (int, float)) and not isinstance(v, bool):
-        return float(v)
-    raise ValueError(f"config field {name!r}: {json.dumps(v)} is not a valid "
-                     f"{getattr(tp, '__name__', tp)}")
+        return cls(**_config_fields(doc, get_type_hints(cls)))
 
 
 @dataclass

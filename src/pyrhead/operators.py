@@ -7,9 +7,10 @@ scalars, and fixing the gates to GRAPH_GATES (1,0,0,0), ATTENTION_GATES
 operator. ``gated_attention_batched`` is its one entry point: it returns a
 feature for every grid point of a batch, zeros where a grid point has no
 neighbor, and the per-point ``roi_grid_attention(_darp)`` are one-row calls
-of it. Max pooling is the only other aggregation. A soft radius
-coefficient makes the aggregation radius differentiable; it needs the
-neighbors within the widened sampling range r + 5*tau.
+of it. Max pooling is the only other aggregation. The soft radius
+coefficient ``soft_radius_coeff`` makes the aggregation radius
+differentiable: one formula, and one tape node for a learned radius. It
+needs the neighbors within the widened sampling range r + 5*tau.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Value, add, concat, mul, reshape, sigmoid, take, vmax
+from .autodiff import Value, _data, _unbroadcast, concat, reshape, take, vmax
 from .autodiff import _np_sigmoid as _np_sig
 from .nn import LinearParams, MLPParams, init_linear
 from .spatial import PointSet, SpatialIndex
@@ -165,21 +166,27 @@ def sampling_range(r, tau: float):
 
 
 def soft_radius_coeff(d, r, tau):
-    """Soft ball membership 1 - sigmoid((d - r) / tau).
+    """Soft ball membership 1 - sigmoid((d - r) / tau), computed once.
 
-    ``d`` may be a scalar or array of distances; ``r`` may be a plain float
-    or a Value, in which case the result is differentiable in r (and d).
+    ``d`` is a distance or an array of distances; ``r`` a float, an array
+    or a Value that broadcasts against ``d``. With a Value ``r`` the result
+    is one tape node, differentiable in r.
     """
     if isinstance(tau, Value):
         raise TypeError("tau is a schedule constant, not a learnable value")
     if tau <= 0:
         raise ValueError(f"tau must be positive, got {tau}")
-    if isinstance(d, Value) or isinstance(r, Value):
-        z = mul(add(d, mul(r, -1.0) if isinstance(r, Value) else -np.asarray(r)),
-                1.0 / tau)
-        return add(1.0, mul(sigmoid(z), -1.0))
-    s = 1.0 - sigmoid((np.asarray(d, dtype=np.float64) - r) / tau)
-    return float(s) if np.ndim(d) == 0 else s
+    inv_tau = 1.0 / tau
+    z = (np.asarray(d, dtype=np.float64) - _data(r)) * inv_tau
+    y = _np_sig(np.atleast_1d(z)).reshape(z.shape)
+    s = 1.0 - y
+    if not isinstance(r, Value):
+        return float(s) if s.ndim == 0 else s
+
+    def _bw(g):
+        r._accum_owned(_unbroadcast(g * -1.0 * y * (1.0 - y) * inv_tau, r.shape) * -1.0)
+
+    return Value(s, (r,), _bw)
 
 
 def hard_membership(d, r):

@@ -3,7 +3,9 @@
 Objects are cuboid shells sampled on sensor-visible faces; per-point
 features are handcrafted local-occupancy summaries so the head has fixed
 width inputs without any upstream network. Proposals are ground-truth
-boxes under configurable jitter.
+boxes under configurable jitter. Settings with one value in use are module
+constants rather than ``SceneConfig`` fields: the feature width, the index
+cell and the alternating proposal jitter scales.
 """
 from __future__ import annotations
 
@@ -25,6 +27,11 @@ from .spatial import PointSet, SpatialIndex, build_index, gather_level
 
 BUCKET_EDGES = [0, 10, 50, 100, 500]
 BUCKET_LABELS = ["0-10", "10-50", "50-100", "100-500", "500+"]
+FEAT_WIDTH = 8      # columns of occupancy_features
+INDEX_CELL = 2.4    # hash-grid cell of every scene index
+# alternating per-proposal noise scale: tight proposals land clearly
+# above the positive-label IoU threshold, loose ones clearly below
+JITTER_SCALES = (0.35, 1.6)
 
 
 @dataclass
@@ -38,23 +45,15 @@ class SceneConfig:
     obj_points_max: int = 500
     clutter_density: float = 0.02     # points per cubic meter
     surface_noise: float = 0.02       # sigma of shell jitter, meters
-    feat_width: int = 8
     center_jitter: float = 1.0
     extent_jitter: tuple[float, float] = (0.8, 1.25)
     yaw_jitter: float = 0.2
-    # alternating per-proposal noise scale: tight proposals land clearly
-    # above the positive-label IoU threshold, loose ones clearly below
-    jitter_scales: tuple[float, ...] = (0.35, 1.6)
     proposals_per_object: int = 2
-    allow_empty_objects: bool = False
     # truck-sized shells: sparse enough that small fixed-radius balls are
     # frequently empty, the regime the pyramid and learned radii target
     w_range: tuple[float, float] = (3.5, 5.0)
     l_range: tuple[float, float] = (7.0, 10.0)
     h_range: tuple[float, float] = (2.2, 3.2)
-    # objects spawn in same-heading pairs a fixed lateral gap apart (a
-    # parked-row layout), so context outside the RoI carries information
-    pair_objects: bool = True
     pair_gap: tuple[float, float] = (5.5, 7.0)
     seed: int = 0
 
@@ -131,18 +130,15 @@ def _sample_shell(rng: np.random.Generator, box: Box3D, n: int,
     return pts + rng.normal(0.0, noise, size=pts.shape)
 
 
-def occupancy_features(coords: np.ndarray, feat_width: int = 8,
-                       z_extent: float = 4.0) -> np.ndarray:
-    """Deterministic local-occupancy summary per point.
+def occupancy_features(coords: np.ndarray, z_extent: float = 4.0) -> np.ndarray:
+    """Deterministic local-occupancy summary per point, FEAT_WIDTH columns.
 
     Log-scaled counts of points sharing the point's grid cell at four cell
     sizes, the normalized height, an isolation flag, and two cross-scale
-    density contrasts. Width must be 8.
+    density contrasts.
     """
-    if feat_width != 8:
-        raise ValueError("occupancy features have fixed width 8")
     n = coords.shape[0]
-    feats = np.zeros((n, 8))
+    feats = np.zeros((n, FEAT_WIDTH))
     if n == 0:
         return feats
     sizes = [0.4, 0.8, 1.6, 3.2]
@@ -174,8 +170,10 @@ def generate_scene(cfg: SceneConfig, index: int = 0) -> Scene:
         w = rng.uniform(*cfg.w_range)
         length = rng.uniform(*cfg.l_range)
         h = rng.uniform(*cfg.h_range)
-        if cfg.pair_objects and oi % 2 == 1 and anchor_center is not None:
-            # partner: same heading, one lateral gap to the side
+        if oi % 2 == 1:
+            # objects spawn in same-heading pairs a fixed lateral gap apart
+            # (a parked-row layout), so context outside the RoI carries
+            # information: this is the partner of the object before it
             gap = rng.uniform(*cfg.pair_gap) * (1 if rng.integers(2) else -1)
             along = rng.uniform(-0.5, 0.5)
             offset = rot_z(anchor_yaw) @ np.array([gap, along, 0.0])
@@ -194,7 +192,7 @@ def generate_scene(cfg: SceneConfig, index: int = 0) -> Scene:
         lo, hi = math.log(cfg.obj_points_min), math.log(cfg.obj_points_max)
         n_pts = max(1, int(round(math.exp(rng.uniform(lo, hi)))))
         pts = _sample_shell(rng, box, n_pts, sensor, cfg.surface_noise)
-        if not cfg.allow_empty_objects and not box.contains(pts).any():
+        if not box.contains(pts).any():
             pts[0] = box.center  # keep the invariant: every box holds a point
         gt_boxes.append(box)
         obj_points.append(pts)
@@ -206,12 +204,12 @@ def generate_scene(cfg: SceneConfig, index: int = 0) -> Scene:
         rng.uniform(0.0, cfg.z_extent, n_clutter),
     ]) if n_clutter else np.zeros((0, 3))
     coords = np.concatenate(obj_points + [clutter], axis=0) if gt_boxes else clutter
-    feats = occupancy_features(coords, cfg.feat_width, cfg.z_extent)
+    feats = occupancy_features(coords, cfg.z_extent)
     proposals: list[Box3D] = []
     proposal_gt: list[int] = []
     for gi, box in enumerate(gt_boxes):
         for pi in range(cfg.proposals_per_object):
-            scale = cfg.jitter_scales[pi % len(cfg.jitter_scales)]
+            scale = JITTER_SCALES[pi % len(JITTER_SCALES)]
             cj = scale * cfg.center_jitter
             yj = scale * cfg.yaw_jitter
             elo = 1.0 + scale * (cfg.extent_jitter[0] - 1.0)
@@ -279,7 +277,7 @@ def sparsity_stats(scenes: list[Scene],
     interior: dict[str, int] = {}
     gathered: dict[str, int] = {}
     for sc in scenes:
-        idx = build_index(sc.ps, cell=2.4) if len(sc.ps) else None
+        idx = build_index(sc.ps, INDEX_CELL) if len(sc.ps) else None
         for box in sc.gt_boxes:
             b = bucket_of(interior_count(box, sc.ps))
             interior[b] = interior.get(b, 0) + 1
@@ -340,10 +338,6 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def scene_index(scene: Scene, cell: float = 2.4) -> SpatialIndex:
-    return build_index(scene.ps, cell)
-
-
 class TrainingDiverged(RuntimeError):
     """Training left the finite range; the learning rate is the usual cause."""
 
@@ -359,12 +353,12 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    if head_cfg.feat_width != scene_cfg.feat_width:
+    if head_cfg.feat_width != FEAT_WIDTH:
         raise ValueError(f"config field 'feat_width' is {head_cfg.feat_width}, "
-                         f"but the scenes have {scene_cfg.feat_width} features per point")
+                         f"but the scenes have {FEAT_WIDTH} features per point")
     cfg2 = dataclasses.replace(scene_cfg, seed=scene_cfg.seed + seed)
     scenes = generate_scenes(cfg2, n_scenes, threads=threads)
-    indexes = [scene_index(sc) for sc in scenes]
+    indexes = [build_index(sc.ps, INDEX_CELL) for sc in scenes]
     params = init_head_params(head_cfg, seed)
     sched = TemperatureSchedule(head_cfg.tau_start, head_cfg.tau_end, steps)
 
@@ -444,7 +438,7 @@ def evaluate(head_cfg: HeadConfig, params: HeadParams, scenes: list[Scene],
     for sc in scenes:
         if not sc.proposals:
             continue
-        idx = scene_index(sc)
+        idx = build_index(sc.ps, INDEX_CELL)
         dets, _ = run_head(head_cfg, params, sc.ps, idx, sc.proposals,
                            head_cfg.tau_end)
         for det, g in zip(dets, sc.proposal_gt):

@@ -2,8 +2,10 @@
 
 - ``brute_force_query``: a linear scan over every point, the oracle for
   all radius queries.
-- ``softmax`` and ``segment_sum``: autodiff ops that only these
-  references use.
+- ``grid_points``: the standard single-level RoI grid, which a unit-ratio
+  pyramid level must reproduce bitwise.
+- ``softmax``, ``segment_sum`` and ``vsigmoid``: autodiff ops that only
+  these references and the autodiff tests use.
 - ``graph_feature``, ``attention_feature`` and
   ``point_transformer_feature``: the graph, standard-attention and
   point-transformer operators written out on their own. The unified
@@ -23,7 +25,8 @@ import numpy as np
 from pyrhead.autodiff import (Value, _np_sigmoid, add, concat, mul, reshape,
                               take, vsum)
 from pyrhead.darp import context_embedding, predict_radius
-from pyrhead.geometry import pyramid_grid_points, rot_z
+from pyrhead.geometry import (Box3D, GridSpec, _lattice, _rotate_about,
+                              pyramid_grid_points, rot_z)
 from pyrhead.operators import (AttentionParams, NeighborBundle,
                                soft_radius_coeff)
 
@@ -39,6 +42,25 @@ def brute_force_query(ps, center, r: float, max_k: int | None = None) -> np.ndar
     if max_k is not None and order.size > max_k:
         order = order[:max_k]
     return ids[order].astype(np.int64)
+
+
+def grid_points(box: Box3D, grid: GridSpec) -> np.ndarray:
+    """Standard RoI-grid: cell centers of an N_w x N_l x N_h lattice in the box."""
+    step = box.extents / np.array(grid.sizes, dtype=np.float64)
+    pts = step * (_lattice(grid.sizes) + 0.5) + box.corner
+    return _rotate_about(pts, box.center, box.yaw)
+
+
+def vsigmoid(x: Value) -> Value:
+    """Elementwise logistic function of a Value, differentiable."""
+    y = _np_sigmoid(np.atleast_1d(x.data)).reshape(x.shape)
+    out = Value(y, (x,))
+
+    def _bw(g):
+        x._accum_owned(g * y * (1.0 - y))
+
+    out._backward = _bw
+    return out
 
 
 def softmax(x, axis: int = -1):

@@ -122,6 +122,27 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert run(["gridgen"]) == 2
 
+    @pytest.mark.parametrize("edit,want", [
+        (lambda d: d.clear(), "config field 'anchor_mode' is missing"),
+        (lambda d: d["levels"][1].update(typo=1), "unknown config field 'levels[1].typo'"),
+        (lambda d: d["levels"][0].update(grid=[2, 2]),
+         "config field 'levels[0].grid': [2, 2] is not a valid tuple[int, int, int]"),
+        (lambda d: d.update(extra=1) or d["levels"][2].update(max_neighbors="4"),
+         "unknown config field 'extra'"),
+        (lambda d: d["levels"][2].update(max_neighbors="4"),
+         "config field 'levels[2].max_neighbors': \"4\" is not a valid int"),
+    ], ids=["empty", "level_typo", "grid_len", "top_extra", "int_str"])
+    def test_gridgen_rejects_bad_pyramid_config(self, tmp_path, capsys, edit, want):
+        from pyrhead.geometry import default_pyramid_config
+        doc = json.loads(default_pyramid_config().to_json())
+        edit(doc)
+        cfg = tmp_path / "pyr.json"
+        cfg.write_text(json.dumps(doc))
+        code, out, err = invoke(["gridgen", "--box", "0,0,0,1,1,1,0",
+                                 "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.splitlines() == [f"error: {want}"]
+
     def test_malformed_json_config_line_column(self, tmp_path, capsys):
         bad = tmp_path / "broken.json"
         bad.write_text('{\n  "levels": [\n    {"grid" [6,6,6]}\n  ]\n}\n')
@@ -232,19 +253,20 @@ class TestStatsAndTrain:
         assert path.read_text().startswith("step,loss,grad_norm")
 
 
-class TestThreadsEnv:
-    def test_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PYRHEAD_THREADS", "2")
-        code, _, _ = invoke(["stats", "--scenes", "2",
-                             "--out", str(tmp_path / "s.csv")], capsys)
-        assert code == 0
-
-    def test_bad_env_value(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PYRHEAD_THREADS", "soup")
-        code, _, err = invoke(["stats", "--scenes", "1",
-                               "--out", str(tmp_path / "s.csv")], capsys)
-        assert code == 2
-        assert "PYRHEAD_THREADS" in err
+@pytest.mark.parametrize("command,flag", [
+    ("gridgen", "--seed"), ("gridgen", "--threads"),
+    ("attend", "--config"), ("attend", "--threads"),
+    ("gradcheck", "--config"),
+    ("stats", "--config"), ("stats", "--format"),
+    ("bench", "--config"), ("bench", "--format"), ("bench", "--threads"),
+])
+def test_rejects_shared_flag_it_does_not_read(capsys, command, flag):
+    required = {"gridgen": ["--box", "0,0,0,1,1,1,0"], "attend": ["--op", "unified"]}
+    value = {"--seed": "1", "--threads": "2", "--config": "c.json", "--format": "json"}
+    code, out, err = invoke([command, *required.get(command, []), flag, value[flag]],
+                            capsys)
+    assert code == 2 and out == ""
+    assert flag in err
 
 
 class TestGradcheckWiring:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pyrhead.autodiff import Value, finite_diff_grad, mul, rel_error
-from pyrhead.darp import (TemperatureSchedule, context_embedding,
+from pyrhead.darp import (OFFSET_SCALE, TemperatureSchedule, context_embedding,
                           init_context_params, init_radius_head,
                           predict_radius, temperature)
 from pyrhead.geometry import Box3D, rot_z
@@ -87,14 +87,14 @@ class TestPredictRadius:
         head = init_radius_head(rng, 16, [0.8], hidden=8, r_min=0.05)
         # drive the (scaled) offset far below -r_pre through the output bias
         head.mlps[0].layers[-1].b.data = np.array(
-            [-(0.8 + 1.0) / head.offset_scale])
+            [-(0.8 + 1.0) / OFFSET_SCALE])
         ctx = Value(np.zeros(16))
         assert predict_radius(ctx, 0, head).item() == 0.05
 
     def test_clamp_blocks_gradient(self):
         rng = np.random.default_rng(2)
         head = init_radius_head(rng, 16, [0.8], hidden=8, r_min=0.05)
-        head.mlps[0].layers[-1].b.data = np.array([-2.0 / head.offset_scale])
+        head.mlps[0].layers[-1].b.data = np.array([-2.0 / OFFSET_SCALE])
         ctx = Value(np.zeros(16))
         r = predict_radius(ctx, 0, head)
         r.backward()

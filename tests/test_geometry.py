@@ -1,16 +1,18 @@
 """Grid generation against a brute-force oracle, plus pyramid bookkeeping."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import grid_points
 from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig,
                               PyramidLevelConfig, default_pyramid_config,
-                              grid_points, pyramid_grid_points,
-                              pyramid_point_count, wrap_angle)
+                              pyramid_grid_points, pyramid_point_count,
+                              wrap_angle)
 
 
 def oracle_grid(corner, extents, sizes, ratios=(1, 1, 1), yaw=0.0,
@@ -39,27 +41,31 @@ def oracle_grid(corner, extents, sizes, ratios=(1, 1, 1), yaw=0.0,
     return (pts - center) @ rot.T + center
 
 
+def unit_level_points(box, grid):
+    return pyramid_grid_points(box, PyramidLevelConfig(grid))
+
+
 class TestGridPoints:
     def test_unit_example(self):
-        pts = grid_points(Box3D([0, 0, 0], [2, 2, 2]), GridSpec((2, 2, 2)))
+        pts = unit_level_points(Box3D([0, 0, 0], [2, 2, 2]), GridSpec((2, 2, 2)))
         expected = {(a, b, c) for a in (0.5, 1.5) for b in (0.5, 1.5)
                     for c in (0.5, 1.5)}
         assert {tuple(p) for p in pts} == expected
 
     def test_single_cell_is_center(self):
         box = Box3D([1, -2, 0.5], [3, 5, 2], 0.0)
-        pts = grid_points(box, GridSpec((1, 1, 1)))
+        pts = unit_level_points(box, GridSpec((1, 1, 1)))
         np.testing.assert_allclose(pts[0], box.center, atol=1e-15)
 
     def test_rotated_against_oracle(self):
-        got = grid_points(Box3D([1, -1, 0], [4, 2, 1], 0.3), GridSpec((4, 2, 1)))
+        got = unit_level_points(Box3D([1, -1, 0], [4, 2, 1], 0.3), GridSpec((4, 2, 1)))
         want = oracle_grid([1, -1, 0], [4, 2, 1], (4, 2, 1), yaw=0.3)
         assert np.max(np.abs(got - want)) < 1e-12
 
     def test_points_strictly_inside_with_face_margin(self):
         box = Box3D([0, 0, 0], [2, 4, 6], 0.0)
         grid = GridSpec((2, 4, 3))
-        pts = grid_points(box, grid)
+        pts = unit_level_points(box, grid)
         lo, hi = box.corner, box.corner + box.extents
         assert np.all(pts > lo) and np.all(pts < hi)
         half_cell = box.extents / np.array(grid.sizes) / 2.0
@@ -71,8 +77,8 @@ class TestGridPoints:
     def test_rotation_preserves_pairwise_distances(self):
         box0 = Box3D([0, 1, 2], [2, 3, 1], 0.0)
         box1 = Box3D([0, 1, 2], [2, 3, 1], 1.1)
-        a = grid_points(box0, GridSpec((3, 3, 2)))
-        b = grid_points(box1, GridSpec((3, 3, 2)))
+        a = unit_level_points(box0, GridSpec((3, 3, 2)))
+        b = unit_level_points(box1, GridSpec((3, 3, 2)))
         da = np.linalg.norm(a[:, None] - a[None, :], axis=2)
         db = np.linalg.norm(b[:, None] - b[None, :], axis=2)
         assert np.max(np.abs(da - db)) < 1e-12 * max(1.0, da.max())
@@ -154,6 +160,33 @@ class TestPyramidConfig:
         assert back.to_json() == cfg.to_json()
         assert [lv.grid.sizes for lv in back.levels] == \
                [lv.grid.sizes for lv in cfg.levels]
+
+    @pytest.mark.parametrize("edit,field", [
+        (lambda d: d.clear(), "'anchor_mode' is missing"),
+        (lambda d: d.pop("levels"), "'levels' is missing"),
+        (lambda d: d.update(extra=1), "unknown config field 'extra'"),
+        (lambda d: d["levels"][1].update(typo=1), "'levels[1].typo'"),
+        (lambda d: d["levels"][2].pop("r_pre"), "'levels[2].r_pre' is missing"),
+        (lambda d: d["levels"][0].update(grid=[2, 2]), "'levels[0].grid'"),
+        (lambda d: d["levels"][1].update(ratios=[1.0, 1.0]), "'levels[1].ratios'"),
+        (lambda d: d["levels"][2].update(max_neighbors="4"), "'levels[2].max_neighbors'"),
+        (lambda d: d["levels"][2].update(max_neighbors=4.0), "'levels[2].max_neighbors'"),
+        (lambda d: d["levels"][3].update(r_pre="far"), "'levels[3].r_pre'"),
+        (lambda d: d.update(anchor_mode=1), "'anchor_mode'"),
+        (lambda d: d.update(levels={}), "'levels'"),
+        (lambda d: d["levels"].__setitem__(4, [1]), "'levels[4]' must be a JSON object"),
+    ], ids=["empty", "no_levels", "top_unknown", "level_unknown", "level_missing",
+            "grid_len", "ratios_len", "int_str", "int_float", "float_str",
+            "anchor_type", "levels_type", "level_type"])
+    def test_from_json_names_bad_field(self, edit, field):
+        doc = json.loads(default_pyramid_config().to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(field)):
+            PyramidConfig.from_json(json.dumps(doc))
+
+    def test_from_json_rejects_non_object(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            PyramidConfig.from_json("[1]")
 
 
 class TestBox3D:

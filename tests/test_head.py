@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import graph_feature
+from oracles import graph_feature, grid_points
 from pyrhead.autodiff import Value, reshape
 from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig,
                               PyramidLevelConfig, default_pyramid_config,
-                              grid_points, pyramid_grid_points, rot_z)
+                              pyramid_grid_points, rot_z)
 from pyrhead.head import (CONFIG_SCHEMA_VERSION, HeadConfig, apply_checkpoint,
                           apply_residuals, assign_label, axis_aligned_iou,
                           derotated_iou, extract_roi_features,
@@ -19,7 +19,7 @@ from pyrhead.head import (CONFIG_SCHEMA_VERSION, HeadConfig, apply_checkpoint,
 from pyrhead.nn import init_mlp
 from pyrhead.operators import NeighborBundle
 from pyrhead.spatial import PointSet, build_index
-from pyrhead.synth import SceneConfig, generate_scene, scene_index
+from pyrhead.synth import INDEX_CELL, SceneConfig, generate_scene
 
 TINY_PYRAMID = PyramidConfig([
     PyramidLevelConfig(GridSpec((3, 3, 3)), (1.0, 1.0, 1.0),
@@ -93,7 +93,7 @@ class TestExtractFeatures:
         # with one shared radius the pyramid gathers a superset of level 1
         rng = np.random.default_rng(3)
         scene = generate_scene(SceneConfig(seed=3))
-        idx = scene_index(scene)
+        idx = build_index(scene.ps, INDEX_CELL)
         cfg = HeadConfig()
         shared_r = 1.6
         roi = scene.proposals[0]
@@ -109,7 +109,7 @@ class TestExtractFeatures:
     def test_determinism_bit_identical(self):
         cfg = tiny_config()
         scene = generate_scene(SceneConfig(seed=5))
-        idx = scene_index(scene)
+        idx = build_index(scene.ps, INDEX_CELL)
         outs = []
         for _ in range(2):
             params = init_head_params(cfg, 7)
@@ -308,8 +308,9 @@ class TestPersistence:
         ({"fusion_widths": [128, 1.5]}, "fusion_widths"),
         ({"gate_override": [1.0, 0.0]}, "gate_override"),
         ({"pyramid": [1]}, "pyramid"),
+        ({"pyramid": {"levels": []}}, "pyramid.anchor_mode"),
     ], ids=["unknown", "missing", "bool_str", "int_str", "int_bool",
-            "tuple_item", "tuple_len", "pyramid"])
+            "tuple_item", "tuple_len", "pyramid", "pyramid_field"])
     def test_config_rejects_bad_field(self, edit, field):
         doc = json.loads(HeadConfig().to_json())
         doc.update(edit)
@@ -329,7 +330,7 @@ class TestTapeFreesItself:
         import gc
         cfg = HeadConfig()
         scene = generate_scene(SceneConfig(seed=5))
-        idx = scene_index(scene)
+        idx = build_index(scene.ps, INDEX_CELL)
         params = init_head_params(cfg, 0)
         targets = [(assign_label(p, scene.gt_boxes[g], cfg.iou_positive),
                     scene.gt_boxes[g])

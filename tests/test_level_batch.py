@@ -16,7 +16,7 @@ from pyrhead.head import (HeadConfig, assign_label, init_head_params, loss,
                           refine, run_head)
 from pyrhead.operators import ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES
 from pyrhead.spatial import PointSet, build_index
-from pyrhead.synth import SceneConfig, generate_scene, scene_index
+from pyrhead.synth import INDEX_CELL, SceneConfig, generate_scene
 
 REL_TOL = 1e-12
 GATES = {
@@ -37,7 +37,7 @@ def _synth_case(scene_cfg, **cfg_kw):
     cfg = HeadConfig(**cfg_kw)
     targets = [(assign_label(p, scene.gt_boxes[g], cfg.iou_positive), scene.gt_boxes[g])
                for p, g in zip(scene.proposals, scene.proposal_gt)]
-    return cfg, scene.ps, scene_index(scene), scene.proposals, targets
+    return cfg, scene.ps, build_index(scene.ps, INDEX_CELL), scene.proposals, targets
 
 
 def _small_config(levels, **kw):

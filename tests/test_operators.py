@@ -248,16 +248,23 @@ class TestSoftRadius:
         assert np.all(np.diff(s_r[near_r]) > 0)
 
     def test_differentiable_in_r(self):
-        r = Value(1.2)
         d = np.array([0.7, 1.2, 1.5])
-        out = soft_radius_coeff(d, r, 0.05)
-        vsum(out).backward()
+        w = np.array([0.5, -1.0, 2.0])
+        # a scalar radius, and one radius per slot as forward_rois passes it
+        for r0 in (1.2, np.array([0.9, 1.25, 1.45])):
+            r = Value(r0)
+            out = soft_radius_coeff(d, r, 0.07)
+            assert len(out._parents) == 1 and out._parents[0] is r  # one tape node
+            assert np.array_equal(out.data, soft_radius_coeff(d, r0, 0.07))
+            vsum(mul(out, w)).backward()
 
-        def f(x):
-            return float(np.sum(soft_radius_coeff(d, float(x[0]), 0.05)))
+            def f(x):
+                return float(np.sum(w * soft_radius_coeff(d, x.reshape(np.shape(r0)),
+                                                          0.07)))
 
-        fd = finite_diff_grad(f, np.array([1.2]))
-        assert rel_error(r.grad.reshape(1), fd) < 1e-6
+            fd = finite_diff_grad(f, np.atleast_1d(r0))
+            assert r.grad.shape == np.shape(r0)
+            assert rel_error(np.atleast_1d(r.grad), fd) < 1e-6
 
 
 class TestHardMembership:

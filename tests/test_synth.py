@@ -83,8 +83,6 @@ class TestGeneration:
         b = occupancy_features(coords)
         assert a.shape == (50, 8)
         np.testing.assert_array_equal(a, b)
-        with pytest.raises(ValueError):
-            occupancy_features(coords, feat_width=9)
 
 
 class TestSparsityStats:
