@@ -1,5 +1,5 @@
 """Command-line interface: grid generation, operator evaluation, gradient
-checks, toy training, sparsity statistics, and microbenchmarks.
+checks, toy training and sparsity statistics.
 
 Exit codes: 0 success, 1 check failure, 2 usage or config error (a
 diverged training run included).
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -17,15 +16,15 @@ import numpy as np
 from .autodiff import Value
 from .geometry import Box3D, GridSpec, PyramidConfig, PyramidLevelConfig, pyramid_grid_points
 from .gradcheck import format_report, run_gradcheck
-from .head import CONFIG_SCHEMA_VERSION, HeadConfig, init_head_params, run_head
+from .head import CONFIG_SCHEMA_VERSION, HeadConfig
 from .nn import init_mlp
 from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                         GateOverride, NeighborBundle, init_attention_params,
                         pool_feature, roi_grid_attention,
                         roi_grid_attention_darp)
 from .spatial import PointSet, build_index
-from .synth import (INDEX_CELL, SceneConfig, TrainingDiverged,
-                    generate_scenes, sparsity_stats, train_toy)
+from .synth import (SceneConfig, TrainingDiverged, generate_scenes,
+                    sparsity_stats, train_toy)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -167,7 +166,7 @@ def cmd_train_toy(args) -> int:
     try:
         result = train_toy(head_cfg, scene_cfg, steps=args.steps, lr=args.lr,
                            seed=args.seed, n_scenes=args.scenes,
-                           momentum=args.momentum, threads=max(1, args.threads))
+                           momentum=args.momentum)
     except TrainingDiverged as exc:
         raise CliError(f"{exc}; lower --lr (was {args.lr})") from None
     text = result.to_csv() if args.format == "csv" else result.to_json() + "\n"
@@ -182,46 +181,9 @@ def cmd_train_toy(args) -> int:
 
 def cmd_stats(args) -> int:
     scene_cfg = SceneConfig(seed=args.seed)
-    scenes = generate_scenes(scene_cfg, args.scenes, threads=max(1, args.threads))
+    scenes = generate_scenes(scene_cfg, args.scenes)
     table = sparsity_stats(scenes)
     _write_out(args, table.to_csv())
-    return 0
-
-
-def cmd_bench(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    n, q = args.points, args.queries
-    side = (n / args.density) ** (1.0 / 3.0)
-    coords = rng.uniform(0.0, side, size=(n, 3))
-    ps = PointSet(coords, np.zeros((n, 1)))
-    t0 = time.perf_counter()
-    idx = build_index(ps, cell=args.radius)
-    build_s = time.perf_counter() - t0
-    queries = rng.uniform(0.0, side, size=(q, 3))
-    t0 = time.perf_counter()
-    hits = 0
-    for c in queries:
-        hits += idx.query(c, args.radius, max_k=64)[0].size
-    query_s = time.perf_counter() - t0
-    head_cfg = HeadConfig()
-    params = init_head_params(head_cfg, args.seed)
-    fx_cfg = SceneConfig(seed=args.seed, n_objects=2)
-    scene = generate_scenes(fx_cfg, 1)[0]
-    sidx = build_index(scene.ps, INDEX_CELL)
-    t0 = time.perf_counter()
-    run_head(head_cfg, params, scene.ps, sidx, scene.proposals,
-             head_cfg.tau_end)
-    head_s = time.perf_counter() - t0
-    doc = {
-        "points": n, "queries": q, "radius": args.radius,
-        "index_build_s": build_s,
-        "ball_query_total_s": query_s,
-        "ball_query_per_query_us": 1e6 * query_s / max(1, q),
-        "mean_hits": hits / max(1, q),
-        "head_forward_s": head_s,
-        "head_rois": len(scene.proposals),
-    }
-    _write_out(args, json.dumps(doc, indent=2) + "\n")
     return 0
 
 
@@ -233,7 +195,8 @@ SHARED_FLAGS = {
     "seed": dict(type=int, default=0, help="rng seed"),
     "out": dict(help="output file (stdout if omitted)"),
     "format": dict(choices=("json", "csv"), default="json"),
-    "threads": dict(type=int, default=1, help="scene-generation worker threads"),
+    "threads": dict(type=int, default=1,
+                    help="no effect: the work runs on one thread"),
 }
 
 
@@ -281,9 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck",
                        help="compare tape gradients with finite differences",
                        epilog=epilog)
-    shared(p, "seed", "out", "format")
-    p.add_argument("--threads", type=int, default=1,
-                   help="no effect: the checks run on one thread")
+    shared(p, "seed", "out", "format", "threads")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="train the head on synthetic scenes",
@@ -300,16 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     shared(p, "seed", "out", "threads")
     p.add_argument("--scenes", type=int, default=20)
     p.set_defaults(fn=cmd_stats)
-
-    p = sub.add_parser("bench", help="time ball queries and a head forward",
-                       epilog=epilog)
-    shared(p, "seed", "out")
-    p.add_argument("--points", type=int, default=100_000)
-    p.add_argument("--queries", type=int, default=4096)
-    p.add_argument("--radius", type=float, default=2.4)
-    p.add_argument("--density", type=float, default=1.0,
-                   help="points per cubic meter of the benchmark scene")
-    p.set_defaults(fn=cmd_bench)
     return parser
 
 

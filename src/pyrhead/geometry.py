@@ -125,6 +125,12 @@ class PyramidConfig:
         for lo, hi in zip(self.levels, self.levels[1:]):
             if hi.ratios[0] < lo.ratios[0] or hi.ratios[1] < lo.ratios[1]:
                 raise ValueError("width/length ratios must not decrease with level")
+        # the JSON form holds one anchor_mode for the whole pyramid
+        for i, lv in enumerate(self.levels):
+            if lv.anchor_mode != self.levels[0].anchor_mode:
+                raise ValueError(f"levels[{i}].anchor_mode is {lv.anchor_mode!r} but "
+                                 f"levels[0].anchor_mode is {self.levels[0].anchor_mode!r}; "
+                                 "a pyramid has one anchor mode")
 
     def __len__(self) -> int:
         return len(self.levels)

@@ -1,16 +1,20 @@
 """Point-of-interest storage and exact radius-bounded neighbor queries.
 
-The index is a uniform hash grid: points are bucketed by integer cell.
-``SpatialIndex.region_ids`` is the one cell scan: it visits the cells that
-overlap a box, clamped to the range of occupied cells, so its cost is
-bounded by the data however large the box. ``SpatialIndex.query`` (one
-ball) and ``gather_level`` (the capped balls of a pyramid level) take their
-candidates from it and filter by exact Euclidean distance, so results are
-identical to a brute-force scan.
+The index is a sorted-cell grid: point ids sorted by the key of their
+cell, so the points of every cell are one run of the sorted ids, found with
+``np.searchsorted``. A box lookup takes one such run per occupied (x, y)
+column it overlaps, so its cost is bounded by the data however large the
+box. ``SpatialIndex.query`` takes one ball's candidates from its box.
+``gather_level`` (the capped balls of a pyramid level) bins the same points
+at a cell as wide as the largest radius of its call and takes each grid
+point's candidates from the cells around it, not from its RoI's whole box.
+Both filter by exact Euclidean distance, so results are identical to a
+brute-force scan.
 """
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,26 +99,26 @@ class PointSet:
 
 
 class SpatialIndex:
-    """Immutable uniform hash grid over a PointSet."""
+    """Immutable sorted-cell grid over a PointSet.
+
+    Ids are sorted by the linearised key ``(x * ny + y) * nz + z`` of their
+    cell, counted from the lowest occupied cell of each axis. So each cell,
+    and the z run of each (x, y) column, is one run of the sorted ids.
+    """
 
     def __init__(self, ps: PointSet, cell: float):
-        if cell <= 0:
-            raise ValueError("cell size must be positive")
+        if not cell > 0:
+            raise ValueError(f"cell size must be positive, got {cell}")
         self.ps = ps
         self.cell = float(cell)
-        self._buckets: dict[tuple[int, int, int], np.ndarray] = {}
-        n = len(ps)
-        if n == 0:
-            return
-        keys = np.floor(ps.coords / self.cell).astype(np.int64)
-        order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
-        sk = keys[order]
-        change = np.nonzero(np.any(sk[1:] != sk[:-1], axis=1))[0] + 1
-        starts = np.concatenate(([0], change, [n]))
-        for a, b in zip(starts[:-1], starts[1:]):
-            self._buckets[tuple(sk[a])] = np.sort(order[a:b])
-        # occupied cell-key bounds: no cell scan ever leaves them
-        self._key_lo, self._key_hi = sk.min(axis=0), sk.max(axis=0)
+        # one row per axis: reductions along a row are contiguous
+        cells = np.floor(np.ascontiguousarray(ps.coords.T) / self.cell)
+        self._origin = cells.min(axis=1) if len(ps) else np.zeros(3)
+        self._shape = cells.max(axis=1) - self._origin + 1 if len(ps) else np.zeros(3)
+        key = _packed_key(tuple((cells - self._origin[:, None]).astype(np.int64)),
+                          self._shape)
+        self._order = np.argsort(key)
+        self._keys = key[self._order]
 
     def query(self, center, r: float, max_k: int | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -128,7 +132,8 @@ class SpatialIndex:
         if max_k is not None and max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {max_k}")
         center = np.asarray(center, dtype=np.float64).reshape(3)
-        cand = self.region_ids(center - r, center + r)
+        pad = r * _BOX_PAD
+        cand = self.region_ids(center - pad, center + pad)
         if cand.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
         d = np.linalg.norm(self.ps.coords[cand] - center, axis=1)
@@ -141,21 +146,58 @@ class SpatialIndex:
 
     def region_ids(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Ascending ids of all points in cells overlapping the box [lo, hi]."""
-        if not self._buckets:
-            return np.empty(0, dtype=np.int64)
-        # clamping in float space keeps infinite bounds meaningful
-        clo = np.maximum(np.floor(lo / self.cell), self._key_lo).astype(np.int64)
-        chi = np.minimum(np.floor(hi / self.cell), self._key_hi).astype(np.int64)
-        chunks = []
-        for i in range(clo[0], chi[0] + 1):
-            for j in range(clo[1], chi[1] + 1):
-                for k in range(clo[2], chi[2] + 1):
-                    b = self._buckets.get((i, j, k))
-                    if b is not None:
-                        chunks.append(b)
-        if not chunks:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(chunks))
+        _, starts, counts = self._columns(np.array([lo, hi], dtype=np.float64)[..., None])
+        return np.sort(self._order[_runs(starts, counts)])
+
+    def _columns(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(box, start, count) of the sorted-id run of each (x, y) column
+        whose cells overlap box b, from ``bounds[0, :, b]`` to ``bounds[1, :, b]``.
+
+        Columns come box by box and are clamped to the occupied cells, so
+        infinite bounds are fine; each costs two ``searchsorted`` lookups.
+        """
+        # cell offsets of the first and one past the last cell per axis;
+        # fmax/fmin map a NaN bound to an empty range
+        ends = np.floor(bounds / self.cell) - self._origin[:, None]
+        ends[1] += 1
+        ends = np.fmin(np.fmax(ends, 0), self._shape[:, None])
+        x0, y0, z0 = ends[0].astype(np.int64)
+        nx, ny, nz = np.fmax(ends[1] - ends[0], 0).astype(np.int64)
+        n_cols = nx * ny
+        box = np.repeat(np.arange(n_cols.size), n_cols)
+        j = _runs(np.zeros_like(n_cols), n_cols)
+        x, y = x0[box] + j // ny[box], y0[box] + j % ny[box]
+        _, size_y, size_z = self._shape.astype(np.int64)
+        col_key = (x * size_y + y) * size_z + z0[box]
+        starts = np.searchsorted(self._keys, col_key)
+        counts = np.searchsorted(self._keys, col_key + nz[box]) - starts
+        return box, starts, counts
+
+
+# Relative widening of a ball's box before the cell lookup: the rounded norm
+# that decides membership may admit a point just beyond the exact box.
+_BOX_PAD = 1.0 + 1e-9
+
+
+def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + counts[i]) laid end to end."""
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(starts - ends + counts, counts)
+
+
+def _packed_key(parts: tuple[np.ndarray, ...], sizes) -> np.ndarray:
+    """Row-major int64 key of index tuples with ``0 <= parts[i] < sizes[i]``.
+
+    Raises ValueError, naming the sizes, when the key could wrap.
+    """
+    if not all(map(math.isfinite, sizes)) or math.prod(map(int, sizes)) > 2**63:
+        raise ValueError(f"a sort key over {' x '.join(f'{n:.0f}' for n in sizes)} "
+                         "values does not fit in int64")
+    key = parts[0]
+    for part, n in zip(parts[1:], sizes[1:]):
+        key = key * int(n) + part
+    return key
 
 
 def build_index(ps: PointSet, cell: float) -> SpatialIndex:
@@ -171,7 +213,11 @@ def gather_level(idx: SpatialIndex, centers, radius, max_k: int
     grid point j of RoI i. Returns flat (row, ids, dist) arrays sorted by
     row, then distance, then id, keeping the nearest ``max_k`` ids of each
     row; rows without a neighbor do not appear. Distances use the same norm
-    ufunc path as ``SpatialIndex.query``, so boundary decisions agree.
+    ufunc as ``SpatialIndex.query``, so boundary decisions agree.
+
+    The points of ``idx`` are binned again at a cell as wide as the largest
+    radius, so each grid point takes its candidates from the 3 (rarely 4)
+    cells per axis that its ball's box overlaps.
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
@@ -180,32 +226,32 @@ def gather_level(idx: SpatialIndex, centers, radius, max_k: int
     radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), (n_rois,))
     if not np.all((0 < radius) & (radius < np.inf)):
         raise ValueError("gather radius must be positive and finite")
-    rows, ids, dists = [], [], []
-    for i, (pts, r) in enumerate(zip(centers, radius)):
-        local = idx.region_ids(pts.min(axis=0) - r, pts.max(axis=0) + r)
-        if local.size == 0:
-            continue
-        sub = idx.ps.coords[local]
-        # squared distances pick a slight superset cheaply; the exact norm
-        # then decides membership for the survivors only
-        d2 = np.zeros((len(pts), len(sub)))
-        for axis in range(3):
-            diff = pts[:, axis, None] - sub[:, axis]
-            d2 += diff * diff
-        row, col = np.nonzero(d2 <= r * r * (1.0 + 1e-9))
-        dist = np.linalg.norm(pts[row] - sub[col], axis=1)
-        inside = dist <= r
-        rows.append(row[inside] + i * count)
-        ids.append(local[col[inside]])
-        dists.append(dist[inside])
-    if not rows:
+    flat = centers.reshape(-1, 3)
+    if len(idx.ps) == 0 or len(flat) == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0)
-    row, ids, dist = np.concatenate(rows), np.concatenate(ids), np.concatenate(dists)
-    # ids ascend within a row (region_ids is sorted, nonzero is row-major)
-    # and lexsort is stable, so equal distances stay in id order
-    order = np.lexsort((dist, row))
-    row, ids, dist = row[order], ids[order], dist[order]
-    rank = np.arange(row.size) - np.searchsorted(row, row)
-    keep = rank < max_k
+    grid = SpatialIndex(idx.ps, float(radius.max()))
+    r = np.repeat(radius, count)
+    at = np.ascontiguousarray(flat.T)
+    col_row, starts, counts = grid._columns(np.stack([at - r * _BOX_PAD, at + r * _BOX_PAD]))
+    pos = _runs(starts, counts)
+    by_key = np.ascontiguousarray(idx.ps.coords[grid._order].T)
+    # grid point minus candidate, one row per axis; squared distances pick
+    # a slight superset cheaply, and the exact norm then decides membership
+    # for the survivors only
+    offs = [np.repeat(at[a][col_row], counts) - by_key[a][pos] for a in range(3)]
+    d2 = offs[0] * offs[0] + offs[1] * offs[1] + offs[2] * offs[2]
+    near = np.flatnonzero(d2 <= np.repeat((r * r * (1.0 + 1e-9))[col_row], counts))
+    # query's norm call, over a [k, 3] view of the survivors' offsets
+    dist = np.linalg.norm(np.stack([off[near] for off in offs]).T, axis=1)
+    row = np.repeat(col_row, counts)[near]
+    inside = dist <= r[row]
+    row, ids, dist = row[inside], grid._order[pos[near[inside]]], dist[inside]
+    # one argsort of a packed (row, distance rank, id) key; row is already
+    # ascending, so a pair's rank in its row is its offset in the row's block
+    values, dist_rank = np.unique(dist, return_inverse=True)
+    sizes = (len(flat), values.size, len(idx.ps))
+    order = np.argsort(_packed_key((row, dist_rank, ids), sizes))
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    rank = np.arange(row.size) - np.repeat(first, np.diff(first, append=row.size))
+    keep = order[rank < max_k]
     return row[keep], ids[keep], dist[keep]
-

@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,7 +27,7 @@ from .spatial import PointSet, SpatialIndex, build_index, gather_level
 BUCKET_EDGES = [0, 10, 50, 100, 500]
 BUCKET_LABELS = ["0-10", "10-50", "50-100", "100-500", "500+"]
 FEAT_WIDTH = 8      # columns of occupancy_features
-INDEX_CELL = 2.4    # hash-grid cell of every scene index
+INDEX_CELL = 2.4    # sorted-cell grid cell of every scene index
 # alternating per-proposal noise scale: tight proposals land clearly
 # above the positive-label IoU threshold, loose ones clearly below
 JITTER_SCALES = (0.35, 1.6)
@@ -223,11 +222,8 @@ def generate_scene(cfg: SceneConfig, index: int = 0) -> Scene:
                  np.asarray(proposal_gt, dtype=np.int64))
 
 
-def generate_scenes(cfg: SceneConfig, count: int, threads: int = 1) -> list[Scene]:
-    if threads <= 1 or count <= 1:
-        return [generate_scene(cfg, i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda i: generate_scene(cfg, i), range(count)))
+def generate_scenes(cfg: SceneConfig, count: int) -> list[Scene]:
+    return [generate_scene(cfg, i) for i in range(count)]
 
 
 # -- sparsity statistics --------------------------------------------------------
@@ -343,8 +339,8 @@ class TrainingDiverged(RuntimeError):
 
 
 def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
-              lr: float, seed: int, n_scenes: int = 200, momentum: float = 0.9,
-              threads: int = 1) -> TrainResult:
+              lr: float, seed: int, n_scenes: int = 200, momentum: float = 0.9
+              ) -> TrainResult:
     """Momentum SGD on the head loss over a deterministic scene set.
 
     The radius trajectory records the per-level effective radius averaged
@@ -357,7 +353,7 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
         raise ValueError(f"config field 'feat_width' is {head_cfg.feat_width}, "
                          f"but the scenes have {FEAT_WIDTH} features per point")
     cfg2 = dataclasses.replace(scene_cfg, seed=scene_cfg.seed + seed)
-    scenes = generate_scenes(cfg2, n_scenes, threads=threads)
+    scenes = generate_scenes(cfg2, n_scenes)
     indexes = [build_index(sc.ps, INDEX_CELL) for sc in scenes]
     params = init_head_params(head_cfg, seed)
     sched = TemperatureSchedule(head_cfg.tau_start, head_cfg.tau_end, steps)

@@ -2,6 +2,11 @@
 
 - ``brute_force_query``: a linear scan over every point, the oracle for
   all radius queries.
+- ``BucketIndex`` and ``lexsort_gather_level``: the former spatial index,
+  a dict of per-cell id buckets visited by a triple loop, and the former
+  level gather, which compared each RoI's grid points with every point of
+  its enlarged box and ordered the pairs with a three-key lexsort. The
+  sorted-cell gather must reproduce its (row, ids, dist) bitwise.
 - ``grid_points``: the standard single-level RoI grid, which a unit-ratio
   pyramid level must reproduce bitwise.
 - ``softmax``, ``segment_sum`` and ``vsigmoid``: autodiff ops that only
@@ -42,6 +47,75 @@ def brute_force_query(ps, center, r: float, max_k: int | None = None) -> np.ndar
     if max_k is not None and order.size > max_k:
         order = order[:max_k]
     return ids[order].astype(np.int64)
+
+
+class BucketIndex:
+    """Uniform hash grid: a dict from integer cell to the ascending ids in it."""
+
+    def __init__(self, ps, cell: float):
+        self.ps = ps
+        self.cell = float(cell)
+        self._buckets: dict[tuple[int, int, int], np.ndarray] = {}
+        n = len(ps)
+        if n == 0:
+            return
+        keys = np.floor(ps.coords / self.cell).astype(np.int64)
+        order = np.lexsort((keys[:, 2], keys[:, 1], keys[:, 0]))
+        sk = keys[order]
+        change = np.nonzero(np.any(sk[1:] != sk[:-1], axis=1))[0] + 1
+        starts = np.concatenate(([0], change, [n]))
+        for a, b in zip(starts[:-1], starts[1:]):
+            self._buckets[tuple(sk[a])] = np.sort(order[a:b])
+        self._key_lo, self._key_hi = sk.min(axis=0), sk.max(axis=0)
+
+    def region_ids(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Ascending ids of all points in cells overlapping the box [lo, hi]."""
+        if not self._buckets:
+            return np.empty(0, dtype=np.int64)
+        clo = np.maximum(np.floor(lo / self.cell), self._key_lo).astype(np.int64)
+        chi = np.minimum(np.floor(hi / self.cell), self._key_hi).astype(np.int64)
+        chunks = []
+        for i in range(clo[0], chi[0] + 1):
+            for j in range(clo[1], chi[1] + 1):
+                for k in range(clo[2], chi[2] + 1):
+                    b = self._buckets.get((i, j, k))
+                    if b is not None:
+                        chunks.append(b)
+        if not chunks:
+            return np.empty(0, dtype=np.int64)
+        return np.sort(np.concatenate(chunks))
+
+
+def lexsort_gather_level(idx: BucketIndex, centers, radius, max_k: int
+                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Capped radius gather of [R, c, 3] grid points from each RoI's box."""
+    centers = np.asarray(centers, dtype=np.float64)
+    n_rois, count = centers.shape[:2]
+    radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), (n_rois,))
+    rows, ids, dists = [], [], []
+    for i, (pts, r) in enumerate(zip(centers, radius)):
+        local = idx.region_ids(pts.min(axis=0) - r, pts.max(axis=0) + r)
+        if local.size == 0:
+            continue
+        sub = idx.ps.coords[local]
+        d2 = np.zeros((len(pts), len(sub)))
+        for axis in range(3):
+            diff = pts[:, axis, None] - sub[:, axis]
+            d2 += diff * diff
+        row, col = np.nonzero(d2 <= r * r * (1.0 + 1e-9))
+        dist = np.linalg.norm(pts[row] - sub[col], axis=1)
+        inside = dist <= r
+        rows.append(row[inside] + i * count)
+        ids.append(local[col[inside]])
+        dists.append(dist[inside])
+    if not rows:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0)
+    row, ids, dist = np.concatenate(rows), np.concatenate(ids), np.concatenate(dists)
+    order = np.lexsort((dist, row))
+    row, ids, dist = row[order], ids[order], dist[order]
+    rank = np.arange(row.size) - np.searchsorted(row, row)
+    keep = rank < max_k
+    return row[keep], ids[keep], dist[keep]
 
 
 def grid_points(box: Box3D, grid: GridSpec) -> np.ndarray:

@@ -203,6 +203,15 @@ class TestStatsAndTrain:
         assert lines[0] == "bucket,interior_objects,gathered_rois"
         assert len(lines) == 6
 
+    def test_stats_accepts_threads_as_a_no_op(self, capsys):
+        outs = []
+        for threads in ("1", "4"):
+            code, out, _ = invoke(["stats", "--scenes", "2", "--seed", "3",
+                                   "--threads", threads], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
     def test_train_toy_writes_metrics_and_is_deterministic(self, tmp_path,
                                                            capsys):
         args = ["train-toy", "--steps", "3", "--scenes", "2", "--lr", "0.001",
@@ -258,7 +267,6 @@ class TestStatsAndTrain:
     ("attend", "--config"), ("attend", "--threads"),
     ("gradcheck", "--config"),
     ("stats", "--config"), ("stats", "--format"),
-    ("bench", "--config"), ("bench", "--format"), ("bench", "--threads"),
 ])
 def test_rejects_shared_flag_it_does_not_read(capsys, command, flag):
     required = {"gridgen": ["--box", "0,0,0,1,1,1,0"], "attend": ["--op", "unified"]}
@@ -305,17 +313,6 @@ class TestOutputDeterminism:
             assert run(args) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
-
-
-class TestBench:
-    def test_small_bench_reports_timings(self, capsys):
-        code, out, _ = invoke(["bench", "--points", "2000", "--queries", "50",
-                               "--radius", "1.5", "--seed", "0"], capsys)
-        assert code == 0
-        doc = json.loads(out)
-        assert doc["points"] == 2000 and doc["queries"] == 50
-        assert doc["ball_query_total_s"] > 0
-        assert doc["head_forward_s"] > 0
 
 
 class TestModuleEntry:

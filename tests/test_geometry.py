@@ -161,6 +161,28 @@ class TestPyramidConfig:
         assert [lv.grid.sizes for lv in back.levels] == \
                [lv.grid.sizes for lv in cfg.levels]
 
+    def test_mixed_anchor_modes_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("levels[2].anchor_mode")):
+            PyramidConfig([
+                PyramidLevelConfig(GridSpec((2, 2, 2)), anchor_mode="center"),
+                PyramidLevelConfig(GridSpec((2, 2, 2)), (2.0, 2.0, 1.0), anchor_mode="center"),
+                PyramidLevelConfig(GridSpec((2, 2, 2)), (2.0, 2.0, 1.0), anchor_mode="corner"),
+            ])
+
+    @given(st.sampled_from(["center", "corner"]),
+           st.lists(st.tuples(st.tuples(*[st.integers(1, 5)] * 3),
+                              st.floats(1.0, 4.0), st.floats(1.0, 2.0),
+                              st.integers(1, 40), st.floats(0.05, 8.0)),
+                    min_size=1, max_size=5))
+    @settings(max_examples=40, deadline=None)
+    def test_every_accepted_pyramid_round_trips(self, anchor, specs):
+        rho = sorted(s[1] for s in specs)
+        levels = [PyramidLevelConfig(GridSpec(g), (1.0, 1.0, 1.0) if i == 0 else (w, w, h),
+                                     cap, r, anchor)
+                  for i, ((g, _, h, cap, r), w) in enumerate(zip(specs, rho))]
+        cfg = PyramidConfig(levels)
+        assert PyramidConfig.from_json(cfg.to_json()) == cfg
+
     @pytest.mark.parametrize("edit,field", [
         (lambda d: d.clear(), "'anchor_mode' is missing"),
         (lambda d: d.pop("levels"), "'levels' is missing"),

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_query
+from oracles import BucketIndex, brute_force_query, lexsort_gather_level
 from pyrhead.operators import NeighborBundle
-from pyrhead.spatial import PointSet, build_index, gather_level
+from pyrhead.spatial import PointSet, _packed_key, build_index, gather_level
 
 
 def random_pointset(rng, n, span=20.0):
@@ -193,6 +193,121 @@ class TestBatchQuery:
         for bad_r in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="radius"):
                 gather_level(idx, np.zeros((2, 1, 3)), [1.0, bad_r], 4)
+
+
+@st.composite
+def gather_scenes(draw):
+    """A cloud, an index cell and a level of RoIs built to hit the edge cases.
+
+    Lattice clouds put points exactly on cell boundaries and on the spheres
+    of lattice grid points (a multiple of the largest radius, exact in
+    binary); shells add six points equidistant from one grid point, which
+    tie at any cap below six; offsets make coordinates negative; one RoI
+    may sit far outside the cloud.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([0, 1, 2, 40, 300]))
+    r_max = draw(st.sampled_from([0.25, 0.5, 1.0, 1.5, 3.0]))
+    cell = r_max * draw(st.sampled_from([0.3, 1.0, 2.5]))
+    n_rois, count = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    radius = r_max * np.array(draw(st.lists(st.sampled_from([0.1, 0.25, 0.5, 1.0]),
+                                            min_size=n_rois, max_size=n_rois)))
+    offset = draw(st.sampled_from([0.0, -7.0, -1e3 * r_max]))
+    if draw(st.booleans()):
+        coords = rng.integers(-4, 5, size=(n, 3)) * r_max
+        centers = rng.integers(-4, 5, size=(n_rois, count, 3)) * r_max
+    else:
+        coords = rng.uniform(-4, 4, size=(n, 3)) * r_max
+        centers = rng.uniform(-4, 4, size=(n_rois, count, 3)) * r_max
+    if draw(st.booleans()):
+        shell = np.concatenate([np.eye(3), -np.eye(3)]) * radius[0] / 2
+        coords = np.concatenate([coords, centers[0, 0] + shell, centers[0, 0] + 2 * shell])
+    if draw(st.booleans()):
+        centers[-1] += 1e4 * r_max
+    ps = PointSet(coords + offset, np.zeros((len(coords), 1)))
+    max_k = draw(st.sampled_from([1, 4, 8, 10**6]))
+    return ps, cell, centers + offset, radius, max_k
+
+
+def brute_force_gather(ps, centers, radius, max_k):
+    """gather_level's flat (row, ids, dist) from one brute-force query per row."""
+    rows, ids, dists = [], [], []
+    count = centers.shape[1]
+    for i, c in enumerate(centers.reshape(-1, 3)):
+        got = brute_force_query(ps, c, radius[i // count], max_k)
+        rows.append(np.full(got.size, i, dtype=np.intp))
+        ids.append(got)
+        dists.append(np.linalg.norm(ps.coords - c, axis=1)[got])
+    return np.concatenate(rows), np.concatenate(ids), np.concatenate(dists)
+
+
+def brute_force_region(ps, cell, lo, hi):
+    """Ascending ids of the points whose cell lies in the box's cell range."""
+    key = np.floor(ps.coords / cell)
+    inside = (key >= np.floor(lo / cell)) & (key <= np.floor(hi / cell))
+    return np.nonzero(np.all(inside, axis=1))[0]
+
+
+def _assert_same(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
+class TestSortedCellGather:
+    """The sorted-cell gather against the former bucket gather and a scan."""
+
+    @given(gather_scenes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bucket_gather_and_brute_force(self, scene):
+        ps, cell, centers, radius, max_k = scene
+        got = gather_level(build_index(ps, cell), centers, radius, max_k)
+        _assert_same(got, lexsort_gather_level(BucketIndex(ps, cell), centers, radius, max_k))
+        _assert_same(got, brute_force_gather(ps, centers, radius, max_k))
+
+    def test_sphere_and_cell_boundary_points(self):
+        # grid point and neighbours on exact multiples of r = cell: every
+        # axis neighbour lies on the sphere and on a cell boundary
+        r = 0.5
+        coords = np.array([[0.0, 0.0, 0.0], [r, 0, 0], [-r, 0, 0], [0, r, 0],
+                           [0, -r, 0], [0, 0, r], [0, 0, -r], [r, r, 0]]) - 2 * r
+        ps = PointSet(coords, np.zeros((len(coords), 1)))
+        centers = np.full((1, 1, 3), -2 * r)
+        row, ids, dist = gather_level(build_index(ps, r), centers, r, 10)
+        np.testing.assert_array_equal(ids, [0, 1, 2, 3, 4, 5, 6])
+        np.testing.assert_array_equal(dist, [0.0] + [r] * 6)
+        _assert_same((row, ids, dist),
+                     lexsort_gather_level(BucketIndex(ps, r), centers, r, 10))
+
+    def test_packed_key_refuses_sizes_that_wrap(self):
+        parts = (np.array([0, 1]), np.array([2, 0]), np.array([1, 3]))
+        np.testing.assert_array_equal(_packed_key(parts, (2, 3, 4)),
+                                      np.ravel_multi_index(parts, (2, 3, 4)))
+        top = tuple(np.array([n - 1]) for n in (2, 2**31, 2**31))
+        assert _packed_key(top, (2, 2**31, 2**31))[0] == np.iinfo(np.int64).max
+        with pytest.raises(ValueError, match="2 x 2147483649 x 2147483648 values"):
+            _packed_key(parts, (2, 2**31 + 1, 2**31))
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            _packed_key(parts, (2, np.inf, 4.0))
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([-np.inf, -1e12, -3.0]),
+           st.sampled_from([np.inf, 1e12, 4.0]), st.sampled_from([0.3, 1.0, 2.5]))
+    @settings(max_examples=60, deadline=None)
+    def test_huge_and_infinite_boxes_match_brute_force(self, seed, lo, hi, cell):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 200))
+        ps = PointSet(rng.uniform(-10, 10, size=(n, 3)), np.zeros((n, 1)))
+        idx = build_index(ps, cell)
+        lo3 = np.array([lo, rng.uniform(-12, 0), lo])
+        hi3 = np.array([hi, hi, rng.uniform(0, 12)])
+        got = idx.region_ids(lo3, hi3)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, brute_force_region(ps, cell, lo3, hi3))
+        np.testing.assert_array_equal(got, BucketIndex(ps, cell).region_ids(lo3, hi3))
+        center = rng.uniform(-15, 15, 3)
+        for r in (1e4, 1e300):
+            ids, d = idx.query(center, r, 64)
+            np.testing.assert_array_equal(ids, brute_force_query(ps, center, r, 64))
 
 
 class TestBoundedCellScan:

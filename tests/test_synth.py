@@ -62,12 +62,6 @@ class TestGeneration:
             for box in scene.gt_boxes:
                 assert interior_count(box, scene.ps) >= 1
 
-    def test_threaded_generation_matches_serial(self):
-        serial = generate_scenes(FAST, 6, threads=1)
-        threaded = generate_scenes(FAST, 6, threads=4)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.ps.coords, b.ps.coords)
-
     def test_scene_round_trip(self, tmp_path):
         scene = generate_scene(FAST)
         scene.save(tmp_path / "scene")
