@@ -226,18 +226,6 @@ def softplus(x: Value) -> Value:
     return out
 
 
-def clamp_min(x: Value, floor: float) -> Value:
-    """max(x, floor); gradient is zero wherever the floor is active."""
-    mask = x.data >= floor
-    out = Value(np.where(mask, x.data, floor), (x,))
-
-    def _bw(g):
-        x._accum_owned(g * mask)
-
-    out._backward = _bw
-    return out
-
-
 def smooth_l1(x: Value) -> Value:
     """Elementwise huber: 0.5 x^2 inside |x|<=1, |x|-0.5 outside."""
     d = x.data

@@ -174,7 +174,8 @@ def cmd_train_toy(args) -> int:
     if args.out:
         summary = {"initial_loss": result.untrained_loss,
                    "final_loss": result.final_loss,
-                   "max_radius_shift": result.max_radius_shift()}
+                   "max_radius_shift": result.max_radius_shift(),
+                   "clipped_steps": result.clipped_steps}
         sys.stdout.write(json.dumps(summary) + "\n")
     return 0
 

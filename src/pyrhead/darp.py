@@ -1,9 +1,10 @@
 """Density-aware radius prediction: context embedding, radius offset, schedule.
 
 Each RoI summarizes the points inside two fixed context spheres around its
-center; a small head maps that summary to a per-level radius offset added
-to the level's predefined radius. The temperature of the soft membership
-decays geometrically over training.
+center; a small head maps that summary to a per-level radius offset, and
+the level's radius is the predefined radius plus that offset, bounded
+smoothly to (r_min, 2*r_pre - r_min) by a tanh. The temperature of the
+soft membership decays geometrically over training.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Value, clamp_min, concat, mul, reshape, vmax
+from .autodiff import Value, concat, reshape, vmax
 from .geometry import Box3D, rot_z
 from .nn import MLPParams, init_mlp
 from .spatial import PointSet, SpatialIndex
@@ -49,8 +50,8 @@ def init_context_params(rng: np.random.Generator, feat_width: int,
 
 # Damps the predicted radius offset (and its gradient): the soft membership
 # makes radius gradients spike near the sampling boundary, and an undamped
-# head can race to the clamp floor before the rest of the network has
-# learned anything.
+# head can race to its bound before the rest of the network has learned
+# anything.
 OFFSET_SCALE = 0.1
 
 
@@ -65,6 +66,10 @@ class RadiusHeadParams:
     def __post_init__(self):
         if any(r <= 0 for r in self.r_pre):
             raise ValueError("predefined radii must be positive")
+        for level, r in enumerate(self.r_pre):
+            if r <= self.r_min:
+                raise ValueError(f"level {level}: predefined radius {r} must "
+                                 f"exceed r_min={self.r_min}")
         if len(self.mlps) != len(self.r_pre):
             raise ValueError("one radius MLP per pyramid level required")
 
@@ -126,15 +131,22 @@ def context_embedding(roi: Box3D, ps: PointSet, idx: SpatialIndex,
 
 
 def predict_radius(ctx: Value, level: int, params: RadiusHeadParams) -> Value:
-    """Effective radius of one pyramid level, clamped below at r_min.
+    """Effective radius r_pre + s*tanh(OFFSET_SCALE*dr/s), s = r_pre - r_min.
 
-    The same radius is shared by all grid points of the level; the clamp
-    passes no gradient while active.
+    ``dr`` is the level's MLP output. At dr = 0 this is r_pre with slope
+    OFFSET_SCALE; it stays inside (r_min, 2*r_pre - r_min), its gradient
+    never drops to zero, and all grid points of the level share it.
     """
     if not 0 <= level < len(params.r_pre):
         raise ValueError(f"level {level} outside the configured pyramid")
     dr = params.mlps[level](ctx)
     if dr.ndim >= 1 and dr.shape[-1] == 1:
         dr = reshape(dr, dr.shape[:-1])
-    return clamp_min(mul(dr, OFFSET_SCALE) + params.r_pre[level],
-                     params.r_min)
+    r_pre = params.r_pre[level]
+    s = r_pre - params.r_min
+    t = np.tanh(dr.data * (OFFSET_SCALE / s))
+
+    def _bw(g):
+        dr._accum_owned(g * (OFFSET_SCALE * (1.0 - t * t)))
+
+    return Value(r_pre + s * t, (dr,), _bw)

@@ -5,7 +5,7 @@ The forward pass runs each pyramid level as one ragged batch over all
 RoIs of a scene: one capped gather and one gated attention call that
 returns a feature for every grid point (zeros where a grid point has no
 neighbor), summed per RoI, instead of one operator call per grid point.
-The math is identical to the per-point operators.
+The math is that of the per-point operators, up to summation order.
 """
 from __future__ import annotations
 
@@ -172,10 +172,8 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
         radii_used.append(r_np)
         centers = np.stack([pyramid_grid_points(roi, lv) for roi in rois])
         row, ids, dist = gather_level(idx, centers, gather_r, lv.max_neighbors)
-        # ascending ids within each grid point and one rotation product per
-        # RoI: the summation order and product of the per-point path
-        order = np.lexsort((ids, row))
-        row, ids, dist = row[order], ids[order], dist[order]
+        # row ascends, so each RoI's slots are one block: one rotation
+        # product per RoI
         roi_of = row // lv.grid.count
         diff = ps.coords[ids] - centers.reshape(-1, 3)[row]
         bounds = np.searchsorted(roi_of, np.arange(R + 1))

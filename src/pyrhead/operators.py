@@ -7,7 +7,16 @@ scalars, and fixing the gates to GRAPH_GATES (1,0,0,0), ATTENTION_GATES
 operator. ``gated_attention_batched`` is its one entry point: it returns a
 feature for every grid point of a batch, zeros where a grid point has no
 neighbor, and the per-point ``roi_grid_attention(_darp)`` are one-row calls
-of it. Max pooling is the only other aggregation. The soft radius
+of it. Max pooling is the only other aggregation.
+
+The operator runs folded. With a neighbor's rows x = [f, 1] and
+o = [p, 1], k = x K, v = x V and q = o Q, so each logit or gate, a dot of
+k, q or q*k with a weight u, is x (K u), o (Q u) or sum_mj x_m o_j C_mj
+with C = K diag(u) Q^T; a grid point's feature is Z [V; Q] per head, Z the
+sum of wc * [x, gv*o] over its neighbors. The same sums as projecting each
+neighbor to d_model first, reassociated as in linear attention
+(Katharopoulos et al., arXiv 2006.16236): the weights are multiplied out
+once per call and no per-neighbor array is d_model wide. The soft radius
 coefficient ``soft_radius_coeff`` makes the aggregation radius
 differentiable: one formula, and one tape node for a learned radius. It
 needs the neighbors within the widened sampling range r + 5*tau.
@@ -211,93 +220,117 @@ def pool_feature(nb: NeighborBundle, mlp: MLPParams) -> Value:
 
 # -- unified gated operator -------------------------------------------------
 
-def _gate_backward(lp: LinearParams, gate: np.ndarray, inp: np.ndarray,
-                   d_inp: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """Backward of a learned gate that multiplies ``scaled``, row by row.
-
-    ``d_inp`` is the gradient of ``gate * scaled``; accumulates the gate's
-    weight gradients and returns the gradient of its input ``inp``.
-    """
-    dz = np.einsum("nd,nd->n", d_inp, scaled)[:, None] * gate * (1.0 - gate)
-    lp.W._accum_owned(inp.T @ dz)
-    lp.b._accum_owned(dz.sum(axis=0))
-    return dz @ lp.W.data.T
-
-
-def _gate_core(k: Value, q: Value, v: Value, params: AttentionParams,
+def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
                gates: GateOverride | None, coeff, row: np.ndarray,
                n_rows: int) -> Value:
-    """Fused gating, per-segment softmax and per-segment weighted sum.
-
-    k, q and v are [N, d_model] slots: the neighbors of grid points laid
-    end to end, slot i belonging to grid point ``row[i]`` (ascending). One
-    tape node covers everything between the k/q/v projections and the
-    [n_rows, d_model] output, whose rows without a slot stay zero; the
-    backward below is the hand-derived adjoint of that computation.
+    """The folded operator over slots laid end to end, slot i belonging to
+    grid point ``row[i]`` (ascending). One tape node; the backward is its
+    hand-derived adjoint.
     """
-    kd, qd, vd = k.data, q.data, v.data
-    n, dm = kd.shape
+    xd = _data(feats)
+    n, d_in = xd.shape
     heads, dh = params.heads, params.head_width
+    D = d_in + 1
     starts = np.flatnonzero(np.diff(row, prepend=-1))
     seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
-    qkd = qd * kd
+    x1 = np.concatenate([xd, np.ones((n, 1))], axis=1)
+    o1 = np.concatenate([offsets, np.ones((n, 1))], axis=1)
+    kt = np.vstack([params.key.W.data, params.key.b.data])      # [D, dm]
+    qt = np.vstack([params.q_pos.W.data, params.q_pos.b.data])  # [4, dm]
+    vqt = np.vstack([params.value.W.data, params.value.b.data, qt])
+    wwd = params.w_head.W.data
     learned = gates is None
+    # logit weights, then the gate weights where gates are learned
     if learned:
-        gk = _np_sig(kd @ params.gate_key.W.data + params.gate_key.b.data)
-        gq = _np_sig(qd @ params.gate_pos.W.data + params.gate_pos.b.data)
-        gqk = _np_sig(qkd @ params.gate_cross.W.data + params.gate_cross.b.data)
-        gv = _np_sig(qd @ params.gate_value.W.data + params.gate_value.b.data)
+        uk = np.hstack([wwd, params.gate_key.W.data])
+        uq = np.hstack([wwd, params.gate_pos.W.data, params.gate_value.W.data])
+        uc = np.hstack([wwd, params.gate_cross.W.data])
+    else:
+        uk = uq = uc = wwd
+    # k.u = x (K u), q.u = o (Q u), (q*k).u = sum_j o_j x C_j with
+    # C_mjh = sum_d K_md Q_jd u_dh; px holds [K uk | C] as [D, hk + 4*hc]
+    hk, hc = uk.shape[1], uc.shape[1]
+    kq = kt[:, None, :] * qt[None, :, :]                        # [D, 4, dm]
+    px = np.hstack([kt @ uk, (kq @ uc).reshape(D, 4 * hc)])
+    pq = qt @ uq
+    lx = x1 @ px
+    lk = lx[:, :hk]
+    lc = np.einsum("njh,nj->nh", lx[:, hk:].reshape(n, 4, hc), o1)
+    lq = o1 @ pq
+    gate_lps = (params.gate_key, params.gate_pos, params.gate_value, params.gate_cross)
+    if learned:
+        g = _np_sig(np.hstack([lk[:, heads:], lq[:, heads:], lc[:, heads:]])
+                    + np.concatenate([lp.b.data for lp in gate_lps]))
+        gk, gq, gv, gqk = g[:, 0:1], g[:, 1:2], g[:, 2:3], g[:, 3:4]
+        lk, lq, lc = lk[:, :heads], lq[:, :heads], lc[:, :heads]
     else:
         gk, gq, gqk, gv = gates.key, gates.pos, gates.cross, gates.value
-    a = gk * kd + gq * qd + gqk * qkd
-    wwd = params.w_head.W.data
-    logits = a @ wwd + params.w_head.b.data
+    logits = gk * lk + gq * lq + gqk * lc + params.w_head.b.data
     e = np.exp(logits - np.maximum.reduceat(logits, starts, axis=0)[seg])
     w = e / np.add.reduceat(e, starts, axis=0)[seg]
-    s_val = coeff if isinstance(coeff, Value) else None
-    sd = None
-    if coeff is not None:
-        sd = (coeff.data if s_val is not None else np.asarray(coeff)).reshape(n, 1)
-        wc = w * sd
-    else:
-        wc = w
-    val3 = (vd + gv * qd).reshape(n, heads, dh)
-    out_data = np.zeros((n_rows, dm))
-    out_data[row[starts]] = np.add.reduceat((wc[:, :, None] * val3).reshape(n, dm),
-                                            starts, axis=0)
+    sd = None if coeff is None else _data(coeff).reshape(n, 1)
+    wc = w if sd is None else w * sd
+    y = np.concatenate([x1, gv * o1], axis=1)                    # [N, D+4]
+    z = np.add.reduceat((wc[:, :, None] * y[:, None, :]).reshape(n, -1),
+                        starts, axis=0).reshape(-1, heads, D + 4)
+    m_h = vqt.reshape(D + 4, heads, dh).transpose(1, 0, 2)       # [H, D+4, dh]
+    out_data = np.zeros((n_rows, params.d_model))
+    out_data[row[starts]] = np.matmul(z.transpose(1, 0, 2), m_h) \
+        .transpose(1, 0, 2).reshape(-1, params.d_model)
 
-    parents = [k, q, v, params.w_head.W, params.w_head.b]
-    if learned:
-        for lp in (params.gate_key, params.gate_pos, params.gate_cross,
-                   params.gate_value):
-            parents.extend((lp.W, lp.b))
-    if s_val is not None:
-        parents.append(s_val)
+    lps = (params.key, params.value, params.q_pos, params.w_head) \
+        + (gate_lps if learned else ())
+    x_val, s_val = (v if isinstance(v, Value) else None for v in (feats, coeff))
+    parents = [p for lp in lps for p in (lp.W, lp.b)] + \
+        [v for v in (x_val, s_val) if v is not None]
 
     def _bw(gout):
-        gh = gout.reshape(-1, heads, dh)[row]
-        dwc = np.einsum("nhd,nhd->nh", val3, gh)
-        dval = (wc[:, :, None] * gh).reshape(n, dm)
+        gz = gout[row[starts]].reshape(-1, heads, dh).transpose(1, 0, 2)
+        dvqt = np.matmul(z.transpose(1, 2, 0), gz).transpose(1, 0, 2) \
+            .reshape(D + 4, -1)
+        dzs = np.matmul(gz, m_h.transpose(0, 2, 1)).transpose(1, 0, 2)[seg]
+        dwc = np.einsum("nhc,nc->nh", dzs, y)
+        dy = np.einsum("nh,nhc->nc", wc, dzs)
         dw = dwc
         if sd is not None:
             dw = dwc * sd
             if s_val is not None:
                 s_val._accum_owned((dwc * w).sum(axis=1).reshape(s_val.shape))
         dlogits = w * (dw - np.add.reduceat(dw * w, starts, axis=0)[seg])
-        da = dlogits @ wwd.T
-        params.w_head.W._accum_owned(a.T @ dlogits)
         params.w_head.b._accum_owned(dlogits.sum(axis=0))
-        dk = da * gk
-        dq = da * gq + dval * gv
-        dqk = da * gqk
+        dlk, dlq, dlc = dlogits * gk, dlogits * gq, dlogits * gqk
         if learned:
-            dk += _gate_backward(params.gate_key, gk, kd, da, kd)
-            dq += _gate_backward(params.gate_pos, gq, qd, da, qd)
-            dqk += _gate_backward(params.gate_cross, gqk, qkd, da, qkd)
-            dq += _gate_backward(params.gate_value, gv, qd, dval, qd)
-        k._accum_owned(dk + dqk * qd)
-        q._accum_owned(dq + dqk * kd)
-        v._accum_owned(dval)
+            dgk, dgq, dgqk = (np.einsum("nh,nh->n", dlogits, lv)[:, None]
+                              for lv in (lk, lq, lc))
+            dgv = np.einsum("nc,nc->n", dy[:, D:], o1)[:, None]
+            dz = np.hstack([dgk, dgq, dgv, dgqk]) * g * (1.0 - g)
+            for i, lp in enumerate(gate_lps):
+                lp.b._accum_owned(dz[:, i].sum(keepdims=True))
+            dlk = np.hstack([dlk, dz[:, 0:1]])
+            dlq = np.hstack([dlq, dz[:, 1:3]])
+            dlc = np.hstack([dlc, dz[:, 3:4]])
+        # gradient of lx: dlk, and o_j * dlc in the C_j block
+        dlx = np.hstack([dlk, (o1[:, :, None] * dlc[:, None, :]).reshape(n, 4 * hc)])
+        dpx = x1.T @ dlx
+        dpq = o1.T @ dlq
+        if x_val is not None:
+            x_val._accum_owned((dy[:, :D] + dlx @ px.T)[:, :d_in])
+        # chain the small products back to the 16 attention tensors
+        dpc = dpx[:, hk:].reshape(D * 4, hc)
+        dkq = (dpc @ uc.T).reshape(D, 4, -1)
+        dkt = dpx[:, :hk] @ uk.T + np.einsum("mjd,jd->md", dkq, qt)
+        dqt = dpq @ uq.T + np.einsum("mjd,md->jd", dkq, kt) + dvqt[D:]
+        duk, duq = kt.T @ dpx[:, :hk], qt.T @ dpq
+        duc = kq.reshape(D * 4, -1).T @ dpc
+        params.w_head.W._accum_owned(duk[:, :heads] + duq[:, :heads] + duc[:, :heads])
+        if learned:
+            for lp, dgw in zip(gate_lps, (duk[:, heads:], duq[:, heads:heads + 1],
+                                          duq[:, heads + 1:], duc[:, heads:])):
+                lp.W._accum_owned(dgw)
+        for lp, dt in ((params.key, dkt), (params.value, dvqt[:D]),
+                       (params.q_pos, dqt)):
+            lp.W._accum_owned(dt[:-1])
+            lp.b._accum_owned(dt[-1])
 
     return Value(out_data, tuple(parents), _bw)
 
@@ -322,10 +355,8 @@ def gated_attention_batched(offsets: np.ndarray, feats, params: AttentionParams,
         raise ValueError(f"row must ascend within [0, {n_rows})")
     if n == 0:
         return Value(np.zeros((n_rows, params.d_model)))
-    k = params.key(feats)
-    q = params.q_pos(offsets)
-    v = params.value(feats)
-    return _gate_core(k, q, v, params, gates, coeff, row, n_rows)
+    return _gate_core(np.asarray(offsets, dtype=np.float64), feats, params,
+                      gates, coeff, row, n_rows)
 
 
 def roi_grid_attention(nb: NeighborBundle, params: AttentionParams,

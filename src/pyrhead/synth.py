@@ -5,7 +5,8 @@ features are handcrafted local-occupancy summaries so the head has fixed
 width inputs without any upstream network. Proposals are ground-truth
 boxes under configurable jitter. Settings with one value in use are module
 constants rather than ``SceneConfig`` fields: the feature width, the index
-cell and the alternating proposal jitter scales.
+cell, the alternating proposal jitter scales and the gradient-norm clip of
+toy training.
 """
 from __future__ import annotations
 
@@ -31,6 +32,9 @@ INDEX_CELL = 2.4    # sorted-cell grid cell of every scene index
 # alternating per-proposal noise scale: tight proposals land clearly
 # above the positive-label IoU threshold, loose ones clearly below
 JITTER_SCALES = (0.35, 1.6)
+# global gradient-norm bound of a toy-training step (PV-RCNN's setting in
+# OpenPCDet); rare spiky steps are scaled down to it, ordinary ones pass
+GRAD_CLIP = 10.0
 
 
 @dataclass
@@ -295,6 +299,7 @@ class TrainResult:
     radii: list[list[float]]        # per step, mean effective radius per level
     r_pre: list[float]
     untrained_loss: float           # pre-training loss over a scene sample
+    clipped_steps: int              # steps whose gradient norm exceeded GRAD_CLIP
     params: HeadParams = field(repr=False)
 
     # per-step losses vary with the scene on deck, so the trained endpoint
@@ -316,6 +321,7 @@ class TrainResult:
             "lr": self.lr,
             "seed": self.seed,
             "untrained_loss": self.untrained_loss,
+            "clipped_steps": self.clipped_steps,
             "losses": self.losses,
             "grad_norms": self.grad_norms,
             "radii": self.radii,
@@ -343,9 +349,13 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
               ) -> TrainResult:
     """Momentum SGD on the head loss over a deterministic scene set.
 
-    The radius trajectory records the per-level effective radius averaged
-    over the step's RoIs. Raises TrainingDiverged if the loss or the
-    gradient norm goes non-finite or the box residuals leave their range.
+    The learning rate anneals from ``lr`` towards 0 along a half cosine
+    over the run, and each step's gradient is scaled by
+    min(1, GRAD_CLIP / norm) before the momentum update; ``grad_norms``
+    records the norm before clipping. The radius trajectory records the
+    per-level effective radius averaged over the step's RoIs. Raises
+    TrainingDiverged if the loss or the gradient norm goes non-finite or
+    the box residuals leave their range.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -376,6 +386,7 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     losses: list[float] = []
     grad_norms: list[float] = []
     radii: list[list[float]] = []
+    clipped_steps = 0
     r_pre = [lv.r_pre for lv in head_cfg.pyramid.levels]
     for step in range(steps):
         sc = scenes[step % len(scenes)]
@@ -391,22 +402,24 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
             raise TrainingDiverged(f"training diverged at step {step}: loss {value}")
         params.zero_grad()
         step_loss.backward()
-        sq = 0.0
-        for name, p in params.named_parameters():
-            g = p.grad
-            sq += float(np.sum(g * g))
+        named = list(params.named_parameters())
+        norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for _, p in named))
+        if not math.isfinite(norm):
+            raise TrainingDiverged(f"training diverged at step {step}: gradient norm {norm}")
+        scale = min(1.0, GRAD_CLIP / norm) if norm > 0 else 1.0
+        clipped_steps += scale < 1.0
+        step_lr = lr * scale * 0.5 * (1.0 + math.cos(math.pi * step / steps))
+        for name, p in named:
             v = velocity[name]
             v *= momentum
-            v -= lr * g
+            v -= step_lr * p.grad
             p.data = p.data + v
-        if not math.isfinite(sq):
-            raise TrainingDiverged(f"training diverged at step {step}: gradient norm {sq}")
         losses.append(value)
-        grad_norms.append(math.sqrt(sq))
+        grad_norms.append(norm)
         radii.append([float(np.mean(r)) if r.size else float(rp)
                       for r, rp in zip(step_radii, r_pre)])
     return TrainResult(steps, lr, seed, losses, grad_norms, radii, r_pre,
-                       untrained, params)
+                       untrained, clipped_steps, params)
 
 
 # -- evaluation -------------------------------------------------------------------

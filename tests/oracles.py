@@ -22,6 +22,10 @@
   points of a level by exact neighbour count and ran one ``[g, m]`` gated
   attention per group. The ragged per-level path must reproduce its
   scores, residuals and parameter gradients.
+- ``slot_gated_attention_batched`` and ``slot_gate_core``: the former
+  ragged attention, which projected every slot to ``d_model``-wide key,
+  query and value rows and gated them there. The folded operator must
+  reproduce its output and every gradient to 1e-12 relative.
 """
 from __future__ import annotations
 
@@ -382,3 +386,95 @@ def grouped_forward_rois(cfg, params, ps, idx, rois, tau):
             lvl_mean = Value(np.zeros((R, cfg.d_model)))
         level_feats.append(params.reduce[li](lvl_mean))
     return params.fusion(concat(level_feats, axis=1))
+
+
+def _slot_gate_backward(lp, gate: np.ndarray, inp: np.ndarray,
+                        d_inp: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Backward of a learned gate that multiplies ``scaled``, row by row."""
+    dz = np.einsum("nd,nd->n", d_inp, scaled)[:, None] * gate * (1.0 - gate)
+    lp.W._accum_owned(inp.T @ dz)
+    lp.b._accum_owned(dz.sum(axis=0))
+    return dz @ lp.W.data.T
+
+
+def slot_gate_core(k: Value, q: Value, v: Value, params, gates, coeff,
+                   row: np.ndarray, n_rows: int) -> Value:
+    """The former ragged core over ``[N, d_model]`` key, query and value slots."""
+    kd, qd, vd = k.data, q.data, v.data
+    n, dm = kd.shape
+    heads, dh = params.heads, params.head_width
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    seg = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+    qkd = qd * kd
+    learned = gates is None
+    if learned:
+        gk = _np_sigmoid(kd @ params.gate_key.W.data + params.gate_key.b.data)
+        gq = _np_sigmoid(qd @ params.gate_pos.W.data + params.gate_pos.b.data)
+        gqk = _np_sigmoid(qkd @ params.gate_cross.W.data + params.gate_cross.b.data)
+        gv = _np_sigmoid(qd @ params.gate_value.W.data + params.gate_value.b.data)
+    else:
+        gk, gq, gqk, gv = gates.key, gates.pos, gates.cross, gates.value
+    a = gk * kd + gq * qd + gqk * qkd
+    wwd = params.w_head.W.data
+    logits = a @ wwd + params.w_head.b.data
+    e = np.exp(logits - np.maximum.reduceat(logits, starts, axis=0)[seg])
+    w = e / np.add.reduceat(e, starts, axis=0)[seg]
+    s_val = coeff if isinstance(coeff, Value) else None
+    sd = None
+    if coeff is not None:
+        sd = (coeff.data if s_val is not None else np.asarray(coeff)).reshape(n, 1)
+        wc = w * sd
+    else:
+        wc = w
+    val3 = (vd + gv * qd).reshape(n, heads, dh)
+    out_data = np.zeros((n_rows, dm))
+    out_data[row[starts]] = np.add.reduceat((wc[:, :, None] * val3).reshape(n, dm),
+                                            starts, axis=0)
+
+    parents = [k, q, v, params.w_head.W, params.w_head.b]
+    if learned:
+        for lp in (params.gate_key, params.gate_pos, params.gate_cross,
+                   params.gate_value):
+            parents.extend((lp.W, lp.b))
+    if s_val is not None:
+        parents.append(s_val)
+
+    def _bw(gout):
+        gh = gout.reshape(-1, heads, dh)[row]
+        dwc = np.einsum("nhd,nhd->nh", val3, gh)
+        dval = (wc[:, :, None] * gh).reshape(n, dm)
+        dw = dwc
+        if sd is not None:
+            dw = dwc * sd
+            if s_val is not None:
+                s_val._accum_owned((dwc * w).sum(axis=1).reshape(s_val.shape))
+        dlogits = w * (dw - np.add.reduceat(dw * w, starts, axis=0)[seg])
+        da = dlogits @ wwd.T
+        params.w_head.W._accum_owned(a.T @ dlogits)
+        params.w_head.b._accum_owned(dlogits.sum(axis=0))
+        dk = da * gk
+        dq = da * gq + dval * gv
+        dqk = da * gqk
+        if learned:
+            dk += _slot_gate_backward(params.gate_key, gk, kd, da, kd)
+            dq += _slot_gate_backward(params.gate_pos, gq, qd, da, qd)
+            dqk += _slot_gate_backward(params.gate_cross, gqk, qkd, da, qkd)
+            dq += _slot_gate_backward(params.gate_value, gv, qd, dval, qd)
+        k._accum_owned(dk + dqk * qd)
+        q._accum_owned(dq + dqk * kd)
+        v._accum_owned(dval)
+
+    return Value(out_data, tuple(parents), _bw)
+
+
+def slot_gated_attention_batched(offsets, feats, params, gates=None, coeff=None,
+                                 row=None, n_rows: int = 1) -> Value:
+    """The former batched entry: project every slot to d_model, then gate."""
+    n = len(offsets)
+    row = np.zeros(n, dtype=np.intp) if row is None else np.asarray(row, dtype=np.intp)
+    if n == 0:
+        return Value(np.zeros((n_rows, params.d_model)))
+    k = params.key(feats)
+    q = params.q_pos(offsets)
+    v = params.value(feats)
+    return slot_gate_core(k, q, v, params, gates, coeff, row, n_rows)

@@ -82,24 +82,54 @@ class TestPredictRadius:
         for lvl, r_pre in enumerate([0.8, 1.6, 2.4]):
             assert predict_radius(ctx, lvl, head).item() == r_pre
 
-    def test_clamp_floor(self):
+    @pytest.mark.parametrize("bias", [-1e3, -40.0, -3.0, 3.0, 40.0, 1e3])
+    def test_radius_stays_inside_bound(self, bias):
         rng = np.random.default_rng(1)
-        head = init_radius_head(rng, 16, [0.8], hidden=8, r_min=0.05)
-        # drive the (scaled) offset far below -r_pre through the output bias
-        head.mlps[0].layers[-1].b.data = np.array(
-            [-(0.8 + 1.0) / OFFSET_SCALE])
-        ctx = Value(np.zeros(16))
-        assert predict_radius(ctx, 0, head).item() == 0.05
+        head = init_radius_head(rng, 16, [0.8, 2.4], hidden=8, r_min=0.05)
+        ctx = Value(rng.normal(size=(5, 16)))
+        for lvl, r_pre in enumerate(head.r_pre):
+            # drive the offset through the output bias, far past either bound
+            head.mlps[lvl].layers[-1].b.data = np.array([bias / OFFSET_SCALE])
+            r = predict_radius(ctx, lvl, head).data
+            assert r.shape == (5,)
+            # the open range, up to roundoff once tanh saturates to +-1
+            ulp = 1e-15
+            assert np.all(r > 0.05 - ulp) and np.all(r < 2 * r_pre - 0.05 + ulp)
+            assert np.all(r < r_pre) if bias < 0 else np.all(r > r_pre)
+            want = r_pre + (r_pre - 0.05) * np.tanh(bias / (r_pre - 0.05))
+            np.testing.assert_allclose(r, want, rtol=1e-14)
 
-    def test_clamp_blocks_gradient(self):
+    @pytest.mark.parametrize("bias", [-30.0, -1.0, 0.0, 0.5, 30.0])
+    def test_bound_gradient_matches_fd_and_never_vanishes(self, bias):
         rng = np.random.default_rng(2)
-        head = init_radius_head(rng, 16, [0.8], hidden=8, r_min=0.05)
-        head.mlps[0].layers[-1].b.data = np.array([-2.0 / OFFSET_SCALE])
-        ctx = Value(np.zeros(16))
+        head = init_radius_head(rng, 6, [0.8], hidden=4, r_min=0.05)
+        out = head.mlps[0].layers[-1]
+        # at bias 0 the output layer stays zero, so the offset is exactly 0
+        if bias != 0.0:
+            out.W.data = rng.normal(0, 0.1, out.W.shape)
+        out.b.data = np.array([bias])
+        ctx = Value(rng.normal(size=6))
         r = predict_radius(ctx, 0, head)
         r.backward()
-        b = head.mlps[0].layers[-1].b
-        np.testing.assert_array_equal(b.grad, np.zeros(1))
+        tape = out.b.grad.copy()
+        assert tape[0] > 0.0
+
+        def f(x):
+            saved = out.b.data
+            out.b.data = x
+            try:
+                return predict_radius(ctx, 0, head).item()
+            finally:
+                out.b.data = saved
+
+        assert rel_error(tape, finite_diff_grad(f, out.b.data, h=1e-4)) < 1e-6
+        if bias == 0.0:
+            assert r.item() == 0.8 and tape[0] == OFFSET_SCALE
+
+    def test_r_pre_must_exceed_r_min(self):
+        rng = np.random.default_rng(3)
+        with pytest.raises(ValueError, match="level 1"):
+            init_radius_head(rng, 16, [0.8, 0.05], hidden=8, r_min=0.05)
 
     def test_level_bounds(self):
         rng = np.random.default_rng(3)

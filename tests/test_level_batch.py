@@ -58,7 +58,8 @@ def _empty_level_case(**cfg_kw):
         PyramidLevelConfig(GridSpec((3, 3, 2)), (1.0, 1.0, 1.0), max_neighbors=6, r_pre=1.0),
         PyramidLevelConfig(GridSpec((2, 2, 1)), (1.5, 1.5, 1.0), max_neighbors=4, r_pre=0.05),
     ]
-    cfg = _small_config(levels, **cfg_kw)
+    # r_min below the tiny level's r_pre, which a radius head requires
+    cfg = _small_config(levels, r_min=0.01, **cfg_kw)
     rng = np.random.default_rng(21)
     rois = [Box3D.from_center([0.0, 0.0, 0.0], [2.0, 3.0, 1.5], 0.3),
             Box3D.from_center([4.0, 1.0, 0.2], [2.5, 2.0, 1.5], -1.1)]

@@ -1,5 +1,7 @@
 """Scene generator determinism, sparsity statistics, harness behavior."""
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
@@ -160,6 +162,46 @@ class TestTrainToy:
         a = train_toy(cfg, FAST, steps=3, lr=0.002, seed=1, n_scenes=2)
         b = train_toy(cfg, FAST, steps=3, lr=0.002, seed=1, n_scenes=2)
         assert a.losses == b.losses and a.radii == b.radii
+
+    @pytest.mark.parametrize("clip", [1e-3, 1e6])
+    def test_gradient_clipping_bounds_the_step(self, monkeypatch, clip):
+        from pyrhead import synth
+        from pyrhead.head import init_head_params
+        monkeypatch.setattr(synth, "GRAD_CLIP", clip)
+        cfg = tiny_head()
+        res = train_toy(cfg, FAST, steps=1, lr=0.01, seed=0, n_scenes=1,
+                        momentum=0.0)
+        fresh = init_head_params(cfg, 0)
+        step = math.sqrt(sum(float(np.sum((a.data - b.data) ** 2)) for (_, a), (_, b)
+                             in zip(res.params.named_parameters(),
+                                    fresh.named_parameters())))
+        norm = res.grad_norms[0]           # recorded before clipping
+        assert step == pytest.approx(0.01 * min(norm, clip), rel=1e-9)
+        assert res.clipped_steps == int(norm > clip)
+        assert json.loads(res.to_json())["clipped_steps"] == res.clipped_steps
+
+    def test_learning_rate_anneals_along_half_cosine(self, monkeypatch):
+        from pyrhead import synth
+        from pyrhead.darp import TemperatureSchedule, temperature
+        from pyrhead.head import loss, run_head
+        monkeypatch.setattr(synth, "GRAD_CLIP", 1e6)
+        cfg = tiny_head()
+        one = train_toy(cfg, FAST, steps=1, lr=0.01, seed=0, n_scenes=1, momentum=0.0)
+        two = train_toy(cfg, FAST, steps=2, lr=0.01, seed=0, n_scenes=1, momentum=0.0)
+        # step 1 of 2 sits halfway along the cosine: half the rate, from
+        # the parameters the full-rate first step reached
+        sc = generate_scene(FAST, 0)
+        tau = temperature(1, TemperatureSchedule(cfg.tau_start, cfg.tau_end, 2))
+        dets, _ = run_head(cfg, one.params, sc.ps, build_index(sc.ps, synth.INDEX_CELL),
+                           sc.proposals, tau)
+        targets = [(assign_label(p, sc.gt_boxes[g], cfg.iou_positive), sc.gt_boxes[g])
+                   for p, g in zip(sc.proposals, sc.proposal_gt)]
+        one.params.zero_grad()
+        loss(dets, targets, cfg).backward()
+        for (name, a), (_, b) in zip(one.params.named_parameters(),
+                                     two.params.named_parameters()):
+            np.testing.assert_allclose(b.data, a.data - 0.005 * a.grad,
+                                       rtol=1e-12, atol=1e-15, err_msg=name)
 
     def test_steps_validation(self):
         with pytest.raises(ValueError):
