@@ -68,10 +68,10 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _fixture_scene(seed: int, n: int = 64, feat_width: int = 8) -> PointSet:
+def _fixture_scene(seed: int) -> PointSet:
     rng = np.random.default_rng(seed)
-    coords = rng.uniform(-2.0, 2.0, size=(n, 3))
-    feats = rng.normal(size=(n, feat_width))
+    coords = rng.uniform(-2.0, 2.0, size=(64, 3))
+    feats = rng.normal(size=(64, 8))
     return PointSet(coords, feats)
 
 

@@ -55,15 +55,6 @@ class Box3D:
         extents = np.asarray(extents, dtype=np.float64)
         return cls(center - 0.5 * extents, extents, yaw)
 
-    def to_dict(self) -> dict:
-        return {"corner": self.corner.tolist(),
-                "extents": self.extents.tolist(),
-                "yaw": self.yaw}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Box3D":
-        return cls(d["corner"], d["extents"], d["yaw"])
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of points inside the oriented box (closed faces)."""
         pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -212,7 +203,7 @@ def _config_value(name: str, tp, v):
                      f"{tp if get_origin(tp) else tp.__name__}")
 
 
-def default_pyramid_config(anchor_mode: str = "center") -> PyramidConfig:
+def default_pyramid_config() -> PyramidConfig:
     """Five levels: grids 6^3,4^3,4^3,4^3,1 with growing width/length ratios."""
     grids = [(6, 6, 6), (4, 4, 4), (4, 4, 4), (4, 4, 4), (1, 1, 1)]
     ratios_wl = [1.0, 1.0, 1.5, 2.0, 4.0]
@@ -224,7 +215,6 @@ def default_pyramid_config(anchor_mode: str = "center") -> PyramidConfig:
             ratios=(rho, rho, 1.0),
             max_neighbors=cap,
             r_pre=r,
-            anchor_mode=anchor_mode,
         )
         for g, rho, cap, r in zip(grids, ratios_wl, caps, r_pre)
     ]

@@ -10,10 +10,7 @@ The math is that of the per-point operators, up to summation order.
 from __future__ import annotations
 
 import json
-import math
-import struct
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
@@ -32,8 +29,6 @@ from .operators import (AttentionParams, GateOverride, gated_attention_batched,
 from .spatial import PointSet, SpatialIndex, gather_level
 
 CONFIG_SCHEMA_VERSION = "pyrhead-config/1"
-CHECKPOINT_MAGIC = b"PYRH"
-CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -270,7 +265,7 @@ def derotated_iou(det: Box3D, gt: Box3D) -> float:
     return axis_aligned_iou(a, b)
 
 
-def assign_label(proposal: Box3D, gt: Box3D, threshold: float = 0.55) -> int:
+def assign_label(proposal: Box3D, gt: Box3D, threshold: float) -> int:
     return int(axis_aligned_iou(proposal, gt) >= threshold)
 
 
@@ -284,13 +279,12 @@ def residual_target(proposal: Box3D, gt: Box3D) -> np.ndarray:
 
 
 def loss(dets: list[Detection], targets: list[tuple[int, Box3D]],
-         cfg: HeadConfig | None = None) -> Value:
+         cfg: HeadConfig) -> Value:
     """Mean score cross-entropy plus weighted box regression on positives."""
     if len(dets) != len(targets):
         raise ValueError("detections and targets must align")
     if not dets:
         return Value(0.0)
-    reg_weight = cfg.reg_weight if cfg is not None else 2.0
     logits = concat([reshape(d.logit, (1,)) for d in dets], axis=0)
     labels = np.array([float(lbl) for lbl, _ in targets])
     bce = mul(vsum(add(softplus(logits), mul(logits, -labels))), 1.0 / len(dets))
@@ -301,66 +295,5 @@ def loss(dets: list[Detection], targets: list[tuple[int, Box3D]],
             reg_terms.append(reshape(vsum(smooth_l1(diff)), (1,)))
     if reg_terms:
         reg = mul(vsum(concat(reg_terms, axis=0)), 1.0 / len(reg_terms))
-        return add(bce, mul(reg, reg_weight))
+        return add(bce, mul(reg, cfg.reg_weight))
     return bce
-
-
-# -- checkpoints --------------------------------------------------------------
-
-def save_checkpoint(params: HeadParams, path) -> None:
-    """Flat named-tensor container with a versioned header."""
-    tensors = list(params.named_parameters())
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sII", CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                             len(tensors)))
-        for name, p in tensors:
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", p.ndim))
-            fh.write(struct.pack(f"<{p.ndim}I", *p.shape))
-            fh.write(p.data.astype("<f8").tobytes())
-
-
-def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Named tensors of a checkpoint; a short or padded file raises ValueError."""
-    raw = Path(path).read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a head checkpoint")
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(raw):
-            raise ValueError(f"{path}: checkpoint needs at least {off + n} bytes, "
-                             f"file has {len(raw)}")
-        off += n
-        return raw[off - n:off]
-
-    def unpack(fmt: str) -> tuple:
-        return struct.unpack(fmt, take(struct.calcsize(fmt)))
-
-    _, version, count = unpack("<4sII")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = unpack("<H")
-        name = take(nlen).decode("utf-8")
-        (ndim,) = unpack("<B")
-        shape = unpack(f"<{ndim}I")
-        out[name] = np.frombuffer(take(8 * math.prod(shape)),
-                                  dtype="<f8").reshape(shape).copy()
-    if off != len(raw):
-        raise ValueError(f"{path}: checkpoint needs {off} bytes, file has {len(raw)}")
-    return out
-
-
-def apply_checkpoint(params: HeadParams, tensors: dict[str, np.ndarray]) -> None:
-    for name, p in params.named_parameters():
-        if name not in tensors:
-            raise KeyError(f"checkpoint missing tensor {name}")
-        t = tensors[name]
-        if t.shape != p.shape:
-            raise ValueError(f"{name}: checkpoint shape {t.shape} != {p.shape}")
-        p.data = t.astype(np.float64)

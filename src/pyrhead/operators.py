@@ -80,6 +80,8 @@ class AttentionParams:
     gate_value: LinearParams
 
     def __post_init__(self):
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model must be divisible by the head count")
 
@@ -169,8 +171,8 @@ def sampling_range(r, tau: float):
     Beyond it the membership weight is below 1 - sigmoid(5) ~ 6.7e-3.
     ``r`` may be a float or an array of radii.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     return r + 5.0 * tau
 
 
@@ -183,8 +185,8 @@ def soft_radius_coeff(d, r, tau):
     """
     if isinstance(tau, Value):
         raise TypeError("tau is a schedule constant, not a learnable value")
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     inv_tau = 1.0 / tau
     z = (np.asarray(d, dtype=np.float64) - _data(r)) * inv_tau
     y = _np_sig(np.atleast_1d(z)).reshape(z.shape)

@@ -14,7 +14,6 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -73,28 +72,6 @@ class Scene:
     gt_boxes: list[Box3D]
     proposals: list[Box3D]
     proposal_gt: np.ndarray  # index of the source gt box per proposal
-
-    def save(self, basename) -> None:
-        base = Path(basename)
-        self.ps.save(base.with_suffix(".pset"))
-        doc = {
-            "gt_boxes": [b.to_dict() for b in self.gt_boxes],
-            "proposals": [b.to_dict() for b in self.proposals],
-            "proposal_gt": self.proposal_gt.tolist(),
-        }
-        base.with_suffix(".json").write_text(json.dumps(doc, indent=2))
-
-    @classmethod
-    def load(cls, basename) -> "Scene":
-        base = Path(basename)
-        ps = PointSet.load(base.with_suffix(".pset"))
-        doc = json.loads(base.with_suffix(".json").read_text())
-        return cls(
-            ps=ps,
-            gt_boxes=[Box3D.from_dict(d) for d in doc["gt_boxes"]],
-            proposals=[Box3D.from_dict(d) for d in doc["proposals"]],
-            proposal_gt=np.asarray(doc["proposal_gt"], dtype=np.int64),
-        )
 
 
 # -- generation ---------------------------------------------------------------
@@ -227,6 +204,8 @@ def generate_scene(cfg: SceneConfig, index: int = 0) -> Scene:
 
 
 def generate_scenes(cfg: SceneConfig, count: int) -> list[Scene]:
+    if count < 0:
+        raise ValueError(f"scene count must be >= 0, got {count}")
     return [generate_scene(cfg, i) for i in range(count)]
 
 
@@ -309,11 +288,8 @@ class TrainResult:
         k = min(20, len(self.losses))
         return float(np.mean(self.losses[-k:]))
 
-    def final_radii(self) -> list[float]:
-        return self.radii[-1]
-
     def max_radius_shift(self) -> float:
-        return max(abs(r - p) for r, p in zip(self.final_radii(), self.r_pre))
+        return max(abs(r - p) for r, p in zip(self.radii[-1], self.r_pre))
 
     def to_json(self) -> str:
         doc = {
@@ -359,6 +335,8 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if n_scenes < 1:
+        raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
     if head_cfg.feat_width != FEAT_WIDTH:
         raise ValueError(f"config field 'feat_width' is {head_cfg.feat_width}, "
                          f"but the scenes have {FEAT_WIDTH} features per point")

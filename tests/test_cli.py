@@ -157,6 +157,29 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert "max_k" in err
 
+    @pytest.mark.parametrize("argv,config,field", [
+        (["attend", "--op", "unified", "--heads", "0"], None, "heads"),
+        (["train-toy", "--steps", "1", "--scenes", "1"], {"heads": 0}, "heads"),
+        (["train-toy", "--steps", "1", "--scenes", "0"], None, "n_scenes"),
+        (["stats", "--scenes", "-1"], None, "scene count"),
+        (["attend", "--op", "darp", "--tau", "nan"], None, "tau"),
+    ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
+            "stats_scenes_neg", "darp_tau_nan"])
+    def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
+                                                     argv, config, field):
+        if config is not None:
+            from pyrhead.head import HeadConfig
+            doc = json.loads(HeadConfig().to_json())
+            doc.update(config)
+            path = tmp_path / "head.json"
+            path.write_text(json.dumps(doc))
+            argv = argv + ["--config", str(path)]
+        code, out, err = invoke(argv, capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert field in err
+
     @pytest.mark.parametrize("op", ["pool", "graph", "attention", "transformer"])
     def test_attend_rejects_gates_for_ops_without_them(self, capsys, op):
         code, out, err = invoke(["attend", "--op", op, "--gates", "1,0,0,0"], capsys)

@@ -1,5 +1,5 @@
 """Full-head behavior: cross-implementation pipeline checks, refinement
-semantics, loss closed forms, determinism, persistence."""
+semantics, loss closed forms, determinism, config JSON."""
 import json
 import math
 
@@ -11,11 +11,10 @@ from pyrhead.autodiff import Value, reshape
 from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig,
                               PyramidLevelConfig, default_pyramid_config,
                               pyramid_grid_points, rot_z)
-from pyrhead.head import (CONFIG_SCHEMA_VERSION, HeadConfig, apply_checkpoint,
-                          apply_residuals, assign_label, axis_aligned_iou,
-                          derotated_iou, extract_roi_features,
-                          init_head_params, load_checkpoint, loss, refine,
-                          run_head, save_checkpoint)
+from pyrhead.head import (CONFIG_SCHEMA_VERSION, HeadConfig, apply_residuals,
+                          assign_label, axis_aligned_iou, derotated_iou,
+                          extract_roi_features, init_head_params, loss, refine,
+                          run_head)
 from pyrhead.nn import init_mlp
 from pyrhead.operators import NeighborBundle
 from pyrhead.spatial import PointSet, build_index
@@ -167,7 +166,7 @@ class TestLoss:
         det = Detection(proposal=gt, box=gt, score=1.0,
                         residuals=np.zeros(7), logit=Value(20.0),
                         residuals_value=Value(np.zeros(7)))
-        out = loss([det], [(1, gt)])
+        out = loss([det], [(1, gt)], HeadConfig())
         assert out.item() == pytest.approx(math.log1p(math.exp(-20.0)),
                                            rel=1e-9)
 
@@ -178,11 +177,11 @@ class TestLoss:
                           residuals=np.zeros(7), logit=Value(0.0),
                           residuals_value=Value(np.zeros(7)))
                 for _ in range(3)]
-        out = loss(dets, [(0, gt), (1, gt), (0, gt)])
+        out = loss(dets, [(0, gt), (1, gt), (0, gt)], HeadConfig())
         assert out.item() == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_empty_batch_zero(self):
-        assert loss([], []).item() == 0.0
+        assert loss([], [], HeadConfig()).item() == 0.0
 
     def test_regression_targets_recover_gt(self):
         from pyrhead.head import residual_target
@@ -234,58 +233,6 @@ class TestIoU:
 
 
 class TestPersistence:
-    def test_checkpoint_round_trip(self, tmp_path):
-        cfg = tiny_config()
-        params = init_head_params(cfg, 3)
-        path = tmp_path / "head.ckpt"
-        save_checkpoint(params, path)
-        fresh = init_head_params(cfg, 99)
-        apply_checkpoint(fresh, load_checkpoint(path))
-        for (na, pa), (nb, pb) in zip(params.named_parameters(),
-                                      fresh.named_parameters()):
-            assert na == nb
-            np.testing.assert_array_equal(pa.data, pb.data)
-
-    def test_checkpoint_header(self, tmp_path):
-        cfg = tiny_config()
-        params = init_head_params(cfg, 0)
-        path = tmp_path / "head.ckpt"
-        save_checkpoint(params, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"PYRH"
-        assert int.from_bytes(raw[4:8], "little") == 1
-
-    def test_checkpoint_shape_mismatch_raises(self, tmp_path):
-        cfg = tiny_config()
-        params = init_head_params(cfg, 0)
-        path = tmp_path / "head.ckpt"
-        save_checkpoint(params, path)
-        other = init_head_params(tiny_config(d_model=32), 0)
-        with pytest.raises((ValueError, KeyError)):
-            apply_checkpoint(other, load_checkpoint(path))
-
-    @pytest.mark.parametrize("cut", [-5, 6])
-    def test_truncated_checkpoint_names_path_and_sizes(self, tmp_path, cut):
-        path = tmp_path / "short.ckpt"
-        save_checkpoint(init_head_params(tiny_config(), 0), path)
-        full = len(path.read_bytes())
-        path.write_bytes(path.read_bytes()[:cut])
-        size = full + cut if cut < 0 else cut
-        with pytest.raises(ValueError) as err:
-            load_checkpoint(path)
-        assert str(path) in str(err.value)
-        assert f"file has {size}" in str(err.value)
-        need = full if cut < 0 else 12
-        assert f"needs at least {need} bytes" in str(err.value)
-
-    def test_checkpoint_trailing_bytes_rejected(self, tmp_path):
-        path = tmp_path / "long.ckpt"
-        save_checkpoint(init_head_params(tiny_config(), 0), path)
-        full = len(path.read_bytes())
-        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
-        with pytest.raises(ValueError, match=f"needs {full} bytes, file has {full + 4}"):
-            load_checkpoint(path)
-
     def test_config_json_round_trip(self):
         cfg = HeadConfig()
         text = cfg.to_json()

@@ -9,10 +9,10 @@ import pytest
 from pyrhead.geometry import default_pyramid_config
 from pyrhead.head import HeadConfig, assign_label
 from pyrhead.spatial import build_index
-from pyrhead.synth import (SceneConfig, Scene, bucket_of, evaluate,
-                           generate_scene, generate_scenes, interior_count,
-                           occupancy_features, pyramid_gathered_ids,
-                           single_level_baseline, sparsity_stats, train_toy)
+from pyrhead.synth import (SceneConfig, bucket_of, evaluate, generate_scene,
+                           generate_scenes, interior_count, occupancy_features,
+                           pyramid_gathered_ids, single_level_baseline,
+                           sparsity_stats, train_toy)
 
 FAST = SceneConfig(extent=20.0, n_objects=2, obj_points_min=5,
                    obj_points_max=60, clutter_density=0.005,
@@ -63,14 +63,6 @@ class TestGeneration:
                                                        obj_points_max=4), i)
             for box in scene.gt_boxes:
                 assert interior_count(box, scene.ps) >= 1
-
-    def test_scene_round_trip(self, tmp_path):
-        scene = generate_scene(FAST)
-        scene.save(tmp_path / "scene")
-        back = Scene.load(tmp_path / "scene")
-        np.testing.assert_allclose(back.ps.coords, scene.ps.coords, atol=1e-6)
-        assert len(back.gt_boxes) == len(scene.gt_boxes)
-        np.testing.assert_array_equal(back.proposal_gt, scene.proposal_gt)
 
     def test_features_width_and_determinism(self):
         rng = np.random.default_rng(0)
