@@ -330,13 +330,18 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     min(1, GRAD_CLIP / norm) before the momentum update; ``grad_norms``
     records the norm before clipping. The radius trajectory records the
     per-level effective radius averaged over the step's RoIs. Raises
-    TrainingDiverged if the loss or the gradient norm goes non-finite or
-    the box residuals leave their range.
+    ValueError unless ``lr`` is finite and >= 0 and 0 <= ``momentum`` < 1,
+    and TrainingDiverged if the loss or the gradient norm goes non-finite
+    or the box residuals leave their range.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if n_scenes < 1:
         raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
+    if not 0 <= lr < np.inf:
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+    if not 0 <= momentum < 1:
+        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if head_cfg.feat_width != FEAT_WIDTH:
         raise ValueError(f"config field 'feat_width' is {head_cfg.feat_width}, "
                          f"but the scenes have {FEAT_WIDTH} features per point")

@@ -11,6 +11,9 @@
   pyramid level must reproduce bitwise.
 - ``softmax``, ``segment_sum`` and ``vsigmoid``: autodiff ops that only
   these references and the autodiff tests use.
+- ``masked_sigmoid``: the logistic function written with a boolean mask
+  per sign, which the branch-free ``autodiff._np_sigmoid`` must reproduce
+  bitwise.
 - ``graph_feature``, ``attention_feature`` and
   ``point_transformer_feature``: the graph, standard-attention and
   point-transformer operators written out on their own. The unified
@@ -31,8 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from pyrhead.autodiff import (Value, _np_sigmoid, add, concat, mul, reshape,
-                              take, vsum)
+from pyrhead.autodiff import (Value, add, concat, mul, reshape, take,
+                              vsum)
 from pyrhead.darp import context_embedding, predict_radius
 from pyrhead.geometry import (Box3D, GridSpec, _lattice, _rotate_about,
                               pyramid_grid_points, rot_z)
@@ -129,9 +132,19 @@ def grid_points(box: Box3D, grid: GridSpec) -> np.ndarray:
     return _rotate_about(pts, box.center, box.yaw)
 
 
+def masked_sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic function, each sign through its own overflow-free branch."""
+    out = np.empty_like(d)
+    pos = d >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    e = np.exp(d[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
 def vsigmoid(x: Value) -> Value:
     """Elementwise logistic function of a Value, differentiable."""
-    y = _np_sigmoid(np.atleast_1d(x.data)).reshape(x.shape)
+    y = masked_sigmoid(np.atleast_1d(x.data)).reshape(x.shape)
     out = Value(y, (x,))
 
     def _bw(g):
@@ -259,10 +272,10 @@ def _gate_core_gm(k: Value, q: Value, v: Value, params, gates, coeff) -> Value:
         wgq, bgq = params.gate_pos.W.data, params.gate_pos.b.data
         wgc, bgc = params.gate_cross.W.data, params.gate_cross.b.data
         wgv, bgv = params.gate_value.W.data, params.gate_value.b.data
-        gk = _np_sigmoid(kd @ wgk + bgk)
-        gq = _np_sigmoid(qd @ wgq + bgq)
-        gqk = _np_sigmoid(qkd @ wgc + bgc)
-        gv = _np_sigmoid(qd @ wgv + bgv)
+        gk = masked_sigmoid(kd @ wgk + bgk)
+        gq = masked_sigmoid(qd @ wgq + bgq)
+        gqk = masked_sigmoid(qkd @ wgc + bgc)
+        gv = masked_sigmoid(qd @ wgv + bgv)
     else:
         gk, gq, gqk, gv = gates.key, gates.pos, gates.cross, gates.value
     a = gk * kd + gq * qd + gqk * qkd
@@ -408,10 +421,10 @@ def slot_gate_core(k: Value, q: Value, v: Value, params, gates, coeff,
     qkd = qd * kd
     learned = gates is None
     if learned:
-        gk = _np_sigmoid(kd @ params.gate_key.W.data + params.gate_key.b.data)
-        gq = _np_sigmoid(qd @ params.gate_pos.W.data + params.gate_pos.b.data)
-        gqk = _np_sigmoid(qkd @ params.gate_cross.W.data + params.gate_cross.b.data)
-        gv = _np_sigmoid(qd @ params.gate_value.W.data + params.gate_value.b.data)
+        gk = masked_sigmoid(kd @ params.gate_key.W.data + params.gate_key.b.data)
+        gq = masked_sigmoid(qd @ params.gate_pos.W.data + params.gate_pos.b.data)
+        gqk = masked_sigmoid(qkd @ params.gate_cross.W.data + params.gate_cross.b.data)
+        gv = masked_sigmoid(qd @ params.gate_value.W.data + params.gate_value.b.data)
     else:
         gk, gq, gqk, gv = gates.key, gates.pos, gates.cross, gates.value
     a = gk * kd + gq * qd + gqk * qkd

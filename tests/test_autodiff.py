@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import segment_sum, softmax, vsigmoid
-from pyrhead.autodiff import (Value, add, concat, finite_diff_grad,
+from oracles import masked_sigmoid, segment_sum, softmax, vsigmoid
+from pyrhead.autodiff import (Value, _np_sigmoid, add, concat, finite_diff_grad,
                               linear, mul, rel_error, reshape, sigmoid,
                               smooth_l1, softplus, take, vmax, vsum)
 
@@ -78,6 +78,15 @@ class TestSigmoid:
         out = sigmoid(np.array([-1e4, 1e4]))
         assert np.all(np.isfinite(out))
         np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-300)
+
+    @given(st.lists(st.floats(-1e4, 1e4) | st.sampled_from(
+        [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+        min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_branch_free_equals_masked_bitwise(self, xs):
+        d = np.array(xs)
+        got, want = _np_sigmoid(d), masked_sigmoid(d)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestSoftmax:

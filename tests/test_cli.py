@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -163,8 +164,13 @@ class TestExitCodes:
         (["train-toy", "--steps", "1", "--scenes", "0"], None, "n_scenes"),
         (["stats", "--scenes", "-1"], None, "scene count"),
         (["attend", "--op", "darp", "--tau", "nan"], None, "tau"),
+        (["train-toy", "--steps", "1", "--scenes", "1", "--lr", "nan"], None, "lr"),
+        (["train-toy", "--steps", "1", "--scenes", "1", "--momentum", "-5"], None,
+         "momentum"),
+        (["attend", "--op", "unified", "--d-model", "0"], None, "d_model"),
     ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
-            "stats_scenes_neg", "darp_tau_nan"])
+            "stats_scenes_neg", "darp_tau_nan", "train_lr_nan",
+            "train_momentum_neg", "attend_d_model_0"])
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                      argv, config, field):
         if config is not None:
@@ -174,7 +180,9 @@ class TestExitCodes:
             path = tmp_path / "head.json"
             path.write_text(json.dumps(doc))
             argv = argv + ["--config", str(path)]
-        code, out, err = invoke(argv, capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = invoke(argv, capsys)
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")

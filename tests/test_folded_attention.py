@@ -6,7 +6,10 @@ folded operator multiplies the weights out once per call instead. Both
 compute the same function, so outputs and every gradient must agree up to
 summation order.
 """
+import math
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +37,9 @@ def _rel(a, b, floor=1e-300):
     return float(np.max(np.abs(a - b), initial=0.0)) / scale
 
 
-def _case(seed, d_in, heads, coeff_kind, offset_scale):
-    """Random parameters and slots; some rows own no slot, some exactly one."""
+def _case(seed, d_in, heads, coeff_kind, offset_scale, counts=None):
+    """Random parameters and slots; some rows own no slot, some exactly one,
+    unless ``counts`` gives the slots of each row."""
     rng = np.random.default_rng(seed)
     params = init_attention_params(rng, d_in, d_model=8 * heads, heads=heads)
     for _, p in params.named_parameters():     # nonzero biases everywhere
@@ -43,13 +47,15 @@ def _case(seed, d_in, heads, coeff_kind, offset_scale):
             p.data = rng.normal(0.0, 0.5, p.shape)
     # queries stay at unit scale however far the offsets reach. Unscaled,
     # 50 m offsets push gate pre-activations past 30, where 1 - sigmoid is
-    # a few ulps in both implementations and a one-ulp difference in the
-    # pre-activation moves g * (1 - g) by ~10%: roundoff of the reference,
+    # a few ulps and the reference's g * (1 - g) is off by up to ~10%
+    # (the folded operator's slope is exact): roundoff of the reference,
     # not of the folding, and up to 2e-12 of a gradient's floored scale
     params.q_pos.W.data = params.q_pos.W.data / offset_scale
-    n_rows = int(rng.integers(2, 9))
-    counts = rng.integers(0, 7, size=n_rows)
-    counts[rng.permutation(n_rows)[:2]] = (0, 1)
+    if counts is None:
+        n_rows = int(rng.integers(2, 9))
+        counts = rng.integers(0, 7, size=n_rows)
+        counts[rng.permutation(n_rows)[:2]] = (0, 1)
+    n_rows = len(counts)
     row = np.repeat(np.arange(n_rows), counts)
     n = len(row)
     offsets = rng.uniform(-1.0, 1.0, size=(n, 3)) * offset_scale
@@ -80,7 +86,10 @@ def _run(fn, case, gates):
 @settings(max_examples=120, deadline=None)
 def test_folded_matches_slot_oracle(seed, d_in, heads, gates, coeff_kind,
                                     offset_scale):
-    case = _case(seed, d_in, heads, coeff_kind, offset_scale)
+    _check_against_oracle(_case(seed, d_in, heads, coeff_kind, offset_scale), gates)
+
+
+def _check_against_oracle(case, gates):
     got_out, got = _run(gated_attention_batched, case, GATES[gates])
     want_out, want = _run(slot_gated_attention_batched, case, GATES[gates])
     empty = np.setdiff1d(np.arange(case[5]), case[4])
@@ -97,6 +106,52 @@ def test_folded_matches_slot_oracle(seed, d_in, heads, gates, coeff_kind,
     if gates != "learned":
         for lp in ("gate_pos", "gate_key", "gate_cross", "gate_value"):
             assert not np.any(got[f"{lp}.W"]) and not np.any(got[f"{lp}.b"])
+
+
+# level cap of the default pyramid (PyramidLevelConfig.max_neighbors)
+CAP = 16
+
+
+@pytest.mark.parametrize("gates", sorted(GATES))
+@pytest.mark.parametrize("seed", range(4))
+def test_block_extremes_match_slot_oracle(seed, gates):
+    """Row blocks at their extremes: one row at the cap beside rows of one
+    slot (the block is mostly pads), and rows that all fill it."""
+    one_at_cap = np.ones(7, dtype=np.int64)
+    one_at_cap[seed % 7] = CAP
+    for counts in (one_at_cap, np.full(5, seed + 2)):
+        for coeff_kind in ("none", "value"):
+            _check_against_oracle(_case(seed, 9, 4, coeff_kind, 5.0, counts), gates)
+
+
+@pytest.mark.parametrize("gates", sorted(GATES))
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_coefficients_are_not_pads(seed, gates):
+    """Real slots with coefficient exactly 0, a whole row of them included:
+    they stay in their row's softmax, so the other slots' weights and the
+    coefficient gradients match the oracle."""
+    case = list(_case(seed, 9, 4, "value", 5.0, np.array([3, 0, 5, 1, 4])))
+    coeff, row = case[3], case[4]
+    coeff.data[row == 0] = 0.0
+    coeff.data[np.flatnonzero(row == 2)[::2]] = 0.0
+    _check_against_oracle(tuple(case), gates)
+
+
+@pytest.mark.parametrize("z", [-40.0, 40.0])
+def test_gate_gradient_exact_far_from_boundary(z):
+    """One slot, so w = 1 and d out / d g_value sums q = q_pos.b = ones over
+    d_model = 8 lanes exactly; the value gate's bias gradient is then
+    8 sigmoid'(z), which g * (1 - g) from a rounded g puts at 0 for z = +40."""
+    params = init_attention_params(np.random.default_rng(0), 2, d_model=8, heads=2)
+    params.q_pos.W.data = np.zeros_like(params.q_pos.W.data)
+    params.q_pos.b.data = np.ones(8)
+    params.gate_value.W.data = np.zeros_like(params.gate_value.W.data)
+    params.gate_value.b.data = np.array([z])
+    out = gated_attention_batched(np.zeros((1, 3)), Value(np.ones((1, 2))), params)
+    vsum(out).backward()
+    e = math.exp(-40.0)
+    want = 8.0 * e / (1.0 + e) ** 2
+    assert abs(params.gate_value.b.grad[0] - want) <= 1e-15 * want
 
 
 def test_default_training_step_tape_size():

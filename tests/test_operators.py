@@ -1,6 +1,7 @@
 """Aggregation operators: closed-form cases, gate reductions against the
 standalone oracles, soft-radius membership, permutation invariance,
 gradients."""
+import math
 import zlib
 
 import numpy as np
@@ -228,6 +229,17 @@ class TestSoftRadius:
 
     def test_deep_inside_saturates_to_one(self):
         assert abs(soft_radius_coeff(0.0, 1.0, 0.02) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("z", [-40.0, 40.0])
+    def test_radius_gradient_exact_far_from_boundary(self, z):
+        # d - r = z * tau exactly, so the gradient in r is sigmoid'(z) / tau;
+        # forming g * (1 - g) from a rounded g gives 0 at z = +40
+        tau = 0.25
+        r = Value(1.0)
+        soft_radius_coeff(1.0 + z * tau, r, tau).backward()
+        e = math.exp(-40.0)
+        want = e / (1.0 + e) ** 2 / tau
+        assert abs(r.grad - want) <= 1e-15 * want
 
     def test_tau_validation(self):
         with pytest.raises(ValueError):
