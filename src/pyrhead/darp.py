@@ -8,7 +8,7 @@ soft membership decays geometrically over training.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -23,8 +23,8 @@ from .spatial import PointSet, SpatialIndex
 class ContextAggregatorParams:
     """Per-sphere MLPs that summarize points around an RoI center."""
 
-    radii: tuple[float, ...] = (2.4, 4.8)
-    mlps: list[MLPParams] = field(default_factory=list)
+    radii: tuple[float, ...]
+    mlps: list[MLPParams]
 
     def __post_init__(self):
         if any(a >= b for a, b in zip(self.radii, self.radii[1:])):
@@ -50,7 +50,7 @@ def init_context_params(rng: np.random.Generator, feat_width: int,
 
 # Damps the predicted radius offset (and its gradient): the soft membership
 # makes radius gradients spike near the sampling boundary, and an undamped
-# head can race to its bound before the rest of the network has learned
+# head can race to its bound before the rest of the network has fitted
 # anything.
 OFFSET_SCALE = 0.1
 
@@ -118,9 +118,8 @@ def context_embedding(roi: Box3D, ps: PointSet, idx: SpatialIndex,
     center = roi.center
     derot = rot_z(roi.yaw)
     parts = []
-    n = len(ps)
     for radius, mlp in zip(params.radii, params.mlps):
-        ids = idx.query(center, radius, max_k=None)[0] if n else np.empty(0, np.int64)
+        ids = idx.query(center, radius, max_k=None)[0]
         if ids.size == 0:
             parts.append(Value(np.zeros(mlp.d_out)))
             continue
@@ -140,8 +139,7 @@ def predict_radius(ctx: Value, level: int, params: RadiusHeadParams) -> Value:
     if not 0 <= level < len(params.r_pre):
         raise ValueError(f"level {level} outside the configured pyramid")
     dr = params.mlps[level](ctx)
-    if dr.ndim >= 1 and dr.shape[-1] == 1:
-        dr = reshape(dr, dr.shape[:-1])
+    dr = reshape(dr, dr.shape[:-1])
     r_pre = params.r_pre[level]
     s = r_pre - params.r_min
     t = np.tanh(dr.data * (OFFSET_SCALE / s))

@@ -88,7 +88,7 @@ def _operator_checks(seed: int) -> list[CheckResult]:
     d = 8
     results = []
     # the graph, attention and point-transformer groups check the unified
-    # operator with those gates pinned; "unified" checks the learned gates
+    # operator with those gates pinned; "unified" checks the trainable gates
     cases = [
         ("pool", None),
         ("graph", GRAPH_GATES),

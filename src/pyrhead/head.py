@@ -1,4 +1,4 @@
-"""The pyramid RoI head: per-level grids, learned radii, gated attention,
+"""The pyramid RoI head: per-level grids, predicted radii, gated attention,
 level fusion, and classification/box-refinement outputs.
 
 The forward pass runs each pyramid level as one ragged batch over all
@@ -152,7 +152,7 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
     ctxs = [context_embedding(roi, ps, idx, params.context) for roi in rois]
     ctx_batch = concat([reshape(c, (1, c.size)) for c in ctxs], axis=0)
     # neighbor offsets are expressed in each RoI's canonical frame so the
-    # learned geometry is invariant to box heading
+    # trained geometry is invariant to box heading
     derot = [rot_z(roi.yaw) for roi in rois]
     level_feats = []
     radii_used: list[np.ndarray] = []
@@ -166,7 +166,7 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
             gather_r = r_np
         radii_used.append(r_np)
         centers = np.stack([pyramid_grid_points(roi, lv) for roi in rois])
-        row, ids, dist = gather_level(idx, centers, gather_r, lv.max_neighbors)
+        row, ids, dist = gather_level(ps, centers, gather_r, lv.max_neighbors)
         # row ascends, so each RoI's slots are one block: one rotation
         # product per RoI
         roi_of = row // lv.grid.count

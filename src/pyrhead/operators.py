@@ -4,10 +4,15 @@ The unified gated attention is the one attention operator: it subsumes the
 graph, standard-attention and point-transformer forms through four gate
 scalars, and fixing the gates to GRAPH_GATES (1,0,0,0), ATTENTION_GATES
 (0,0,1,0) or TRANSFORMER_GATES (1,1,0,1) reproduces the corresponding
-operator. ``gated_attention_batched`` is its one entry point: it returns a
-feature for every grid point of a batch, zeros where a grid point has no
-neighbor, and the per-point ``roi_grid_attention(_darp)`` are one-row calls
-of it. Max pooling is the only other aggregation.
+operator. Pinned gates are constant gates on the same data path as
+trainable ones: the gate pre-activations are still computed, the gate
+parameters are still tape parents, and a zero slope gives them exactly
+zero gradient. A missing coefficient is a coefficient of one.
+``gated_attention_batched`` is the one entry point: it returns a feature
+for every grid point of a batch, zeros where a grid point has no neighbor,
+and the per-point ``roi_grid_attention(_darp)`` are one-row calls of it
+that keep the gather's (distance, id) neighbor order, the order the head
+runs. Max pooling is the only other aggregation.
 
 The operator runs folded. With a neighbor's rows x = [f, 1] and
 o = [p, 1], k = x K, v = x V and q = o Q, so each logit or gate, a dot of
@@ -34,7 +39,7 @@ measured faster than projecting the pads too.
 
 The soft radius
 coefficient ``soft_radius_coeff`` makes the aggregation radius
-differentiable: one formula, and one tape node for a learned radius. It
+differentiable: one formula, and one tape node for a trainable radius. It
 needs the neighbors within the widened sampling range r + 5*tau.
 """
 from __future__ import annotations
@@ -44,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Value, _data, _unbroadcast, concat, reshape, take, vmax
+from .autodiff import Value, _data, _unbroadcast, concat, reshape, vmax
 from .autodiff import _np_sigmoid, _np_sigmoid_slope
 from .nn import LinearParams, MLPParams, init_linear
 from .spatial import PointSet, SpatialIndex
@@ -162,16 +167,6 @@ class NeighborBundle:
     def distances(self) -> np.ndarray:
         return np.linalg.norm(self.offsets, axis=1)
 
-    def sorted_by_id(self) -> "NeighborBundle":
-        """Canonical neighbor order: ascending point id."""
-        order = np.argsort(self.ids, kind="stable")
-        if np.array_equal(order, np.arange(len(self.ids))):
-            return self
-        feats = take(self.feats, order) if isinstance(self.feats, Value) \
-            else self.feats[order]
-        return NeighborBundle(self.grid_point, self.ids[order],
-                              self.offsets[order], feats, self.gather_radius)
-
     @classmethod
     def gather(cls, ps: PointSet, idx: SpatialIndex, grid_point,
                radius: float, max_k: int) -> "NeighborBundle":
@@ -232,7 +227,6 @@ def hard_membership(d, r):
 
 def pool_feature(nb: NeighborBundle, mlp: MLPParams) -> Value:
     """Channelwise max over MLP([feature, offset]) of each neighbor."""
-    nb = nb.sorted_by_id()
     if nb.feats.shape[1] + 3 != mlp.d_in:
         raise ValueError(
             f"pool MLP expects width {nb.feats.shape[1] + 3}, has {mlp.d_in}")
@@ -285,14 +279,11 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
     qt = np.vstack([params.q_pos.W.data, params.q_pos.b.data])  # [4, dm]
     vqt = np.vstack([params.value.W.data, params.value.b.data, qt])
     wwd = params.w_head.W.data
-    learned = gates is None
-    # logit weights, then the gate weights where gates are learned
-    if learned:
-        uk = np.hstack([wwd, params.gate_key.W.data])
-        uq = np.hstack([wwd, params.gate_pos.W.data, params.gate_value.W.data])
-        uc = np.hstack([wwd, params.gate_cross.W.data])
-    else:
-        uk = uq = uc = wwd
+    gate_lps = (params.gate_key, params.gate_pos, params.gate_value, params.gate_cross)
+    # logit weights, then the gate weights
+    uk = np.hstack([wwd, params.gate_key.W.data])
+    uq = np.hstack([wwd, params.gate_pos.W.data, params.gate_value.W.data])
+    uc = np.hstack([wwd, params.gate_cross.W.data])
     # k.u = x (K u), q.u = o (Q u), (q*k).u = sum_j o_j x C_j with
     # C_mjh = sum_d K_md Q_jd u_dh; px holds [K uk | C] as [D, hk + 4*hc]
     hk, hc = uk.shape[1], uc.shape[1]
@@ -303,20 +294,22 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
     lk = lx[:, :hk]
     lc = np.einsum("njh,nj->nh", lx[:, hk:].reshape(n, 4, hc), o1)
     lq = o1 @ pq
-    gate_lps = (params.gate_key, params.gate_pos, params.gate_value, params.gate_cross)
-    if learned:
-        pre = np.hstack([lk[:, heads:], lq[:, heads:], lc[:, heads:]]) \
-            + np.concatenate([lp.b.data for lp in gate_lps])
-        g = _np_sigmoid(pre)
-        gk, gq, gv, gqk = g[:, 0:1], g[:, 1:2], g[:, 2:3], g[:, 3:4]
-        lk, lq, lc = lk[:, :heads], lq[:, :heads], lc[:, :heads]
+    pre = np.hstack([lk[:, heads:], lq[:, heads:], lc[:, heads:]]) \
+        + np.concatenate([lp.b.data for lp in gate_lps])
+    # pinned gates are constant gates: their slope, and so the gradient
+    # of the gate parameters, is zero; the backward takes slope(pre)
+    if gates is None:
+        g, slope = _np_sigmoid(pre), _np_sigmoid_slope
     else:
-        gk, gq, gqk, gv = gates.key, gates.pos, gates.cross, gates.value
+        g, slope = np.array([[gates.key, gates.pos, gates.value, gates.cross]]), np.zeros_like
+    gk, gq, gv, gqk = g[:, 0:1], g[:, 1:2], g[:, 2:3], g[:, 3:4]
+    lk, lq, lc = lk[:, :heads], lq[:, :heads], lc[:, :heads]
     logits = block(gk * lk + gq * lq + gqk * lc + params.w_head.b.data, -np.inf)
     e = np.exp(logits - logits.max(axis=0))
     w = e / e.sum(axis=0)                                        # [K, G, H]
-    sd = None if coeff is None else block(_data(coeff).reshape(n, 1))
-    wc = w if sd is None else w * sd
+    # no coefficient is a coefficient of one; pads keep coefficient 0
+    sd = block(np.ones((n, 1)) if coeff is None else _data(coeff).reshape(n, 1))
+    wc = w * sd
     y = block(np.concatenate([x1, gv * o1], axis=1))             # [K, G, D+4]
     z = np.matmul(wc.transpose(1, 2, 0), y.transpose(1, 0, 2))   # [G, H, D+4]
     m_h = vqt.reshape(D + 4, heads, dh).transpose(1, 0, 2)       # [H, D+4, dh]
@@ -324,8 +317,7 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
     out_data[row[starts]] = np.matmul(z.transpose(1, 0, 2), m_h) \
         .transpose(1, 0, 2).reshape(-1, params.d_model)
 
-    lps = (params.key, params.value, params.q_pos, params.w_head) \
-        + (gate_lps if learned else ())
+    lps = (params.key, params.value, params.q_pos, params.w_head) + gate_lps
     x_val, s_val = (v if isinstance(v, Value) else None for v in (feats, coeff))
     parents = [p for lp in lps for p in (lp.W, lp.b)] + \
         [v for v in (x_val, s_val) if v is not None]
@@ -337,24 +329,20 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
         dz = np.matmul(gz, m_h.transpose(0, 2, 1)).transpose(1, 0, 2)  # [G, H, D+4]
         dwc = block_matmul(y.transpose(1, 0, 2), dz.transpose(0, 2, 1))  # [K, G, H]
         dy = unblock(block_matmul(wc.transpose(1, 0, 2), dz))    # [N, D+4]
-        dw = dwc
-        if sd is not None:
-            dw = dwc * sd
-            if s_val is not None:
-                s_val._accum_owned(unblock(dwc * w).sum(axis=1).reshape(s_val.shape))
+        dw = dwc * sd
+        if s_val is not None:
+            s_val._accum_owned(unblock(dwc * w).sum(axis=1).reshape(s_val.shape))
         dlogits = unblock(w * (dw - (dw * w).sum(axis=0)))
         params.w_head.b._accum_owned(dlogits.sum(axis=0))
-        dlk, dlq, dlc = dlogits * gk, dlogits * gq, dlogits * gqk
-        if learned:
-            dgk, dgq, dgqk = (np.einsum("nh,nh->n", dlogits, lv)[:, None]
-                              for lv in (lk, lq, lc))
-            dgv = np.einsum("nc,nc->n", dy[:, D:], o1)[:, None]
-            dpre = np.hstack([dgk, dgq, dgv, dgqk]) * _np_sigmoid_slope(pre)
-            for i, lp in enumerate(gate_lps):
-                lp.b._accum_owned(dpre[:, i].sum(keepdims=True))
-            dlk = np.hstack([dlk, dpre[:, 0:1]])
-            dlq = np.hstack([dlq, dpre[:, 1:3]])
-            dlc = np.hstack([dlc, dpre[:, 3:4]])
+        dgk, dgq, dgqk = (np.einsum("nh,nh->n", dlogits, lv)[:, None]
+                          for lv in (lk, lq, lc))
+        dgv = np.einsum("nc,nc->n", dy[:, D:], o1)[:, None]
+        dpre = np.hstack([dgk, dgq, dgv, dgqk]) * slope(pre)
+        for i, lp in enumerate(gate_lps):
+            lp.b._accum_owned(dpre[:, i].sum(keepdims=True))
+        dlk = np.hstack([dlogits * gk, dpre[:, 0:1]])
+        dlq = np.hstack([dlogits * gq, dpre[:, 1:3]])
+        dlc = np.hstack([dlogits * gqk, dpre[:, 3:4]])
         # gradient of lx: dlk, and o_j * dlc in the C_j block
         dlx = np.hstack([dlk, (o1[:, :, None] * dlc[:, None, :]).reshape(n, 4 * hc)])
         dpx = x1.T @ dlx
@@ -369,10 +357,9 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
         duk, duq = kt.T @ dpx[:, :hk], qt.T @ dpq
         duc = kq.reshape(D * 4, -1).T @ dpc
         params.w_head.W._accum_owned(duk[:, :heads] + duq[:, :heads] + duc[:, :heads])
-        if learned:
-            for lp, dgw in zip(gate_lps, (duk[:, heads:], duq[:, heads:heads + 1],
-                                          duq[:, heads + 1:], duc[:, heads:])):
-                lp.W._accum_owned(dgw)
+        for lp, dgw in zip(gate_lps, (duk[:, heads:], duq[:, heads:heads + 1],
+                                      duq[:, heads + 1:], duc[:, heads:])):
+            lp.W._accum_owned(dgw)
         for lp, dt in ((params.key, dkt), (params.value, dvqt[:D]),
                        (params.q_pos, dqt)):
             lp.W._accum_owned(dt[:-1])
@@ -407,12 +394,11 @@ def gated_attention_batched(offsets: np.ndarray, feats, params: AttentionParams,
 
 def roi_grid_attention(nb: NeighborBundle, params: AttentionParams,
                        gates: GateOverride | None = None) -> Value:
-    """Gated attention over one grid point's neighbors (learned gates by default).
+    """Gated attention over one grid point's neighbors (trainable gates by default).
 
     A grid point without neighbors gets a zero feature.
     """
     params.check_finite()
-    nb = nb.sorted_by_id()
     out = gated_attention_batched(nb.offsets, nb.feats, params, gates)
     return reshape(out, (params.d_model,))
 
@@ -433,7 +419,6 @@ def roi_grid_attention_darp(nb: NeighborBundle, params: AttentionParams,
     if nb.gather_radius is not None and abs(nb.gather_radius - cutoff) > tol:
         raise ContractViolationError(
             f"bundle gathered at {nb.gather_radius}, operator expects {cutoff}")
-    nb = nb.sorted_by_id()
     dists = nb.distances()
     if np.any(dists > cutoff + tol):
         raise ContractViolationError(

@@ -5,7 +5,7 @@ cell, so the points of every cell are one run of the sorted ids, found with
 ``np.searchsorted``. A box lookup takes one such run per occupied (x, y)
 column it overlaps, so its cost is bounded by the data however large the
 box. ``SpatialIndex.query`` takes one ball's candidates from its box.
-``gather_level`` (the capped balls of a pyramid level) bins the same points
+``gather_level`` (the capped balls of a pyramid level) bins a point set
 at a cell as wide as the largest radius of its call and takes each grid
 point's candidates from the cells around it, not from its RoI's whole box.
 Both filter by exact Euclidean distance, so results are identical to a
@@ -204,7 +204,7 @@ def build_index(ps: PointSet, cell: float) -> SpatialIndex:
     return SpatialIndex(ps, cell)
 
 
-def gather_level(idx: SpatialIndex, centers, radius, max_k: int
+def gather_level(ps: PointSet, centers, radius, max_k: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Capped radius gather for the grid points of many RoIs at once.
 
@@ -215,9 +215,9 @@ def gather_level(idx: SpatialIndex, centers, radius, max_k: int
     row; rows without a neighbor do not appear. Distances use the same norm
     ufunc as ``SpatialIndex.query``, so boundary decisions agree.
 
-    The points of ``idx`` are binned again at a cell as wide as the largest
-    radius, so each grid point takes its candidates from the 3 (rarely 4)
-    cells per axis that its ball's box overlaps.
+    The points of ``ps`` are binned at a cell as wide as the largest radius,
+    so each grid point takes its candidates from the 3 (rarely 4) cells per
+    axis that its ball's box overlaps.
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
@@ -227,14 +227,14 @@ def gather_level(idx: SpatialIndex, centers, radius, max_k: int
     if not np.all((0 < radius) & (radius < np.inf)):
         raise ValueError("gather radius must be positive and finite")
     flat = centers.reshape(-1, 3)
-    if len(idx.ps) == 0 or len(flat) == 0:
+    if len(ps) == 0 or len(flat) == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0)
-    grid = SpatialIndex(idx.ps, float(radius.max()))
+    grid = SpatialIndex(ps, float(radius.max()))
     r = np.repeat(radius, count)
     at = np.ascontiguousarray(flat.T)
     col_row, starts, counts = grid._columns(np.stack([at - r * _BOX_PAD, at + r * _BOX_PAD]))
     pos = _runs(starts, counts)
-    by_key = np.ascontiguousarray(idx.ps.coords[grid._order].T)
+    by_key = np.ascontiguousarray(ps.coords[grid._order].T)
     # grid point minus candidate, one row per axis; squared distances pick
     # a slight superset cheaply, and the exact norm then decides membership
     # for the survivors only
@@ -249,7 +249,7 @@ def gather_level(idx: SpatialIndex, centers, radius, max_k: int
     # one argsort of a packed (row, distance rank, id) key; row is already
     # ascending, so a pair's rank in its row is its offset in the row's block
     values, dist_rank = np.unique(dist, return_inverse=True)
-    sizes = (len(flat), values.size, len(idx.ps))
+    sizes = (len(flat), values.size, len(ps))
     order = np.argsort(_packed_key((row, dist_rank, ids), sizes))
     first = np.flatnonzero(np.diff(row, prepend=-1))
     rank = np.arange(row.size) - np.repeat(first, np.diff(first, append=row.size))

@@ -52,7 +52,7 @@ class SceneConfig:
     yaw_jitter: float = 0.2
     proposals_per_object: int = 2
     # truck-sized shells: sparse enough that small fixed-radius balls are
-    # frequently empty, the regime the pyramid and learned radii target
+    # frequently empty, the regime the pyramid and predicted radii target
     w_range: tuple[float, float] = (3.5, 5.0)
     l_range: tuple[float, float] = (7.0, 10.0)
     h_range: tuple[float, float] = (2.2, 3.2)
@@ -224,13 +224,13 @@ def interior_count(box: Box3D, ps: PointSet) -> int:
     return int(box.contains(ps.coords).sum())
 
 
-def pyramid_gathered_ids(ps: PointSet, idx: SpatialIndex, roi: Box3D,
+def pyramid_gathered_ids(ps: PointSet, roi: Box3D,
                          pyramid: PyramidConfig) -> set[int]:
     """Union of point ids collected by every grid point of every level."""
     ids: set[int] = set()
     for lv in pyramid.levels:
         centers = pyramid_grid_points(roi, lv)[None]
-        _, got, _ = gather_level(idx, centers, lv.r_pre, lv.max_neighbors)
+        _, got, _ = gather_level(ps, centers, lv.r_pre, lv.max_neighbors)
         ids.update(got.tolist())
     return ids
 
@@ -256,12 +256,11 @@ def sparsity_stats(scenes: list[Scene],
     interior: dict[str, int] = {}
     gathered: dict[str, int] = {}
     for sc in scenes:
-        idx = build_index(sc.ps, INDEX_CELL) if len(sc.ps) else None
         for box in sc.gt_boxes:
             b = bucket_of(interior_count(box, sc.ps))
             interior[b] = interior.get(b, 0) + 1
         for roi in sc.proposals:
-            n = len(pyramid_gathered_ids(sc.ps, idx, roi, pyramid)) if idx else 0
+            n = len(pyramid_gathered_ids(sc.ps, roi, pyramid))
             gathered[bucket_of(n)] = gathered.get(bucket_of(n), 0) + 1
     return SparsityStats(interior, gathered)
 

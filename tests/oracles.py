@@ -202,7 +202,6 @@ def _per_head_combine(weights: Value, values: Value, heads: int) -> Value:
 
 def graph_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
     """Edge-weighted combination: weights from the positional embedding only."""
-    nb = nb.sorted_by_id()
     if len(nb) == 0:
         return Value(np.zeros(params.d_model))
     v = params.value(nb.feats)
@@ -213,7 +212,6 @@ def graph_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
 
 def attention_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
     """Standard attention: weights from the query-key elementwise product."""
-    nb = nb.sorted_by_id()
     if len(nb) == 0:
         return Value(np.zeros(params.d_model))
     k = params.key(nb.feats)
@@ -226,7 +224,6 @@ def attention_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
 def point_transformer_feature(nb: NeighborBundle,
                               params: AttentionParams) -> Value:
     """Vector attention with the positional embedding added to key and value."""
-    nb = nb.sorted_by_id()
     if len(nb) == 0:
         return Value(np.zeros(params.d_model))
     k = params.key(nb.feats)

@@ -29,6 +29,14 @@ class TestContextEmbedding:
         ctx = context_embedding(roi, ps, idx, params)
         np.testing.assert_array_equal(ctx.data, np.zeros(16))
 
+    def test_empty_point_set_gives_zeros(self):
+        rng = np.random.default_rng(2)
+        params = init_context_params(rng, D, radii=(1.5, 3.0), sphere_width=8)
+        ps = PointSet.empty(D)
+        roi = Box3D.from_center([0, 0, 0], [2, 2, 2], 0.3)
+        ctx = context_embedding(roi, ps, build_index(ps, 1.0), params)
+        np.testing.assert_array_equal(ctx.data, np.zeros(params.out_width))
+
     def test_single_inner_point_fills_both_slots(self):
         rng = np.random.default_rng(1)
         params = init_context_params(rng, D, radii=(2.4, 4.8), sphere_width=8)

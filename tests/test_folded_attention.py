@@ -18,7 +18,8 @@ from pyrhead.autodiff import Value, mul, vsum
 from pyrhead.head import (HeadConfig, assign_label, init_head_params, loss,
                           run_head)
 from pyrhead.operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
-                               gated_attention_batched, init_attention_params)
+                               GateOverride, gated_attention_batched,
+                               init_attention_params)
 from pyrhead.spatial import build_index
 from pyrhead.synth import INDEX_CELL, SceneConfig, generate_scene
 
@@ -86,12 +87,13 @@ def _run(fn, case, gates):
 @settings(max_examples=120, deadline=None)
 def test_folded_matches_slot_oracle(seed, d_in, heads, gates, coeff_kind,
                                     offset_scale):
-    _check_against_oracle(_case(seed, d_in, heads, coeff_kind, offset_scale), gates)
+    _check_against_oracle(_case(seed, d_in, heads, coeff_kind, offset_scale),
+                          GATES[gates])
 
 
 def _check_against_oracle(case, gates):
-    got_out, got = _run(gated_attention_batched, case, GATES[gates])
-    want_out, want = _run(slot_gated_attention_batched, case, GATES[gates])
+    got_out, got = _run(gated_attention_batched, case, gates)
+    want_out, want = _run(slot_gated_attention_batched, case, gates)
     empty = np.setdiff1d(np.arange(case[5]), case[4])
     assert np.all(got_out[empty] == 0.0)
     assert _rel(got_out, want_out) <= REL_TOL
@@ -103,7 +105,8 @@ def _check_against_oracle(case, gates):
     bad = {name: _rel(got[name], want[name], floor) for name in want}
     bad = {k: v for k, v in bad.items() if not v <= REL_TOL}
     assert not bad, bad
-    if gates != "learned":
+    if gates is not None:
+        # pinned gates are constants: their parameters get exactly zero
         for lp in ("gate_pos", "gate_key", "gate_cross", "gate_value"):
             assert not np.any(got[f"{lp}.W"]) and not np.any(got[f"{lp}.b"])
 
@@ -121,7 +124,8 @@ def test_block_extremes_match_slot_oracle(seed, gates):
     one_at_cap[seed % 7] = CAP
     for counts in (one_at_cap, np.full(5, seed + 2)):
         for coeff_kind in ("none", "value"):
-            _check_against_oracle(_case(seed, 9, 4, coeff_kind, 5.0, counts), gates)
+            _check_against_oracle(_case(seed, 9, 4, coeff_kind, 5.0, counts),
+                                  GATES[gates])
 
 
 @pytest.mark.parametrize("gates", sorted(GATES))
@@ -134,7 +138,21 @@ def test_zero_coefficients_are_not_pads(seed, gates):
     coeff, row = case[3], case[4]
     coeff.data[row == 0] = 0.0
     coeff.data[np.flatnonzero(row == 2)[::2]] = 0.0
-    _check_against_oracle(tuple(case), gates)
+    _check_against_oracle(tuple(case), GATES[gates])
+
+
+PINNED = {"graph": GRAPH_GATES, "attention": ATTENTION_GATES,
+          "transformer": TRANSFORMER_GATES, "half": GateOverride(0.5, 0.5, 0.5, 0.5)}
+
+
+@pytest.mark.parametrize("gates", sorted(PINNED))
+@pytest.mark.parametrize("seed", range(3))
+def test_pinned_gates_give_gate_parameters_zero_gradient(seed, gates):
+    """Pinned gates run the trainable-gate path with a zero slope: every
+    gate parameter's gradient is exactly 0 (as for a node the tape never
+    reaches), and every other gradient still matches the oracle."""
+    for coeff_kind in ("none", "array", "value"):
+        _check_against_oracle(_case(seed, 9, 4, coeff_kind, 5.0), PINNED[gates])
 
 
 @pytest.mark.parametrize("z", [-40.0, 40.0])

@@ -1,20 +1,26 @@
-"""The ragged per-level forward against the former grouped forward.
+"""The ragged per-level forward against the former grouped forward and
+against the per-point operators.
 
 ``oracles.grouped_forward_rois`` groups the grid points of a level by exact
 neighbour count and runs one ``[g, m]`` attention per group. The head's
 forward must reproduce its scores, box residuals and every parameter
-gradient, up to summation order.
+gradient, up to summation order. It must also be the composition of the
+per-point path: each grid point gathered by ``NeighborBundle`` and
+aggregated by ``roi_grid_attention(_darp)`` on its own.
 """
 import numpy as np
 import pytest
 
 from oracles import batch_query_capped, grouped_forward_rois
 from pyrhead.autodiff import reshape, take
+from pyrhead.darp import context_embedding, predict_radius
 from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig,
-                              PyramidLevelConfig, pyramid_grid_points)
+                              PyramidLevelConfig, pyramid_grid_points, rot_z)
 from pyrhead.head import (HeadConfig, assign_label, init_head_params, loss,
                           refine, run_head)
-from pyrhead.operators import ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES
+from pyrhead.operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
+                               NeighborBundle, roi_grid_attention,
+                               roi_grid_attention_darp)
 from pyrhead.spatial import PointSet, build_index
 from pyrhead.synth import INDEX_CELL, SceneConfig, generate_scene
 
@@ -184,3 +190,81 @@ def test_equidistant_ties_at_the_cap_match_grouped(darp, gates):
     d = np.linalg.norm(ps.coords - gp, axis=1)
     assert np.sum(d == 0.25) == 6 and np.sum(d < 0.25) == 0
     _assert_matches_oracle(case, tau=0.01, seed=4)
+
+
+def _per_point_outputs(cfg, params, ps, idx, roi, tau):
+    """Score, box residuals and per-level neighbour counts of one RoI, each
+    grid point gathered and aggregated by the per-point operators."""
+    gates = cfg.gates()
+    derot = rot_z(roi.yaw)
+    ctx = context_embedding(roi, ps, idx, params.context)
+    level_feats, counts = [], []
+    for li, lv in enumerate(cfg.pyramid.levels):
+        att = params.attention[li]
+        r = predict_radius(ctx, li, params.radius)
+        total, level_counts = np.zeros(cfg.d_model), []
+        for gp in pyramid_grid_points(roi, lv):
+            if cfg.darp_enabled:
+                nb = NeighborBundle.gather_extended(ps, idx, gp, r.item(), tau,
+                                                    lv.max_neighbors)
+            else:
+                nb = NeighborBundle.gather(ps, idx, gp, lv.r_pre, lv.max_neighbors)
+            nb = NeighborBundle(gp, nb.ids, nb.offsets @ derot, nb.feats,
+                                gather_radius=nb.gather_radius)
+            feat = (roi_grid_attention_darp(nb, att, r, tau, gates) if cfg.darp_enabled
+                    else roi_grid_attention(nb, att, gates))
+            total = total + feat.data
+            level_counts.append(len(nb))
+        level_feats.append(params.reduce[li](total * (1.0 / lv.grid.count)).data)
+        counts.append(level_counts)
+    fused = params.fusion(np.concatenate(level_feats)).data
+    score = 1.0 / (1.0 + np.exp(-params.cls_head(fused).data.item()))
+    return score, params.reg_head(fused).data.reshape(7), counts
+
+
+def _assert_head_is_per_point_composition(cfg, scenes, tau, n_rois):
+    """run_head against the per-point composition on the first RoIs of
+    each scene; returns the per-point neighbour counts of every level."""
+    params = init_head_params(cfg, 5)
+    rng = np.random.default_rng(6)
+    # nonzero radius-head outputs, so each RoI gathers at its own radius
+    for mlp in params.radius.mlps:
+        mlp.layers[-1].W.data = rng.normal(0.0, 0.3, mlp.layers[-1].W.shape)
+    counts = [[] for _ in cfg.pyramid.levels]
+    for scene in scenes:
+        idx = build_index(scene.ps, INDEX_CELL)
+        rois = scene.proposals[:n_rois]
+        dets, radii = run_head(cfg, params, scene.ps, idx, rois, tau)
+        if cfg.darp_enabled:
+            assert len({float(r) for r in radii[0]}) == len(rois)
+        for roi, det in zip(rois, dets):
+            score, residuals, roi_counts = _per_point_outputs(cfg, params, scene.ps,
+                                                              idx, roi, tau)
+            assert _rel(det.score, score) <= REL_TOL
+            assert _rel(det.residuals, residuals) <= REL_TOL
+            for level, c in zip(counts, roi_counts):
+                level.extend(c)
+    return counts
+
+
+def test_dense_scenes_equal_per_point_composition():
+    cfg = HeadConfig()
+    scenes = [generate_scene(SceneConfig(seed=81, clutter_density=1.0, n_objects=4), i)
+              for i in range(2)]
+    counts = _assert_head_is_per_point_composition(cfg, scenes, cfg.tau_end, 3)
+    assert all(max(level) == lv.max_neighbors
+               for level, lv in zip(counts, cfg.pyramid.levels))
+
+
+def test_sparse_scenes_equal_per_point_composition():
+    cfg = HeadConfig()
+    scenes = [generate_scene(SceneConfig(seed=3), i) for i in range(2)]
+    counts = _assert_head_is_per_point_composition(cfg, scenes, cfg.tau_start, 8)
+    assert any(c == 0 for level in counts for c in level)
+
+
+def test_darp_off_pinned_gates_equal_per_point_composition():
+    cfg = HeadConfig(darp_enabled=False, gate_override=_gate_tuple("transformer"))
+    scenes = [generate_scene(SceneConfig(seed=3), 0)]
+    counts = _assert_head_is_per_point_composition(cfg, scenes, cfg.tau_start, 8)
+    assert any(c == 0 for level in counts for c in level)

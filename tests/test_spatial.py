@@ -133,10 +133,10 @@ class TestExtendedQuery:
             NeighborBundle.gather_extended(ps, idx, [0, 0, 0], 1.0, 0.0, 4)
 
 
-def _gather_rows(idx, centers, radius, max_k):
+def _gather_rows(ps, centers, radius, max_k):
     """gather_level's flat output split into one (ids, dists) pair per row."""
     centers = np.asarray(centers, float)
-    row, ids, dist = gather_level(idx, centers, radius, max_k)
+    row, ids, dist = gather_level(ps, centers, radius, max_k)
     assert np.all(np.diff(row) >= 0)
     n_rows = centers.shape[0] * centers.shape[1]
     return [(ids[row == i], dist[row == i]) for i in range(n_rows)]
@@ -147,12 +147,11 @@ class TestBatchQuery:
     def test_matches_per_center_queries(self, seed):
         rng = np.random.default_rng(seed)
         ps = random_pointset(rng, 1500, span=12.0)
-        idx = build_index(ps, cell=1.1)
         centers = rng.uniform(0, 12, size=(4, 10, 3))
         for radius, cap in [(0.5, 4), (1.4, 8), (3.0, 16),
                             (rng.uniform(0.3, 3.0, 4), 6)]:
             r_roi = np.broadcast_to(radius, (4,))
-            rows = _gather_rows(idx, centers, radius, cap)
+            rows = _gather_rows(ps, centers, radius, cap)
             for c, r, (ids, d) in zip(centers.reshape(-1, 3), np.repeat(r_roi, 10), rows):
                 want = brute_force_query(ps, c, r, cap)
                 np.testing.assert_array_equal(ids, want)
@@ -166,33 +165,31 @@ class TestBatchQuery:
         coords = np.concatenate([[center + [1.0, 0.0, 0.0]], shell[::-1],
                                  [center + [0.0, 1.5, 0.0]]])
         ps = PointSet(coords, np.zeros((len(coords), 1)))
-        idx = build_index(ps, cell=0.6)
-        (ids, d), = _gather_rows(idx, center.reshape(1, 1, 3), 1.0, 10)
+        (ids, d), = _gather_rows(ps, center.reshape(1, 1, 3), 1.0, 10)
         np.testing.assert_array_equal(ids, [1, 2, 3, 4, 5, 6, 0])
         assert d[-1] == 1.0
         np.testing.assert_array_equal(ids, brute_force_query(ps, center, 1.0, 10))
         for cap in (1, 4, 6):
-            (ids, _), = _gather_rows(idx, center.reshape(1, 1, 3), 1.0, cap)
+            (ids, _), = _gather_rows(ps, center.reshape(1, 1, 3), 1.0, cap)
             np.testing.assert_array_equal(ids, [1, 2, 3, 4, 5, 6][:cap])
             np.testing.assert_array_equal(ids, brute_force_query(ps, center, 1.0, cap))
 
     def test_empty_rows_are_absent(self):
         ps = PointSet(np.array([[0.0, 0.0, 0.0]]), np.zeros((1, 1)))
-        idx = build_index(ps, cell=1.0)
         centers = np.array([[[5.0, 5.0, 5.0], [0.1, 0.0, 0.0]]])
-        row, ids, dist = gather_level(idx, centers, 0.5, 4)
+        row, ids, dist = gather_level(ps, centers, 0.5, 4)
         np.testing.assert_array_equal(row, [1])
         np.testing.assert_array_equal(ids, [0])
-        row, ids, dist = gather_level(build_index(PointSet.empty(1), 1.0), centers, 0.5, 4)
+        row, ids, dist = gather_level(PointSet.empty(1), centers, 0.5, 4)
         assert row.size == ids.size == dist.size == 0
 
     def test_invalid_args(self):
-        idx = build_index(PointSet.empty(1), cell=1.0)
+        ps = PointSet.empty(1)
         with pytest.raises(ValueError, match="max_k"):
-            gather_level(idx, np.zeros((1, 1, 3)), 1.0, 0)
+            gather_level(ps, np.zeros((1, 1, 3)), 1.0, 0)
         for bad_r in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="radius"):
-                gather_level(idx, np.zeros((2, 1, 3)), [1.0, bad_r], 4)
+                gather_level(ps, np.zeros((2, 1, 3)), [1.0, bad_r], 4)
 
 
 @st.composite
@@ -261,7 +258,7 @@ class TestSortedCellGather:
     @settings(max_examples=150, deadline=None)
     def test_matches_bucket_gather_and_brute_force(self, scene):
         ps, cell, centers, radius, max_k = scene
-        got = gather_level(build_index(ps, cell), centers, radius, max_k)
+        got = gather_level(ps, centers, radius, max_k)
         _assert_same(got, lexsort_gather_level(BucketIndex(ps, cell), centers, radius, max_k))
         _assert_same(got, brute_force_gather(ps, centers, radius, max_k))
 
@@ -273,7 +270,7 @@ class TestSortedCellGather:
                            [0, -r, 0], [0, 0, r], [0, 0, -r], [r, r, 0]]) - 2 * r
         ps = PointSet(coords, np.zeros((len(coords), 1)))
         centers = np.full((1, 1, 3), -2 * r)
-        row, ids, dist = gather_level(build_index(ps, r), centers, r, 10)
+        row, ids, dist = gather_level(ps, centers, r, 10)
         np.testing.assert_array_equal(ids, [0, 1, 2, 3, 4, 5, 6])
         np.testing.assert_array_equal(dist, [0.0] + [r] * 6)
         _assert_same((row, ids, dist),
@@ -328,10 +325,10 @@ class TestBoundedCellScan:
             assert elapsed < 0.05
 
     def test_huge_radius_gather_is_fast_and_exact(self):
-        ps, idx = self.scene()
+        ps, _ = self.scene()
         centers = np.array([[[5.0, 5.0, 5.0], [-3e3, 40.0, 7.0]]])
         started = time.perf_counter()
-        rows = _gather_rows(idx, centers, 1e4, 64)
+        rows = _gather_rows(ps, centers, 1e4, 64)
         elapsed = time.perf_counter() - started
         for c, (ids, _) in zip(centers[0], rows):
             np.testing.assert_array_equal(ids, brute_force_query(ps, c, 1e4, 64))

@@ -98,12 +98,11 @@ class TestSparsityStats:
         # one level whose radius covers the whole box from any grid point
         from pyrhead.geometry import GridSpec, PyramidConfig, PyramidLevelConfig
         scene = generate_scene(dataclasses.replace(FAST, clutter_density=0.0))
-        idx = build_index(scene.ps, 2.4)
         wide = PyramidConfig([PyramidLevelConfig(
             GridSpec((2, 2, 2)), (1.0, 1.0, 1.0), max_neighbors=10_000,
             r_pre=30.0)])
         for box in scene.gt_boxes:
-            gathered = pyramid_gathered_ids(scene.ps, idx, box, wide)
+            gathered = pyramid_gathered_ids(scene.ps, box, wide)
             assert len(gathered) >= interior_count(box, scene.ps)
 
     def test_gathered_ids_equal_union_of_capped_scans(self):
@@ -112,14 +111,13 @@ class TestSparsityStats:
         pyramid = default_pyramid_config()
         for seed in (0, 4):
             sc = generate_scene(dataclasses.replace(FAST, seed=seed))
-            idx = build_index(sc.ps, cell=2.4)
             for roi in sc.proposals:
                 want = set()
                 for lv in pyramid.levels:
                     for gp in pyramid_grid_points(roi, lv):
                         want.update(brute_force_query(sc.ps, gp, lv.r_pre,
                                                       lv.max_neighbors).tolist())
-                assert pyramid_gathered_ids(sc.ps, idx, roi, pyramid) == want
+                assert pyramid_gathered_ids(sc.ps, roi, pyramid) == want
                 assert want
 
     def test_csv_shape(self):
