@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -38,12 +39,12 @@ class CliError(Exception):
     """Invalid invocation or configuration; maps to exit code 2."""
 
 
-def _parse_floats(text: str, n: int, what: str) -> list[float]:
+def _parse_list(text: str, n: int, what: str, kind=float) -> list:
     parts = text.split(",")
     if len(parts) != n:
         raise CliError(f"{what} expects {n} comma-separated values, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        return [kind(p) for p in parts]
     except ValueError as exc:
         raise CliError(f"bad {what}: {exc}") from None
 
@@ -78,14 +79,14 @@ def _fixture_scene(seed: int) -> PointSet:
 # -- subcommands -------------------------------------------------------------
 
 def cmd_gridgen(args) -> int:
-    box_vals = _parse_floats(args.box, 7, "--box")
+    box_vals = _parse_list(args.box, 7, "--box")
     box = Box3D(box_vals[0:3], box_vals[3:6], box_vals[6])
     if args.config:
         pyramid = PyramidConfig.from_json(json.dumps(_load_json(args.config)))
         levels = pyramid.levels
     else:
-        grid = [int(v) for v in _parse_floats(args.grid, 3, "--grid")]
-        ratios = _parse_floats(args.ratios, 3, "--ratios")
+        grid = _parse_list(args.grid, 3, "--grid", int)
+        ratios = _parse_list(args.ratios, 3, "--ratios")
         levels = [PyramidLevelConfig(GridSpec(tuple(grid)), tuple(ratios),
                                      anchor_mode=args.anchor)]
     per_level = [pyramid_grid_points(box, lv).tolist() for lv in levels]
@@ -102,6 +103,8 @@ def cmd_gridgen(args) -> int:
 def cmd_attend(args) -> int:
     if args.gates and args.op not in ("unified", "darp"):
         raise CliError(f"--gates applies to --op unified or darp, not {args.op}")
+    if not 0 < args.radius < math.inf:
+        raise CliError(f"--radius must be positive and finite, got {args.radius}")
     seed = args.seed
     rng = np.random.default_rng(seed)
     if args.scene:
@@ -111,10 +114,10 @@ def cmd_attend(args) -> int:
     else:
         ps = _fixture_scene(seed)
     idx = build_index(ps, cell=max(args.radius, 0.5))
-    gp = _parse_floats(args.grid_point, 3, "--grid-point")
+    gp = _parse_list(args.grid_point, 3, "--grid-point")
     gates = None
     if args.gates:
-        gates = GateOverride.from_tuple(_parse_floats(args.gates, 4, "--gates"))
+        gates = GateOverride.from_tuple(_parse_list(args.gates, 4, "--gates"))
     params = init_attention_params(rng, ps.feat_width, args.d_model, args.heads)
     if args.op == "darp":
         nb = NeighborBundle.gather_extended(ps, idx, gp, args.radius, args.tau,

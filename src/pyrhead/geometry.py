@@ -41,9 +41,14 @@ class Box3D:
     def __post_init__(self):
         self.corner = np.asarray(self.corner, dtype=np.float64).reshape(3)
         self.extents = np.asarray(self.extents, dtype=np.float64).reshape(3)
+        self.yaw = float(self.yaw)
+        if not (np.isfinite(self.corner).all() and np.isfinite(self.extents).all()
+                and math.isfinite(self.yaw)):
+            raise ValueError(f"box corner, extents and yaw must be finite, got "
+                             f"{self.corner}, {self.extents}, {self.yaw}")
         if not np.all(self.extents > 0):
             raise ValueError(f"box extents must be positive, got {self.extents}")
-        self.yaw = wrap_angle(float(self.yaw))
+        self.yaw = wrap_angle(self.yaw)
 
     @property
     def center(self) -> np.ndarray:

@@ -8,8 +8,10 @@ box. ``SpatialIndex.query`` takes one ball's candidates from its box.
 ``gather_level`` (the capped balls of a pyramid level) bins a point set
 at a cell as wide as the largest radius of its call and takes each grid
 point's candidates from the cells around it, not from its RoI's whole box.
-Both filter by exact Euclidean distance, so results are identical to a
-brute-force scan.
+It gathers in two passes: grid points whose cells hold many more points
+than the cap first search a smaller ball, sized from that count, and are
+done if it fills the cap; the rest search their full ball. Both filter by
+exact Euclidean distance, so results are identical to a brute-force scan.
 """
 from __future__ import annotations
 
@@ -91,6 +93,8 @@ class PointSet:
     @classmethod
     def from_json(cls, text: str) -> "PointSet":
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError("point set must be a JSON object with coords and feats")
         coords = np.asarray(doc["coords"], dtype=np.float64).reshape(-1, 3)
         feats = np.asarray(doc["feats"], dtype=np.float64)
         if feats.size == 0:
@@ -146,12 +150,14 @@ class SpatialIndex:
 
     def region_ids(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Ascending ids of all points in cells overlapping the box [lo, hi]."""
-        _, starts, counts = self._columns(np.array([lo, hi], dtype=np.float64)[..., None])
+        _, starts, counts, _ = self._columns(np.array([lo, hi], dtype=np.float64)[..., None])
         return np.sort(self._order[_runs(starts, counts)])
 
-    def _columns(self, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _columns(self, bounds: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(box, start, count) of the sorted-id run of each (x, y) column
-        whose cells overlap box b, from ``bounds[0, :, b]`` to ``bounds[1, :, b]``.
+        whose cells overlap box b, from ``bounds[0, :, b]`` to ``bounds[1, :, b]``,
+        and the number of cells each box spans.
 
         Columns come box by box and are clamped to the occupied cells, so
         infinite bounds are fine; each costs two ``searchsorted`` lookups.
@@ -171,7 +177,7 @@ class SpatialIndex:
         col_key = (x * size_y + y) * size_z + z0[box]
         starts = np.searchsorted(self._keys, col_key)
         counts = np.searchsorted(self._keys, col_key + nz[box]) - starts
-        return box, starts, counts
+        return box, starts, counts, n_cols * nz
 
 
 # Relative widening of a ball's box before the cell lookup: the rounded norm
@@ -212,12 +218,17 @@ def gather_level(ps: PointSet, centers, radius, max_k: int
     ``radius`` one radius per RoI, or a scalar for all. Row ``i*c + j`` is
     grid point j of RoI i. Returns flat (row, ids, dist) arrays sorted by
     row, then distance, then id, keeping the nearest ``max_k`` ids of each
-    row; rows without a neighbor do not appear. Distances use the same norm
-    ufunc as ``SpatialIndex.query``, so boundary decisions agree.
+    row; rows without a neighbor do not appear. Distances are bitwise the
+    norms that ``SpatialIndex.query`` computes, so boundary decisions agree.
 
     The points of ``ps`` are binned at a cell as wide as the largest radius,
     so each grid point takes its candidates from the 3 (rarely 4) cells per
-    axis that its ball's box overlaps.
+    axis that its ball's box overlaps. A row whose box holds many more
+    candidates than the cap is gathered first in a smaller ball, sized from
+    its candidate count to hold a little more than ``max_k`` points. If that
+    ball fills the cap, every point outside it is farther than the row's
+    ``max_k``-th neighbour, so its nearest ``max_k`` by (distance, id) are
+    final. All other rows are gathered at their full radius.
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
@@ -232,26 +243,75 @@ def gather_level(ps: PointSet, centers, radius, max_k: int
     grid = SpatialIndex(ps, float(radius.max()))
     r = np.repeat(radius, count)
     at = np.ascontiguousarray(flat.T)
-    col_row, starts, counts = grid._columns(np.stack([at - r * _BOX_PAD, at + r * _BOX_PAD]))
-    pos = _runs(starts, counts)
-    by_key = np.ascontiguousarray(ps.coords[grid._order].T)
-    # grid point minus candidate, one row per axis; squared distances pick
-    # a slight superset cheaply, and the exact norm then decides membership
-    # for the survivors only
-    offs = [np.repeat(at[a][col_row], counts) - by_key[a][pos] for a in range(3)]
-    d2 = offs[0] * offs[0] + offs[1] * offs[1] + offs[2] * offs[2]
-    near = np.flatnonzero(d2 <= np.repeat((r * r * (1.0 + 1e-9))[col_row], counts))
-    # query's norm call, over a [k, 3] view of the survivors' offsets
-    dist = np.linalg.norm(np.stack([off[near] for off in offs]).T, axis=1)
-    row = np.repeat(col_row, counts)[near]
-    inside = dist <= r[row]
-    row, ids, dist = row[inside], grid._order[pos[near[inside]]], dist[inside]
-    # one argsort of a packed (row, distance rank, id) key; row is already
-    # ascending, so a pair's rank in its row is its offset in the row's block
+    col_row, starts, counts, cells = grid._columns(_ball_boxes(at, r))
+    # points expected in a ball: its box's candidates times the share of the
+    # box that the ball fills
+    cand = np.bincount(col_row, weights=counts, minlength=r.size)
+    expected = cand * np.fmin(4 / 3 * np.pi * (r / grid.cell) ** 3 / np.fmax(cells, 1), 1.0)
+    dense = np.flatnonzero(expected > _FIRST_FILL * max_k / _FIRST_SHRINK ** 3)
+    parts = []
+    if dense.size:
+        r1 = r[dense] * np.cbrt(_FIRST_FILL * max_k / expected[dense])
+        at1 = at[:, dense]
+        fine = SpatialIndex(ps, float(r1.max()))
+        row, ids, dist = _gather_pairs(fine, at1, r1, *fine._columns(_ball_boxes(at1, r1))[:3])
+        full = np.bincount(row, minlength=dense.size) >= max_k
+        keep = full[row]
+        parts.append((dense[row[keep]], ids[keep], dist[keep]))
+        final = np.zeros(r.size, dtype=bool)
+        final[dense[full]] = True
+        rest = ~final[col_row]
+        col_row, starts, counts = col_row[rest], starts[rest], counts[rest]
+    parts.append(_gather_pairs(grid, at, r, col_row, starts, counts))
+    row, ids, dist = map(np.concatenate, zip(*parts))
+    # one argsort of a packed (row, distance rank, id) key lays the rows out
+    # as blocks, and the first max_k pairs of each block are kept
     values, dist_rank = np.unique(dist, return_inverse=True)
-    sizes = (len(flat), values.size, len(ps))
-    order = np.argsort(_packed_key((row, dist_rank, ids), sizes))
-    first = np.flatnonzero(np.diff(row, prepend=-1))
-    rank = np.arange(row.size) - np.repeat(first, np.diff(first, append=row.size))
-    keep = order[rank < max_k]
-    return row[keep], ids[keep], dist[keep]
+    order = np.argsort(_packed_key((row, dist_rank, ids), (r.size, values.size, len(ps))))
+    per_row = np.bincount(row, minlength=r.size)
+    kept = np.minimum(per_row, max_k)
+    order = order[_runs(np.cumsum(per_row) - per_row, kept)]
+    return np.repeat(np.arange(r.size), kept), ids[order], dist[order]
+
+
+# A row's first ball is sized to hold _FIRST_FILL points per cap slot, and a
+# row takes it only where its radius is below _FIRST_SHRINK of the full one.
+# Over the gathers of 10 dense and 40 sparse benchmark scenes (seeds 81 and
+# 2002), 1.25 and 0.75 cut the dense scenes' distance-tested candidates to
+# 0.67-0.68 of one pass and left the sparse ones' at 0.99-1.00; a fill of 1.5
+# with 0.9 tested 0.67-0.68 and 1.00-1.02, a fill of 2 tested 0.72-0.78.
+_FIRST_FILL = 1.25
+_FIRST_SHRINK = 0.75
+
+
+def _ball_boxes(at: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``_columns`` bounds of the boxes of balls of radius r around ``at`` [3, n]."""
+    return np.stack([at - r * _BOX_PAD, at + r * _BOX_PAD])
+
+
+def _gather_pairs(grid: SpatialIndex, at: np.ndarray, r: np.ndarray, col_row: np.ndarray,
+                  starts: np.ndarray, counts: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, ids, dist) of each point in the given columns of ``grid`` that
+    lies within ``r[row]`` of ``at[:, row]``; rows come as the columns do.
+
+    Squared distances are summed in place as ``(x*x + y*y) + z*z``, the sum
+    that ``np.linalg.norm`` takes the square root of, so ``np.sqrt`` of them
+    equals ``query``'s distances bitwise. They pick a slight superset of the
+    ball, and the distance then decides membership.
+    """
+    pos = _runs(starts, counts)
+    rows = np.repeat(col_row, counts)
+    by_key = np.ascontiguousarray(grid.ps.coords[grid._order].T)
+    d2, off = np.zeros(pos.size), np.empty(pos.size)
+    for a in range(3):
+        np.take(at[a], rows, out=off)
+        off -= by_key[a][pos]
+        off *= off
+        d2 += off
+    np.take(r * r * (1.0 + 1e-9), rows, out=off)
+    near = np.flatnonzero(d2 <= off)
+    dist = np.sqrt(d2[near])
+    row = rows[near]
+    inside = dist <= r[row]
+    return row[inside], grid._order[pos[near[inside]]], dist[inside]

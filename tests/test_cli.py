@@ -158,21 +158,30 @@ class TestExitCodes:
             assert code == 2 and out == ""
             assert "max_k" in err
 
-    @pytest.mark.parametrize("argv,config,field", [
-        (["attend", "--op", "unified", "--heads", "0"], None, "heads"),
-        (["train-toy", "--steps", "1", "--scenes", "1"], {"heads": 0}, "heads"),
-        (["train-toy", "--steps", "1", "--scenes", "0"], None, "n_scenes"),
-        (["stats", "--scenes", "-1"], None, "scene count"),
-        (["attend", "--op", "darp", "--tau", "nan"], None, "tau"),
-        (["train-toy", "--steps", "1", "--scenes", "1", "--lr", "nan"], None, "lr"),
-        (["train-toy", "--steps", "1", "--scenes", "1", "--momentum", "-5"], None,
+    @pytest.mark.parametrize("argv,config,scene,field", [
+        (["attend", "--op", "unified", "--heads", "0"], None, None, "heads"),
+        (["train-toy", "--steps", "1", "--scenes", "1"], {"heads": 0}, None, "heads"),
+        (["train-toy", "--steps", "1", "--scenes", "0"], None, None, "n_scenes"),
+        (["stats", "--scenes", "-1"], None, None, "scene count"),
+        (["attend", "--op", "darp", "--tau", "nan"], None, None, "tau"),
+        (["train-toy", "--steps", "1", "--scenes", "1", "--lr", "nan"], None, None, "lr"),
+        (["train-toy", "--steps", "1", "--scenes", "1", "--momentum", "-5"], None, None,
          "momentum"),
-        (["attend", "--op", "unified", "--d-model", "0"], None, "d_model"),
+        (["attend", "--op", "unified", "--d-model", "0"], None, None, "d_model"),
+        (["gridgen", "--box", "0,0,nan,1,1,1,0"], None, None, "finite"),
+        (["gridgen", "--box", "0,0,0,1,1,inf,0"], None, None, "finite"),
+        (["gridgen", "--box", "0,0,0,1,1,1,nan"], None, None, "finite"),
+        (["gridgen", "--box", "0,0,0,1,1,1,0", "--grid", "1.7,1,1"], None, None, "--grid"),
+        (["attend", "--op", "graph"], None, "[1, 2]", "JSON object"),
+        (["attend", "--op", "graph"], None, "null", "JSON object"),
+        (["attend", "--op", "graph", "--radius", "nan"], None, None, "--radius"),
     ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
             "stats_scenes_neg", "darp_tau_nan", "train_lr_nan",
-            "train_momentum_neg", "attend_d_model_0"])
+            "train_momentum_neg", "attend_d_model_0", "gridgen_corner_nan",
+            "gridgen_extent_inf", "gridgen_yaw_nan", "gridgen_grid_fraction",
+            "attend_scene_list", "attend_scene_null", "attend_radius_nan"])
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
-                                                     argv, config, field):
+                                                     argv, config, scene, field):
         if config is not None:
             from pyrhead.head import HeadConfig
             doc = json.loads(HeadConfig().to_json())
@@ -180,6 +189,10 @@ class TestExitCodes:
             path = tmp_path / "head.json"
             path.write_text(json.dumps(doc))
             argv = argv + ["--config", str(path)]
+        if scene is not None:
+            path = tmp_path / "scene.json"
+            path.write_text(scene)
+            argv = argv + ["--scene", str(path)]
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = invoke(argv, capsys)

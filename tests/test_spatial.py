@@ -1,5 +1,6 @@
 """Spatial index exactness against brute-force scans, file round trips."""
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import BucketIndex, brute_force_query, lexsort_gather_level
+from pyrhead import spatial
+from pyrhead.geometry import pyramid_grid_points
+from pyrhead.head import HeadConfig
 from pyrhead.operators import NeighborBundle
-from pyrhead.spatial import PointSet, _packed_key, build_index, gather_level
+from pyrhead.spatial import PointSet, SpatialIndex, _packed_key, build_index, gather_level
+from pyrhead.synth import SceneConfig, generate_scene
 
 
 def random_pointset(rng, n, span=20.0):
@@ -305,6 +310,161 @@ class TestSortedCellGather:
         for r in (1e4, 1e300):
             ids, d = idx.query(center, r, 64)
             np.testing.assert_array_equal(ids, brute_force_query(ps, center, r, 64))
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The passes of gather_level's core: per call, its radii, the rows its
+    columns belong to and its candidate count."""
+    calls = []
+    core = spatial._gather_pairs
+
+    def spy(grid, at, r, col_row, starts, counts):
+        calls.append(SimpleNamespace(r=r.copy(), rows=np.unique(col_row),
+                                     candidates=int(counts.sum())))
+        return core(grid, at, r, col_row, starts, counts)
+
+    monkeypatch.setattr(spatial, "_gather_pairs", spy)
+    return calls
+
+
+def _one_row_scene(n_inside, rim):
+    """One grid point at the origin with a gather radius of 1 and a cap of 16.
+
+    Its box holds 400 points in the corners beyond the ball, so the first
+    pass fires; ``n_inside`` points lie within 0.1 of the grid point, six on
+    the axes at distance ``rim`` and five at distance 0.8. Ids interleave the
+    groups so that ties at ``rim`` are broken by id across them.
+    """
+    rng = np.random.default_rng(7)
+    corners = rng.uniform(0.75, 1.0, size=(400, 3)) * rng.choice([-1.0, 1.0], size=(400, 3))
+    inside = rng.uniform(-0.1, 0.1, size=(n_inside, 3)) / np.sqrt(3)
+    axes = np.concatenate([np.eye(3), -np.eye(3)])[::-1] * rim
+    beyond = rng.normal(size=(5, 3))
+    beyond *= 0.8 / np.linalg.norm(beyond, axis=1, keepdims=True)
+    coords = np.concatenate([corners[:200], axes[:3], inside, axes[3:], beyond, corners[200:]])
+    return PointSet(coords, np.zeros((len(coords), 1))), np.zeros((1, 1, 3))
+
+
+class TestTwoPassGather:
+    """Rows that fill their cap in a smaller first ball, against the oracle."""
+
+    @pytest.mark.parametrize("max_k", [1, 4, 16])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_dense_clusters_take_the_first_pass(self, passes, seed, max_k):
+        rng = np.random.default_rng(seed)
+        blobs = rng.uniform(-3, 3, size=(6, 3))
+        coords = np.concatenate([b + rng.normal(scale=0.4, size=(400, 3)) for b in blobs]
+                                + [rng.uniform(-4, 4, size=(300, 3))])
+        ps = PointSet(coords, np.zeros((len(coords), 1)))
+        # six RoIs on the clusters, two in the clutter, each with its own radius
+        centers = np.concatenate([blobs[:, None] + rng.uniform(-0.5, 0.5, size=(6, 8, 3)),
+                                  rng.uniform(-4, 4, size=(2, 8, 3))])
+        radius = rng.uniform(0.5, 1.5, size=8)
+        got = gather_level(ps, centers, radius, max_k)
+        first, rest = passes
+        assert first.r.size >= 8
+        assert rest.rows.size < 64     # some rows were final after the first pass
+        _assert_same(got, lexsort_gather_level(BucketIndex(ps, 1.0), centers, radius, max_k))
+        _assert_same(got, brute_force_gather(ps, centers, radius, max_k))
+
+    def _first_radius(self, passes, n_inside):
+        """The first ball's radius of _one_row_scene's grid point."""
+        ps, centers = _one_row_scene(n_inside, 0.3)
+        gather_level(ps, centers, 1.0, 16)
+        r1 = passes[0].r[0]
+        passes.clear()
+        assert 0.1 < r1 < 0.8
+        return r1
+
+    def test_cap_filled_by_ties_on_the_first_ball(self, passes):
+        # 13 points inside the first ball and six on its sphere: the cap
+        # keeps the three lowest ids of the six, and the row is final
+        r1 = self._first_radius(passes, 13)
+        ps, centers = _one_row_scene(13, r1)
+        row, ids, dist = got = gather_level(ps, centers, 1.0, 16)
+        first, rest = passes
+        assert first.r[0] == r1 and rest.rows.size == 0
+        assert np.count_nonzero(dist == r1) == 3
+        _assert_same(got, lexsort_gather_level(BucketIndex(ps, 1.0), centers, 1.0, 16))
+        _assert_same(got, brute_force_gather(ps, centers, [1.0], 16))
+
+    def test_row_short_of_the_cap_falls_back_to_its_radius(self, passes):
+        # 9 inside and six on the sphere of the first ball make 15 < 16, so
+        # the row is gathered again at 1 and takes one point at 0.8
+        r1 = self._first_radius(passes, 9)
+        ps, centers = _one_row_scene(9, r1)
+        row, ids, dist = got = gather_level(ps, centers, 1.0, 16)
+        first, rest = passes
+        assert first.r[0] == r1 and rest.rows.tolist() == [0]
+        assert np.count_nonzero(dist == r1) == 6 and dist[-1] > r1
+        _assert_same(got, lexsort_gather_level(BucketIndex(ps, 1.0), centers, 1.0, 16))
+        _assert_same(got, brute_force_gather(ps, centers, [1.0], 16))
+
+    @pytest.mark.parametrize("max_k", [1, 4])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_empty_and_one_point_sets(self, passes, n, max_k):
+        ps = PointSet(np.full((n, 3), 0.25), np.zeros((n, 1)))
+        centers = np.array([[[0.0, 0.0, 0.0], [2.0, 2.0, 2.0]]])
+        got = gather_level(ps, centers, 0.5, max_k)
+        assert len(passes) == n
+        _assert_same(got, lexsort_gather_level(BucketIndex(ps, 0.5), centers, 0.5, max_k))
+
+    def test_sqrt_of_summed_squares_is_the_norm(self):
+        # the core's distances against np.linalg.norm, row by row, bitwise,
+        # where squares round, underflow to subnormals or zero, or overflow
+        rng = np.random.default_rng(11)
+        offsets = np.concatenate([
+            rng.normal(size=(300, 3)),
+            -rng.uniform(0, 5, size=(50, 3)),
+            np.zeros((3, 3)),
+            rng.normal(size=(50, 3)) * 1e-160,
+            rng.normal(size=(50, 3)) * 1e154,
+            rng.normal(size=(100, 3)) * 10.0 ** rng.integers(-170, 170, size=(100, 3)),
+            [[1e200, 0.0, 0.0], [0.0, -1e-300, 5e-324], [3.0, -4.0, 0.0]]])
+        ps = PointSet(offsets, np.zeros((len(offsets), 1)))
+        grid = SpatialIndex(ps, 1e300)
+        at = np.array([[0.0, 0.0, 0.0], [0.25, -3.0, 7.5]]).T
+        bounds = np.stack([np.full((3, 2), -np.inf), np.full((3, 2), np.inf)])
+        with np.errstate(over="ignore"):
+            row, ids, dist = spatial._gather_pairs(grid, at, np.full(2, np.inf),
+                                                   *grid._columns(bounds)[:3])
+            norm = np.linalg.norm(ps.coords[ids] - at.T[row], axis=1)
+        assert np.array_equal(np.bincount(row), [len(ps)] * 2)
+        assert norm.dtype == dist.dtype
+        np.testing.assert_array_equal(dist, norm)
+        assert np.isinf(dist).any() and (dist == 0).any() and (dist[dist > 0] < 1e-150).any()
+
+    def _level_gathers(self, passes, scene):
+        """Per level of the default pyramid: its rows, the gather of the
+        scene's proposals at r_pre and the passes of that gather."""
+        out = []
+        for lv in HeadConfig().pyramid.levels:
+            centers = np.stack([pyramid_grid_points(roi, lv) for roi in scene.proposals])
+            passes.clear()
+            got = gather_level(scene.ps, centers, lv.r_pre, lv.max_neighbors)
+            out.append((centers.shape[0] * centers.shape[1], got, list(passes)))
+        return out
+
+    def test_dense_scene_tests_fewer_candidates(self, passes, monkeypatch):
+        scene = generate_scene(SceneConfig(seed=0, clutter_density=1.0, n_objects=4), 0)
+        two = self._level_gathers(passes, scene)
+        monkeypatch.setattr(spatial, "_FIRST_FILL", np.inf)
+        one = self._level_gathers(passes, scene)
+        assert all(len(p) == 1 for _, _, p in one)
+        assert any(len(p) == 2 for _, _, p in two)
+        tested = [sum(q.candidates for q in p) for _, _, p in two + one]
+        assert sum(tested[:len(two)]) <= 0.8 * sum(tested[len(two):])
+        for (_, a, _), (_, b, _) in zip(two, one):
+            _assert_same(a, b)
+
+    def test_sparse_scenes_mostly_take_one_pass(self, passes):
+        rows = first = 0
+        for i in range(5):
+            for n_rows, _, p in self._level_gathers(passes, generate_scene(SceneConfig(), i)):
+                rows += n_rows
+                first += p[0].r.size if len(p) == 2 else 0
+        assert first <= 0.1 * rows
 
 
 class TestBoundedCellScan:
