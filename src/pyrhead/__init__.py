@@ -15,8 +15,7 @@ from .geometry import (Box3D, GridSpec, PyramidConfig, PyramidLevelConfig,
                        default_pyramid_config, pyramid_grid_points,
                        pyramid_point_count)
 from .head import (CONFIG_SCHEMA_VERSION, Detection, HeadConfig, HeadParams,
-                   extract_roi_features, init_head_params, loss, refine,
-                   run_head)
+                   init_head_params, loss, refine, run_head)
 from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                         AttentionParams, GateOverride, NeighborBundle,
                         hard_membership, pool_feature, roi_grid_attention,
@@ -41,7 +40,7 @@ __all__ = [
     "ContextAggregatorParams", "RadiusHeadParams", "TemperatureSchedule",
     "context_embedding", "predict_radius", "temperature",
     "CONFIG_SCHEMA_VERSION", "HeadConfig", "HeadParams", "Detection",
-    "extract_roi_features", "init_head_params", "refine", "run_head", "loss",
+    "init_head_params", "refine", "run_head", "loss",
     "Scene", "SceneConfig", "generate_scene", "generate_scenes",
     "sparsity_stats", "train_toy", "evaluate", "single_level_baseline",
     "__version__",

@@ -261,20 +261,27 @@ def vsum(x: Value, axis=None, keepdims=False) -> Value:
     return out
 
 
-def vmax(x: Value, axis: int, keepdims=False) -> Value:
-    """Max along one axis; gradient routes to the first maximal element."""
-    mx = x.data.max(axis=axis, keepdims=True)
-    hit = x.data == mx
-    first = hit & (np.cumsum(hit, axis=axis) == 1)
-    out = Value(mx if keepdims else np.squeeze(mx, axis=axis), (x,))
+def segment_max(x: Value, row, n_rows: int) -> Value:
+    """Channelwise max of the rows of x [N, d] per id ``row`` (ascending in
+    [0, n_rows)) as [n_rows, d]: zeros for an id with no row, and each
+    channel's gradient routes to the id's first maximal row."""
+    row = np.asarray(row, dtype=np.intp)
+    (n, d), xd = x.shape, x.data
+    if n and (row[0] < 0 or row[-1] >= n_rows or np.any(np.diff(row) < 0)):
+        raise ValueError(f"row ids must be ascending within [0, {n_rows})")
+    out = np.zeros((n_rows, d))
+    starts = np.flatnonzero(np.diff(row, prepend=-1))
+    if n:
+        out[row[starts]] = np.maximum.reduceat(xd, starts)
+        first = np.minimum.reduceat(np.where(xd == out[row], np.arange(n)[:, None], n), starts)
 
     def _bw(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        x._accum_owned(first * g)
+        buf = np.zeros_like(xd)
+        if n:
+            buf[first, np.arange(d)] = g[row[starts]]
+        x._accum_owned(buf)
 
-    out._backward = _bw
-    return out
+    return Value(out, (x,), _bw)
 
 
 def reshape(x: Value, shape) -> Value:

@@ -105,19 +105,12 @@ def cmd_attend(args) -> int:
         raise CliError(f"--gates applies to --op unified or darp, not {args.op}")
     if not 0 < args.radius < math.inf:
         raise CliError(f"--radius must be positive and finite, got {args.radius}")
-    seed = args.seed
-    rng = np.random.default_rng(seed)
-    if args.scene:
-        path = Path(args.scene)
-        ps = PointSet.from_json(path.read_text()) if path.suffix == ".json" \
-            else PointSet.load(path)
-    else:
-        ps = _fixture_scene(seed)
+    rng = np.random.default_rng(args.seed)
+    ps = PointSet.load(args.scene) if args.scene else _fixture_scene(args.seed)
     idx = build_index(ps, cell=max(args.radius, 0.5))
     gp = _parse_list(args.grid_point, 3, "--grid-point")
-    gates = None
-    if args.gates:
-        gates = GateOverride.from_tuple(_parse_list(args.gates, 4, "--gates"))
+    gates = (GateOverride.from_tuple(_parse_list(args.gates, 4, "--gates"))
+             if args.gates else None)
     params = init_attention_params(rng, ps.feat_width, args.d_model, args.heads)
     if args.op == "darp":
         nb = NeighborBundle.gather_extended(ps, idx, gp, args.radius, args.tau,
@@ -276,10 +269,7 @@ def run(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.fn(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return USAGE_ERROR
-    except (ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

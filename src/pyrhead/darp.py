@@ -1,10 +1,10 @@
 """Density-aware radius prediction: context embedding, radius offset, schedule.
 
 Each RoI summarizes the points inside two fixed context spheres around its
-center; a small head maps that summary to a per-level radius offset, and
-the level's radius is the predefined radius plus that offset, bounded
-smoothly to (r_min, 2*r_pre - r_min) by a tanh. The temperature of the
-soft membership decays geometrically over training.
+center (one lookup and one max-pool per sphere for all RoIs); a small head
+maps it to a per-level radius offset, and the level's radius is r_pre plus
+that offset, bounded smoothly to (r_min, 2*r_pre - r_min) by a tanh. The
+temperature of the soft membership decays geometrically over training.
 """
 from __future__ import annotations
 
@@ -13,8 +13,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Value, concat, reshape, vmax
-from .geometry import Box3D, rot_z
+from .autodiff import Value, concat, reshape, segment_max
+from .geometry import Box3D, to_box_frames
 from .nn import MLPParams, init_mlp
 from .spatial import PointSet, SpatialIndex
 
@@ -27,8 +27,8 @@ class ContextAggregatorParams:
     mlps: list[MLPParams]
 
     def __post_init__(self):
-        if any(a >= b for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError(f"context radii must strictly increase: {self.radii}")
+        if any(a >= b for a, b in zip((0.0,) + self.radii, self.radii)):
+            raise ValueError(f"context radii must be positive, increasing: {self.radii}")
         if len(self.mlps) != len(self.radii):
             raise ValueError("one MLP per context sphere required")
 
@@ -108,25 +108,25 @@ def temperature(step: int, sched: TemperatureSchedule) -> float:
     return sched.tau_start * (sched.tau_end / sched.tau_start) ** frac
 
 
-def context_embedding(roi: Box3D, ps: PointSet, idx: SpatialIndex,
+def context_embedding(rois, ps: PointSet, idx: SpatialIndex,
                       params: ContextAggregatorParams) -> Value:
-    """Concatenated per-sphere max-pooled summaries of points near the RoI.
+    """Concatenated per-sphere max-pooled summaries of points near each RoI,
+    [out_width] for one box and [R, out_width] for a sequence of R boxes.
 
-    Point offsets are expressed in the RoI's canonical frame so the
-    embedding does not depend on box heading.
+    A sphere without points gives zeros. Point offsets are expressed in
+    each RoI's canonical frame so the embedding does not depend on heading.
     """
-    center = roi.center
-    derot = rot_z(roi.yaw)
+    boxes = [rois] if isinstance(rois, Box3D) else rois
+    centers = np.array([b.center for b in boxes]).reshape(-1, 3)
+    yaw = np.array([b.yaw for b in boxes])
     parts = []
     for radius, mlp in zip(params.radii, params.mlps):
-        ids = idx.query(center, radius, max_k=None)[0]
-        if ids.size == 0:
-            parts.append(Value(np.zeros(mlp.d_out)))
-            continue
-        x = np.concatenate([ps.feats[ids], (ps.coords[ids] - center) @ derot],
-                           axis=1)
-        parts.append(vmax(mlp(x), axis=0))
-    return concat(parts, axis=0)
+        row, ids, _ = idx.balls(centers, radius)
+        offs = to_box_frames(ps.coords[ids] - centers[row], yaw, row)
+        x = np.concatenate([ps.feats[ids], offs], axis=1)
+        parts.append(segment_max(mlp(x), row, len(boxes)))
+    ctx = concat(parts, axis=1)
+    return reshape(ctx, (params.out_width,)) if isinstance(rois, Box3D) else ctx
 
 
 def predict_radius(ctx: Value, level: int, params: RadiusHeadParams) -> Value:

@@ -236,28 +236,37 @@ def _lattice(sizes: tuple[int, int, int]) -> np.ndarray:
     return idx.reshape(-1, 3).astype(np.float64)
 
 
-def _rotate_about(points: np.ndarray, pivot: np.ndarray, yaw: float) -> np.ndarray:
-    if yaw == 0.0:
-        return points
-    return (points - pivot) @ rot_z(yaw).T + pivot
+def pyramid_grid_points(boxes, level: PyramidLevelConfig) -> np.ndarray:
+    """Grid of one pyramid level, each box enlarged by the level's ratios.
 
-
-def pyramid_grid_points(box: Box3D, level: PyramidLevelConfig) -> np.ndarray:
-    """Grid of one pyramid level, the box enlarged by the level's ratios.
-
+    One box gives [c, 3], a sequence of R boxes [R*c, 3], box by box.
     anchor_mode "corner" keeps the original bottom-left corner so the grid
     grows away from it; "center" recenters the enlarged grid on the box.
     """
+    boxes = [boxes] if isinstance(boxes, Box3D) else boxes
+    corner = np.array([b.corner for b in boxes]).reshape(-1, 1, 3)
+    extents = np.array([b.extents for b in boxes]).reshape(-1, 1, 3)
+    center = corner + 0.5 * extents
     rho = np.array(level.ratios, dtype=np.float64)
-    step = rho * box.extents / np.array(level.grid.sizes, dtype=np.float64)
+    step = rho * extents / np.array(level.grid.sizes, dtype=np.float64)
     if level.anchor_mode == "corner" or level.ratios == (1.0, 1.0, 1.0):
         # a unit-ratio centered grid coincides with the corner-anchored one;
         # using the corner keeps the degenerate case bitwise identical
-        anchor = box.corner
+        anchor = corner
     else:
-        anchor = box.center - 0.5 * rho * box.extents
+        anchor = center - 0.5 * rho * extents
     pts = step * (_lattice(level.grid.sizes) + 0.5) + anchor
-    return _rotate_about(pts, box.center, box.yaw)
+    # p @ rot_z(yaw).T about each center; the .T view keeps one box's product bitwise
+    rot = np.array([rot_z(b.yaw) for b in boxes]).reshape(-1, 3, 3)
+    return (np.matmul(pts - center, rot.transpose(0, 2, 1)) + center).reshape(-1, 3)
+
+
+def to_box_frames(offsets: np.ndarray, yaw: np.ndarray, box_of: np.ndarray) -> np.ndarray:
+    """Offsets [N, 3] in the canonical frames of boxes with headings ``yaw``
+    [R]: ``offsets[i] @ rot_z(yaw[box_of[i]])`` up to rounding."""
+    c, s = np.cos(yaw)[box_of], np.sin(yaw)[box_of]
+    x, y = offsets[:, 0], offsets[:, 1]
+    return np.stack([x * c + y * s, y * c - x * s, offsets[:, 2]], axis=1)
 
 
 def pyramid_point_count(cfg: PyramidConfig) -> int:

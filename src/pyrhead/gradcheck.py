@@ -189,19 +189,15 @@ def _head_scene(seed: int):
         seed=seed))
 
 
-def _boundary_clearance(scene, head_cfg: HeadConfig, params, tau: float) -> float:
+def _boundary_clearance(scene, head_cfg: HeadConfig, params, idx, tau: float) -> float:
     """Smallest |distance - cutoff| over all (grid point, point) pairs."""
-    idx = build_index(scene.ps, INDEX_CELL)
+    _, radii = run_head(head_cfg, params, scene.ps, idx, scene.proposals, tau)
     clear = math.inf
-    for roi in scene.proposals:
-        ctx = context_embedding(roi, scene.ps, idx, params.context)
-        for li, lv in enumerate(head_cfg.pyramid.levels):
-            r_eff = predict_radius(ctx, li, params.radius).item()
-            cutoff = sampling_range(r_eff, tau)
-            for gp in pyramid_grid_points(roi, lv):
-                d = np.linalg.norm(scene.ps.coords - gp, axis=1)
-                if d.size:
-                    clear = min(clear, float(np.min(np.abs(d - cutoff))))
+    for r, lv in zip(radii, head_cfg.pyramid.levels):
+        grid = pyramid_grid_points(scene.proposals, lv)
+        d = np.linalg.norm(scene.ps.coords - grid[:, None], axis=2)
+        gap = np.abs(d - np.repeat(sampling_range(r, tau), lv.grid.count)[:, None])
+        clear = min(clear, float(np.min(gap, initial=math.inf)))
     return clear
 
 
@@ -217,9 +213,9 @@ def _head_checks(seed: int) -> list[CheckResult]:
         for mlp in params.radius.mlps:
             mlp.layers[-1].W.data = rng.normal(0.0, 0.05,
                                                size=mlp.layers[-1].W.shape)
-        if _boundary_clearance(scene, head_cfg, params, tau) <= 2.0 * tau:
-            continue
         idx = build_index(scene.ps, INDEX_CELL)
+        if _boundary_clearance(scene, head_cfg, params, idx, tau) <= 2.0 * tau:
+            continue
         targets = [(assign_label(p, scene.gt_boxes[g], head_cfg.iou_positive),
                     scene.gt_boxes[g])
                    for p, g in zip(scene.proposals, scene.proposal_gt)]

@@ -1,10 +1,10 @@
 """The pyramid RoI head: per-level grids, predicted radii, gated attention,
 level fusion, and classification/box-refinement outputs.
 
-The forward pass runs each pyramid level as one ragged batch over all
-RoIs of a scene: one capped gather and one gated attention call that
-returns a feature for every grid point (zeros where a grid point has no
-neighbor), summed per RoI, instead of one operator call per grid point.
+The RoIs of a scene are an array axis through every stage: one context
+embedding; per level one grid call, one capped gather and one gated
+attention call that returns a feature for every grid point (zeros where it
+has no neighbor), summed per RoI; one cls and one reg call; one loss.
 The math is that of the per-point operators, up to summation order.
 """
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .darp import (ContextAggregatorParams, RadiusHeadParams, context_embedding,
                    init_context_params, init_radius_head, predict_radius)
 from .geometry import (Box3D, PyramidConfig, _config_fields,
                        default_pyramid_config, pyramid_grid_points, rot_z,
-                       wrap_angle)
+                       to_box_frames, wrap_angle)
 from .nn import LinearParams, MLPParams, init_linear, init_mlp
 from .operators import (AttentionParams, GateOverride, gated_attention_batched,
                         init_attention_params, sampling_range,
@@ -141,70 +141,59 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
                  ) -> tuple[Value, list[np.ndarray]]:
     """Fused per-RoI features [R, fusion_out] and per-level effective radii.
 
-    Each level is one ragged batch over all RoIs: a single capped gather
-    lays the neighbors of every grid point end to end, and one gated
-    attention call returns the feature of every grid point, which are
-    summed per RoI. Grid points without a neighbor contribute zero to
-    their RoI's level mean.
+    Each level is one ragged batch over all RoIs: one grid call, a single
+    capped gather that lays the neighbors of every grid point end to end,
+    and one gated attention call that returns the feature of every grid
+    point, which are summed per RoI. Grid points without a neighbor
+    contribute zero to their RoI's level mean.
     """
     R = len(rois)
     gates = cfg.gates()
-    ctxs = [context_embedding(roi, ps, idx, params.context) for roi in rois]
-    ctx_batch = concat([reshape(c, (1, c.size)) for c in ctxs], axis=0)
+    if cfg.darp_enabled:
+        ctx = context_embedding(rois, ps, idx, params.context)     # [R, W]
     # neighbor offsets are expressed in each RoI's canonical frame so the
     # trained geometry is invariant to box heading
-    derot = [rot_z(roi.yaw) for roi in rois]
+    yaw = np.array([roi.yaw for roi in rois])
     level_feats = []
     radii_used: list[np.ndarray] = []
     for li, lv in enumerate(cfg.pyramid.levels):
         if cfg.darp_enabled:
-            r_vec = predict_radius(ctx_batch, li, params.radius)  # [R]
+            r_vec = predict_radius(ctx, li, params.radius)  # [R]
             r_np = r_vec.data.copy()
             gather_r = sampling_range(r_np, tau)
         else:
             r_np = np.full(R, lv.r_pre)
             gather_r = r_np
         radii_used.append(r_np)
-        centers = np.stack([pyramid_grid_points(roi, lv) for roi in rois])
-        row, ids, dist = gather_level(ps, centers, gather_r, lv.max_neighbors)
-        # row ascends, so each RoI's slots are one block: one rotation
-        # product per RoI
-        roi_of = row // lv.grid.count
-        diff = ps.coords[ids] - centers.reshape(-1, 3)[row]
-        bounds = np.searchsorted(roi_of, np.arange(R + 1))
-        offs = np.concatenate([diff[lo:hi] @ rot for rot, lo, hi
-                               in zip(derot, bounds[:-1], bounds[1:])])
+        count = lv.grid.count
+        centers = pyramid_grid_points(rois, lv)                   # [R*c, 3]
+        row, ids, dist = gather_level(ps, centers.reshape(R, count, 3), gather_r,
+                                      lv.max_neighbors)
+        roi_of = row // count
+        offs = to_box_frames(ps.coords[ids] - centers[row], yaw, roi_of)
         coeff = (soft_radius_coeff(dist, take(r_vec, roi_of), tau)
                  if cfg.darp_enabled else None)
         grid = gated_attention_batched(offs, ps.feats[ids], params.attention[li],
-                                       gates, coeff, row, R * lv.grid.count)
-        sums = vsum(reshape(grid, (R, lv.grid.count, cfg.d_model)), axis=1)
-        level_feats.append(params.reduce[li](mul(sums, 1.0 / lv.grid.count)))
+                                       gates, coeff, row, R * count)
+        sums = vsum(reshape(grid, (R, count, cfg.d_model)), axis=1)
+        level_feats.append(params.reduce[li](mul(sums, 1.0 / count)))
     fused = params.fusion(concat(level_feats, axis=1))
     return fused, radii_used
-
-
-def extract_roi_features(roi: Box3D, ps: PointSet, idx: SpatialIndex,
-                         cfg: HeadConfig, params: HeadParams,
-                         tau: float | None = None) -> Value:
-    """Fused feature vector of a single RoI (evaluation temperature by default)."""
-    fused, _ = forward_rois(cfg, params, ps, idx, [roi],
-                            cfg.tau_end if tau is None else tau)
-    return reshape(fused, (cfg.fusion_out,))
 
 
 # -- detections --------------------------------------------------------------
 
 @dataclass
 class Detection:
-    """A refined proposal: score plus box residuals applied to the proposal."""
+    """A refined proposal: score plus box residuals applied to the proposal,
+    and row ``row`` of its ``refine`` call's (logits [R], residuals [R, 7])."""
 
     proposal: Box3D
     box: Box3D
     score: float
     residuals: np.ndarray
-    logit: Value | None = None
-    residuals_value: Value | None = None
+    outputs: tuple[Value, Value] | None = None
+    row: int = 0
 
 
 def apply_residuals(proposal: Box3D, residuals: np.ndarray) -> Box3D:
@@ -218,18 +207,16 @@ def apply_residuals(proposal: Box3D, residuals: np.ndarray) -> Box3D:
     return Box3D.from_center(center, extents, wrap_angle(proposal.yaw + res[6]))
 
 
-def refine(roi: Box3D, feature: Value, params: HeadParams) -> Detection:
-    logit = reshape(params.cls_head(feature), ())
-    res = params.reg_head(feature)
-    res_np = res.data.copy()
-    return Detection(
-        proposal=roi,
-        box=apply_residuals(roi, res_np),
-        score=float(sigmoid(logit.item())),
-        residuals=res_np,
-        logit=logit,
-        residuals_value=res,
-    )
+def refine(rois: list[Box3D], fused: Value, params: HeadParams) -> list[Detection]:
+    """Detections of the RoIs from their fused features [R, fusion_out]:
+    one cls and one reg call over all rows."""
+    logits = reshape(params.cls_head(fused), (len(rois),))
+    res = params.reg_head(fused)
+    outputs = (logits, res)
+    scores = sigmoid(logits.data)
+    return [Detection(roi, apply_residuals(roi, res.data[i]), float(scores[i]),
+                      res.data[i].copy(), outputs, i)
+            for i, roi in enumerate(rois)]
 
 
 def run_head(cfg: HeadConfig, params: HeadParams, ps: PointSet,
@@ -239,11 +226,7 @@ def run_head(cfg: HeadConfig, params: HeadParams, ps: PointSet,
     if not rois:
         return [], [np.zeros(0) for _ in cfg.pyramid.levels]
     fused, radii = forward_rois(cfg, params, ps, idx, rois, tau)
-    dets = []
-    for i, roi in enumerate(rois):
-        feat = reshape(take(fused, [i]), (cfg.fusion_out,))
-        dets.append(refine(roi, feat, params))
-    return dets, radii
+    return refine(rois, fused, params), radii
 
 
 # -- geometry helpers for targets and metrics --------------------------------
@@ -280,20 +263,22 @@ def residual_target(proposal: Box3D, gt: Box3D) -> np.ndarray:
 
 def loss(dets: list[Detection], targets: list[tuple[int, Box3D]],
          cfg: HeadConfig) -> Value:
-    """Mean score cross-entropy plus weighted box regression on positives."""
+    """Mean score cross-entropy plus weighted box regression on positives,
+    over the detections of one ``run_head`` call, in order."""
     if len(dets) != len(targets):
         raise ValueError("detections and targets must align")
     if not dets:
         return Value(0.0)
-    logits = concat([reshape(d.logit, (1,)) for d in dets], axis=0)
+    outputs = dets[0].outputs
+    if (outputs is None or len(dets) != outputs[0].shape[0]
+            or any(d.outputs is not outputs or d.row != i for i, d in enumerate(dets))):
+        raise ValueError("loss takes the detections of one run_head call, in order")
+    logits, residuals = outputs
     labels = np.array([float(lbl) for lbl, _ in targets])
     bce = mul(vsum(add(softplus(logits), mul(logits, -labels))), 1.0 / len(dets))
-    reg_terms = []
-    for det, (lbl, gt) in zip(dets, targets):
-        if lbl:
-            diff = add(det.residuals_value, -residual_target(det.proposal, gt))
-            reg_terms.append(reshape(vsum(smooth_l1(diff)), (1,)))
-    if reg_terms:
-        reg = mul(vsum(concat(reg_terms, axis=0)), 1.0 / len(reg_terms))
-        return add(bce, mul(reg, cfg.reg_weight))
-    return bce
+    pos = np.flatnonzero(labels)
+    if not pos.size:
+        return bce
+    want = np.array([residual_target(dets[i].proposal, targets[i][1]) for i in pos])
+    reg = mul(vsum(smooth_l1(add(take(residuals, pos), -want))), 1.0 / pos.size)
+    return add(bce, mul(reg, cfg.reg_weight))

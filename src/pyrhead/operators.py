@@ -49,7 +49,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Value, _data, _unbroadcast, concat, reshape, vmax
+from .autodiff import Value, _data, _unbroadcast, concat, reshape, segment_max
 from .autodiff import _np_sigmoid, _np_sigmoid_slope
 from .nn import LinearParams, MLPParams, init_linear
 from .spatial import PointSet, SpatialIndex
@@ -226,14 +226,12 @@ def hard_membership(d, r):
 # -- max pooling --------------------------------------------------------------
 
 def pool_feature(nb: NeighborBundle, mlp: MLPParams) -> Value:
-    """Channelwise max over MLP([feature, offset]) of each neighbor."""
+    """Channelwise max over MLP([feature, offset]) of each neighbor, or zeros."""
     if nb.feats.shape[1] + 3 != mlp.d_in:
         raise ValueError(
             f"pool MLP expects width {nb.feats.shape[1] + 3}, has {mlp.d_in}")
-    if len(nb) == 0:
-        return Value(np.zeros(mlp.d_out))
     x = concat([nb.feats, nb.offsets], axis=1)
-    return vmax(mlp(x), axis=0)
+    return reshape(segment_max(mlp(x), np.zeros(len(nb)), 1), (mlp.d_out,))
 
 
 # -- unified gated operator -------------------------------------------------

@@ -66,21 +66,24 @@ class PointSet:
 
     @classmethod
     def load(cls, path) -> "PointSet":
-        raw = Path(path).read_bytes()
-        if raw[:4] != PSET_MAGIC:
-            raise ValueError(f"{path}: not a PSET file")
-        if len(raw) < 12:
-            raise ValueError(f"{path}: PSET header needs 12 bytes, file has {len(raw)}")
-        n, d = struct.unpack("<II", raw[4:12])
-        expected = 12 + 4 * n * (3 + d)
-        if len(raw) != expected:
-            raise ValueError(f"{path}: PSET with {n} points of width {d} needs "
-                             f"{expected} bytes, file has {len(raw)}")
-        off = 12
-        coords = np.frombuffer(raw, dtype="<f4", count=n * 3, offset=off)
-        off += n * 3 * 4
-        feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=off)
+        """A PSET file, or a ``from_json`` one if the name ends in .json; a
+        malformed file raises ValueError naming the path."""
+        path = Path(path)
         try:
+            if path.suffix == ".json":
+                return cls.from_json(path.read_text())
+            raw = path.read_bytes()
+            if raw[:4] != PSET_MAGIC:
+                raise ValueError("not a PSET file")
+            if len(raw) < 12:
+                raise ValueError(f"PSET header needs 12 bytes, file has {len(raw)}")
+            n, d = struct.unpack("<II", raw[4:12])
+            expected = 12 + 4 * n * (3 + d)
+            if len(raw) != expected:
+                raise ValueError(f"PSET with {n} points of width {d} needs "
+                                 f"{expected} bytes, file has {len(raw)}")
+            coords = np.frombuffer(raw, dtype="<f4", count=n * 3, offset=12)
+            feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=12 + n * 3 * 4)
             return cls(coords.reshape(n, 3).astype(np.float64),
                        feats.reshape(n, d).astype(np.float64))
         except ValueError as exc:
@@ -92,10 +95,18 @@ class PointSet:
 
     @classmethod
     def from_json(cls, text: str) -> "PointSet":
+        """Point set from a JSON object; a missing field or a ``coords`` that
+        is not a list of 3-vectors raises ValueError naming the field."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("point set must be a JSON object with coords and feats")
-        coords = np.asarray(doc["coords"], dtype=np.float64).reshape(-1, 3)
+        for name in ("coords", "feats"):
+            if name not in doc:
+                raise ValueError(f"point set field {name!r} is missing")
+        coords = np.asarray(doc["coords"], dtype=object)
+        if coords.size and (coords.ndim != 2 or coords.shape[1] != 3):
+            raise ValueError("point set field 'coords' must be a list of 3-vectors")
+        coords = coords.astype(np.float64).reshape(-1, 3)
         feats = np.asarray(doc["feats"], dtype=np.float64)
         if feats.size == 0:
             feats = feats.reshape(len(coords), -1) if len(coords) else feats.reshape(0, 0)
@@ -152,6 +163,14 @@ class SpatialIndex:
         """Ascending ids of all points in cells overlapping the box [lo, hi]."""
         _, starts, counts, _ = self._columns(np.array([lo, hi], dtype=np.float64)[..., None])
         return np.sort(self._order[_runs(starts, counts)])
+
+    def balls(self, centers, r: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(row, ids, dist) of the points within r of each of the [m, 3]
+        centers: closed uncapped balls, rows ascending, at the distances
+        ``gather_level`` computes."""
+        at = np.ascontiguousarray(np.reshape(centers, (-1, 3)).T, dtype=np.float64)
+        r = np.full(at.shape[1], float(r))
+        return _gather_pairs(self, at, r, *self._columns(_ball_boxes(at, r))[:3])
 
     def _columns(self, bounds: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -427,11 +427,8 @@ def evaluate(head_cfg: HeadConfig, params: HeadParams, scenes: list[Scene],
     bucket_tot: dict[str, int] = {}
     bucket_ok: dict[str, int] = {}
     for sc in scenes:
-        if not sc.proposals:
-            continue
-        idx = build_index(sc.ps, INDEX_CELL)
-        dets, _ = run_head(head_cfg, params, sc.ps, idx, sc.proposals,
-                           head_cfg.tau_end)
+        dets, _ = run_head(head_cfg, params, sc.ps, build_index(sc.ps, INDEX_CELL),
+                           sc.proposals, head_cfg.tau_end)
         for det, g in zip(dets, sc.proposal_gt):
             gt = sc.gt_boxes[g]
             label = assign_label(det.proposal, gt, head_cfg.iou_positive)

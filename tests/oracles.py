@@ -9,8 +9,11 @@
   sorted-cell gather must reproduce its (row, ids, dist) bitwise.
 - ``grid_points``: the standard single-level RoI grid, which a unit-ratio
   pyramid level must reproduce bitwise.
-- ``softmax``, ``segment_sum`` and ``vsigmoid``: autodiff ops that only
-  these references and the autodiff tests use.
+- ``softmax``, ``segment_sum``, ``vsigmoid`` and ``vmax``: autodiff ops
+  that only these references and the autodiff tests use.
+- ``per_roi_context_embedding``: the former context embedding, one RoI
+  at a time, with one ``SpatialIndex.query`` per sphere and a zero branch
+  for an empty sphere. The batched embedding must reproduce it.
 - ``masked_sigmoid``: the logistic function written with a boolean mask
   per sign, which the branch-free ``autodiff._np_sigmoid`` must reproduce
   bitwise.
@@ -20,8 +23,9 @@
   gated attention with GRAPH_GATES, ATTENTION_GATES or TRANSFORMER_GATES
   must reproduce each of them (the paper's gate-reduction claim).
 - ``batch_query_capped``, ``grouped_gated_attention`` and
-  ``grouped_forward_rois``: the head's former forward pass, which queried
-  each RoI's grid points against one distance matrix, grouped the grid
+  ``grouped_forward_rois``: the head's former forward pass, which embedded
+  each RoI's context on its own, queried each RoI's grid points against
+  one distance matrix, grouped the grid
   points of a level by exact neighbour count and ran one ``[g, m]`` gated
   attention per group. The ragged per-level path must reproduce its
   scores, residuals and parameter gradients.
@@ -36,9 +40,9 @@ import numpy as np
 
 from pyrhead.autodiff import (Value, add, concat, mul, reshape, take,
                               vsum)
-from pyrhead.darp import context_embedding, predict_radius
-from pyrhead.geometry import (Box3D, GridSpec, _lattice, _rotate_about,
-                              pyramid_grid_points, rot_z)
+from pyrhead.darp import predict_radius
+from pyrhead.geometry import (Box3D, GridSpec, _lattice, pyramid_grid_points,
+                              rot_z)
 from pyrhead.operators import (AttentionParams, NeighborBundle,
                                soft_radius_coeff)
 
@@ -129,7 +133,9 @@ def grid_points(box: Box3D, grid: GridSpec) -> np.ndarray:
     """Standard RoI-grid: cell centers of an N_w x N_l x N_h lattice in the box."""
     step = box.extents / np.array(grid.sizes, dtype=np.float64)
     pts = step * (_lattice(grid.sizes) + 0.5) + box.corner
-    return _rotate_about(pts, box.center, box.yaw)
+    if box.yaw == 0.0:
+        return pts
+    return (pts - box.center) @ rot_z(box.yaw).T + box.center
 
 
 def masked_sigmoid(d: np.ndarray) -> np.ndarray:
@@ -189,6 +195,38 @@ def segment_sum(x: Value, segment_ids, num_segments: int) -> Value:
 
     out._backward = _bw
     return out
+
+
+def vmax(x: Value, axis: int, keepdims=False) -> Value:
+    """Max along one axis; gradient routes to the first maximal element."""
+    mx = x.data.max(axis=axis, keepdims=True)
+    hit = x.data == mx
+    first = hit & (np.cumsum(hit, axis=axis) == 1)
+    out = Value(mx if keepdims else np.squeeze(mx, axis=axis), (x,))
+
+    def _bw(g):
+        if not keepdims:
+            g = np.expand_dims(g, axis)
+        x._accum_owned(first * g)
+
+    out._backward = _bw
+    return out
+
+
+def per_roi_context_embedding(roi: Box3D, ps, idx, params) -> Value:
+    """Concatenated per-sphere max-pooled summaries of points near one RoI."""
+    center = roi.center
+    derot = rot_z(roi.yaw)
+    parts = []
+    for radius, mlp in zip(params.radii, params.mlps):
+        ids = idx.query(center, radius, max_k=None)[0]
+        if ids.size == 0:
+            parts.append(Value(np.zeros(mlp.d_out)))
+            continue
+        x = np.concatenate([ps.feats[ids], (ps.coords[ids] - center) @ derot],
+                           axis=1)
+        parts.append(vmax(mlp(x), axis=0))
+    return concat(parts, axis=0)
 
 
 def _per_head_combine(weights: Value, values: Value, heads: int) -> Value:
@@ -353,7 +391,7 @@ def grouped_forward_rois(cfg, params, ps, idx, rois, tau):
     """Fused per-RoI features, grid points grouped by (level, neighbour count)."""
     R = len(rois)
     gates = cfg.gates()
-    ctxs = [context_embedding(roi, ps, idx, params.context) for roi in rois]
+    ctxs = [per_roi_context_embedding(roi, ps, idx, params.context) for roi in rois]
     ctx_batch = concat([reshape(c, (1, c.size)) for c in ctxs], axis=0)
     derot = [rot_z(roi.yaw) for roi in rois]
     level_feats = []

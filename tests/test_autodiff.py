@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import masked_sigmoid, segment_sum, softmax, vsigmoid
 from pyrhead.autodiff import (Value, _np_sigmoid, add, concat, finite_diff_grad,
                               linear, mul, rel_error, reshape, sigmoid,
-                              smooth_l1, softplus, take, vmax, vsum)
+                              segment_max, smooth_l1, softplus, take, vsum)
 
 
 def fd_against_tape(make_loss, leaves, h=1e-5, tol=1e-4):
@@ -172,9 +172,37 @@ class TestReverseMode:
         np.testing.assert_array_equal(unused.grad, np.zeros(3))
 
     def test_max_routes_to_first_argmax(self):
-        x = Value(np.array([[1.0, 5.0, 5.0]]))
-        vmax(x, axis=1).backward()
-        np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
+        # channel 0 ties between rows 1 and 2 of id 0; channel 1 does not
+        x = Value(np.array([[1.0, 2.0], [5.0, 7.0], [5.0, 3.0], [4.0, 4.0]]))
+        out = segment_max(x, [0, 0, 0, 1], 2)
+        np.testing.assert_array_equal(out.data, [[5.0, 7.0], [4.0, 4.0]])
+        vsum(mul(out, np.array([[1.0, 2.0], [3.0, 4.0]]))).backward()
+        np.testing.assert_array_equal(x.grad, [[0, 0], [1, 2], [0, 0], [3, 4]])
+
+    def test_segment_max_empty_id_gives_zeros_and_no_gradient(self):
+        x = Value(np.array([[-3.0, -1.0], [-2.0, -5.0]]))
+        out = segment_max(x, [1, 1], 3)
+        np.testing.assert_array_equal(out.data, [[0, 0], [-2, -1], [0, 0]])
+        vsum(out).backward()
+        np.testing.assert_array_equal(x.grad, [[0, 1], [1, 0]])
+        empty = Value(np.zeros((0, 2)))
+        out = segment_max(empty, [], 2)
+        np.testing.assert_array_equal(out.data, np.zeros((2, 2)))
+        vsum(out).backward()
+        assert empty.grad.shape == (0, 2)
+
+    def test_segment_max_rejects_unsorted_ids(self):
+        with pytest.raises(ValueError, match="ascending"):
+            segment_max(Value(np.zeros((3, 2))), [0, 1, 0], 2)
+        with pytest.raises(ValueError, match="ascending"):
+            segment_max(Value(np.zeros((2, 2))), [0, 2], 2)
+
+    def test_segment_max_matches_fd(self):
+        rng = np.random.default_rng(8)
+        x = Value(rng.normal(size=(7, 3)))
+        u = rng.normal(size=(4, 3))
+        fd_against_tape(lambda: vsum(mul(segment_max(x, [0, 0, 0, 2, 3, 3, 3], 4), u)),
+                        {"x": x})
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ValueError):

@@ -175,11 +175,20 @@ class TestExitCodes:
         (["attend", "--op", "graph"], None, "[1, 2]", "JSON object"),
         (["attend", "--op", "graph"], None, "null", "JSON object"),
         (["attend", "--op", "graph", "--radius", "nan"], None, None, "--radius"),
+        (["attend", "--op", "graph"], None, "{}", "'coords' is missing"),
+        (["attend", "--op", "graph"], None, '{"coords": [[0, 0, 0]]}', "'feats' is missing"),
+        (["attend", "--op", "graph"], None, '{"coords": [1, 2], "feats": []}',
+         "'coords' must be a list of 3-vectors"),
+        (["attend", "--op", "graph"], None, '{"coords": [[0, 0, "x"]], "feats": [[1]]}',
+         "could not convert string to float"),
+        (["attend", "--op", "graph"], None, '{"coords": [[0, 0,', "line 1"),
     ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
             "stats_scenes_neg", "darp_tau_nan", "train_lr_nan",
             "train_momentum_neg", "attend_d_model_0", "gridgen_corner_nan",
             "gridgen_extent_inf", "gridgen_yaw_nan", "gridgen_grid_fraction",
-            "attend_scene_list", "attend_scene_null", "attend_radius_nan"])
+            "attend_scene_list", "attend_scene_null", "attend_radius_nan",
+            "attend_scene_no_coords", "attend_scene_no_feats", "attend_scene_flat_coords",
+            "attend_scene_text_coord", "attend_scene_bad_json"])
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                      argv, config, scene, field):
         if config is not None:
@@ -200,6 +209,8 @@ class TestExitCodes:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert field in err
+        if scene is not None:
+            assert f"error: {path}: " in err
 
     @pytest.mark.parametrize("op", ["pool", "graph", "attention", "transformer"])
     def test_attend_rejects_gates_for_ops_without_them(self, capsys, op):

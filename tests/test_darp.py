@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from pyrhead.autodiff import Value, finite_diff_grad, mul, rel_error
+from oracles import per_roi_context_embedding
+from pyrhead.autodiff import Value, finite_diff_grad, mul, rel_error, vsum
 from pyrhead.darp import (OFFSET_SCALE, TemperatureSchedule, context_embedding,
                           init_context_params, init_radius_head,
                           predict_radius, temperature)
@@ -76,10 +77,42 @@ class TestContextEmbedding:
             chunks.append(np.array(rows).max(axis=0))
         np.testing.assert_allclose(got, np.concatenate(chunks), atol=1e-12)
 
+    def test_list_equals_stacked_one_box_calls_and_per_roi_oracle(self):
+        rng = np.random.default_rng(9)
+        params = init_context_params(rng, D, radii=(1.5, 3.0), sphere_width=8)
+        ps = make_scene(rng, 120)
+        idx = build_index(ps, 1.3)
+        rois = [Box3D.from_center(rng.uniform(-3, 3, 3), rng.uniform(0.5, 2.0, 3),
+                                  rng.uniform(-3, 3)) for _ in range(6)]
+        rois.append(Box3D.from_center([40.0, 0, 0], [1, 1, 1], 0.2))   # no points
+        got = context_embedding(rois, ps, idx, params)
+        assert got.shape == (len(rois), params.out_width)
+        one = np.stack([context_embedding(r, ps, idx, params).data for r in rois])
+        want = np.stack([per_roi_context_embedding(r, ps, idx, params).data
+                         for r in rois])
+        np.testing.assert_array_equal(got.data[-1], np.zeros(params.out_width))
+        for other in (one, want):
+            assert np.max(np.abs(got.data - other)) <= 1e-12 * np.max(np.abs(other))
+        # and the same parameter gradients as the per-RoI embedding
+        u = rng.normal(size=got.shape)
+
+        def param_grads(out):
+            for _, p in params.named_parameters():
+                p.zero_grad()
+            out.backward()
+            return np.concatenate([p.grad.ravel() for _, p in params.named_parameters()])
+
+        batched = param_grads(vsum(mul(got, u)))
+        terms = [vsum(mul(per_roi_context_embedding(r, ps, idx, params), u[i]))
+                 for i, r in enumerate(rois)]
+        per_roi = param_grads(sum(terms, Value(0.0)))
+        assert np.max(np.abs(batched - per_roi)) <= 1e-12 * np.max(np.abs(per_roi))
+
     def test_context_radii_must_increase(self):
         rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            init_context_params(rng, D, radii=(4.8, 2.4))
+        for radii in ((4.8, 2.4), (0.0, 2.4), (-1.0, 2.4), (2.4, 2.4)):
+            with pytest.raises(ValueError, match="positive, increasing"):
+                init_context_params(rng, D, radii=radii)
 
 
 class TestPredictRadius:

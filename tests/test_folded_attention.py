@@ -28,8 +28,9 @@ GATES = {"learned": None, "graph": GRAPH_GATES, "attention": ATTENTION_GATES,
          "transformer": TRANSFORMER_GATES}
 # nodes of the default training step's tape on scene 0 of seed 0, leaves
 # included; 276 while each level had key, query and value nodes and each
-# radius three nodes
-TRAIN_STEP_TAPE_NODES = 251
+# radius three nodes, 251 while the context embedding, refine and loss
+# made nodes per RoI
+TRAIN_STEP_TAPE_NODES = 206
 
 
 def _rel(a, b, floor=1e-300):
@@ -172,19 +173,28 @@ def test_gate_gradient_exact_far_from_boundary(z):
     assert abs(params.gate_value.b.grad[0] - want) <= 1e-15 * want
 
 
-def test_default_training_step_tape_size():
-    """One attention node per level and one radius node per level."""
+def _train_step_tape_nodes(copies):
+    """Tape nodes of a default training step on scene 0 of seed 0, its
+    proposals repeated ``copies`` times."""
     scene = generate_scene(SceneConfig(seed=0), 0)
     cfg = HeadConfig()
     params = init_head_params(cfg, 0)
+    rois = scene.proposals * copies
     dets, _ = run_head(cfg, params, scene.ps, build_index(scene.ps, INDEX_CELL),
-                       scene.proposals, cfg.tau_start)
+                       rois, cfg.tau_start)
     targets = [(assign_label(p, scene.gt_boxes[g], cfg.iou_positive), scene.gt_boxes[g])
-               for p, g in zip(scene.proposals, scene.proposal_gt)]
+               for p, g in zip(scene.proposals, scene.proposal_gt)] * copies
     seen, todo = set(), [loss(dets, targets, cfg)]
     while todo:
         node = todo.pop()
         if id(node) not in seen:
             seen.add(id(node))
             todo.extend(node._parents)
-    assert len(seen) == TRAIN_STEP_TAPE_NODES
+    return len(rois), len(seen)
+
+
+def test_default_training_step_tape_size():
+    """One node per stage, whatever the RoI count: one attention node and
+    one radius node per level, and one context, refine and loss path."""
+    assert _train_step_tape_nodes(1) == (4, TRAIN_STEP_TAPE_NODES)
+    assert _train_step_tape_nodes(4) == (16, TRAIN_STEP_TAPE_NODES)

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 
 from oracles import graph_feature, grid_points
-from pyrhead.autodiff import Value, reshape
+from pyrhead import head
+from pyrhead.autodiff import Value
 from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig,
                               PyramidLevelConfig, default_pyramid_config,
                               pyramid_grid_points, rot_z)
-from pyrhead.head import (CONFIG_SCHEMA_VERSION, HeadConfig, apply_residuals,
-                          assign_label, axis_aligned_iou, derotated_iou,
-                          extract_roi_features, init_head_params, loss, refine,
-                          run_head)
+from pyrhead.head import (CONFIG_SCHEMA_VERSION, Detection, HeadConfig,
+                          apply_residuals, assign_label, axis_aligned_iou,
+                          derotated_iou, forward_rois, init_head_params, loss,
+                          refine, run_head)
 from pyrhead.nn import init_mlp
 from pyrhead.operators import NeighborBundle
 from pyrhead.spatial import PointSet, build_index
@@ -35,6 +36,17 @@ def tiny_config(**kw):
     return HeadConfig(**defaults)
 
 
+def roi_feature(roi, ps, idx, cfg, params):
+    """Fused feature vector of a single RoI at the evaluation temperature."""
+    fused, _ = forward_rois(cfg, params, ps, idx, [roi], cfg.tau_end)
+    return fused.data.reshape(cfg.fusion_out)
+
+
+def scene_targets(scene, cfg):
+    return [(assign_label(p, scene.gt_boxes[g], cfg.iou_positive), scene.gt_boxes[g])
+            for p, g in zip(scene.proposals, scene.proposal_gt)]
+
+
 class TestExtractFeatures:
     def test_empty_scene_matches_zero_feature_pipeline(self):
         cfg = tiny_config()
@@ -42,7 +54,7 @@ class TestExtractFeatures:
         ps = PointSet.empty(cfg.feat_width)
         idx = build_index(ps, 1.0)
         roi = Box3D.from_center([0, 0, 0], [2, 3, 1.5], 0.3)
-        got = extract_roi_features(roi, ps, idx, cfg, params).data
+        got = roi_feature(roi, ps, idx, cfg, params)
         # independent mini-pipeline: zero grid features through the same maps
         reduced = params.reduce[0](Value(np.zeros((1, cfg.d_model))))
         want = params.fusion(reduced).data.reshape(-1)
@@ -56,7 +68,7 @@ class TestExtractFeatures:
         ps = PointSet(coords, rng.normal(size=(50, cfg.feat_width)))
         idx = build_index(ps, 1.0)
         roi = Box3D.from_center([0.2, -0.1, 0.0], [2.0, 3.0, 1.5], 0.4)
-        got = extract_roi_features(roi, ps, idx, cfg, params).data
+        got = roi_feature(roi, ps, idx, cfg, params)
 
         level = cfg.pyramid.levels[0]
         derot = rot_z(roi.yaw)
@@ -114,11 +126,20 @@ class TestExtractFeatures:
             params = init_head_params(cfg, 7)
             dets, _ = run_head(cfg, params, scene.ps, idx,
                                scene.proposals, 0.01)
-            targets = [(assign_label(p, scene.gt_boxes[g], cfg.iou_positive),
-                        scene.gt_boxes[g])
-                       for p, g in zip(scene.proposals, scene.proposal_gt)]
-            outs.append(loss(dets, targets, cfg).item())
+            outs.append(loss(dets, scene_targets(scene, cfg), cfg).item())
         assert outs[0] == outs[1]
+
+    def test_darp_off_never_embeds_context(self, monkeypatch):
+        def unused(*args):
+            raise AssertionError("context_embedding called with DARP off")
+
+        monkeypatch.setattr(head, "context_embedding", unused)
+        cfg = tiny_config(darp_enabled=False)
+        scene = generate_scene(SceneConfig(seed=5))
+        dets, radii = run_head(cfg, init_head_params(cfg, 0), scene.ps,
+                               build_index(scene.ps, INDEX_CELL), scene.proposals, 0.01)
+        assert len(dets) == len(scene.proposals)
+        assert np.all(radii[0] == TINY_PYRAMID.levels[0].r_pre)
 
 
 class TestRefine:
@@ -147,9 +168,29 @@ class TestRefine:
         params = init_head_params(cfg, 0)
         params.cls_head.W.data = np.zeros_like(params.cls_head.W.data)
         params.cls_head.b.data = np.zeros(1)
-        det = refine(Box3D.from_center([0, 0, 0], [1, 1, 1], 0.0),
-                     Value(np.ones(cfg.fusion_out)), params)
-        assert det.score == 0.5
+        rois = [Box3D.from_center([0, 0, 0], [1, 1, 1], 0.0),
+                Box3D.from_center([3, 0, 0], [1, 2, 1], 0.5)]
+        dets = refine(rois, Value(np.ones((2, cfg.fusion_out))), params)
+        assert [d.score for d in dets] == [0.5, 0.5]
+        assert [d.proposal for d in dets] == rois and [d.row for d in dets] == [0, 1]
+
+    def test_one_cls_and_reg_call_for_all_rois(self):
+        cfg = tiny_config()
+        params = init_head_params(cfg, 1)
+        rng = np.random.default_rng(1)
+        fused = Value(rng.normal(size=(3, cfg.fusion_out)))
+        rois = [Box3D.from_center(rng.normal(size=3), [1, 2, 1], y) for y in (0.1, 0.2, 0.3)]
+        dets = refine(rois, fused, params)
+        logits, residuals = dets[0].outputs
+        assert all(d.outputs is dets[0].outputs for d in dets)
+        assert logits.shape == (3,) and residuals.shape == (3, 7)
+        for i, (roi, det) in enumerate(zip(rois, dets)):
+            res = params.reg_head(fused.data[i]).data
+            np.testing.assert_allclose(det.residuals, res, rtol=1e-12, atol=1e-15)
+            logit = params.cls_head(fused.data[i]).data.item()
+            assert det.score == pytest.approx(1 / (1 + math.exp(-logit)), rel=1e-12)
+            box = apply_residuals(roi, res)
+            np.testing.assert_allclose(det.box.corner, box.corner, rtol=1e-12)
 
     def test_diverged_residuals_raise(self):
         roi = Box3D.from_center([0, 0, 0], [1, 1, 1], 0.0)
@@ -159,26 +200,55 @@ class TestRefine:
             apply_residuals(roi, res)
 
 
+def detections(proposal, logits, residuals):
+    """Detections of one proposal sharing one (logits, residuals) pair."""
+    outputs = (Value(np.asarray(logits, dtype=np.float64)), Value(residuals))
+    return [Detection(proposal=proposal, box=proposal, score=0.5,
+                      residuals=residuals[i], outputs=outputs, row=i)
+            for i in range(len(logits))]
+
+
 class TestLoss:
     def test_perfect_positive_has_zero_regression(self):
-        from pyrhead.head import Detection
         gt = Box3D.from_center([0, 0, 0], [2, 4, 1.5], 0.2)
-        det = Detection(proposal=gt, box=gt, score=1.0,
-                        residuals=np.zeros(7), logit=Value(20.0),
-                        residuals_value=Value(np.zeros(7)))
-        out = loss([det], [(1, gt)], HeadConfig())
+        dets = detections(gt, [20.0], np.zeros((1, 7)))
+        out = loss(dets, [(1, gt)], HeadConfig())
         assert out.item() == pytest.approx(math.log1p(math.exp(-20.0)),
                                            rel=1e-9)
 
     def test_half_score_gives_ln2_per_sample(self):
-        from pyrhead.head import Detection
         gt = Box3D.from_center([0, 0, 0], [2, 4, 1.5], 0.0)
-        dets = [Detection(proposal=gt, box=gt, score=0.5,
-                          residuals=np.zeros(7), logit=Value(0.0),
-                          residuals_value=Value(np.zeros(7)))
-                for _ in range(3)]
+        dets = detections(gt, [0.0, 0.0, 0.0], np.zeros((3, 7)))
         out = loss(dets, [(0, gt), (1, gt), (0, gt)], HeadConfig())
         assert out.item() == pytest.approx(math.log(2.0), rel=1e-12)
+
+    def test_regression_mean_over_positives(self):
+        gt = Box3D.from_center([0, 0, 0], [2, 4, 1.5], 0.0)
+        res = np.zeros((3, 7))
+        res[0, 0], res[2, 1] = 0.5, 3.0       # huber 0.125 and 2.5
+        dets = detections(gt, [50.0, -50.0, 50.0], res)
+        out = loss(dets, [(1, gt), (0, gt), (1, gt)], HeadConfig(reg_weight=2.0))
+        assert out.item() == pytest.approx(2.0 * (0.125 + 2.5) / 2, rel=1e-12)
+        out.backward()
+        want = np.zeros((3, 7))
+        want[0, 0], want[2, 1] = 0.5, 1.0
+        np.testing.assert_allclose(dets[0].outputs[1].grad, want, rtol=1e-12)
+
+    def test_rejects_detections_mixed_from_two_calls_or_reordered(self):
+        cfg = tiny_config()
+        params = init_head_params(cfg, 0)
+        scene = generate_scene(SceneConfig(seed=5))
+        idx = build_index(scene.ps, INDEX_CELL)
+        targets = scene_targets(scene, cfg)
+        a, _ = run_head(cfg, params, scene.ps, idx, scene.proposals, 0.01)
+        b, _ = run_head(cfg, params, scene.ps, idx, scene.proposals, 0.01)
+        assert len(a) >= 2
+        loss(a, targets, cfg)
+        for bad in (b[:1] + a[1:], a[::-1], a[1:] + a[:1]):
+            with pytest.raises(ValueError, match="one run_head call, in order"):
+                loss(bad, targets, cfg)
+        with pytest.raises(ValueError, match="one run_head call, in order"):
+            loss(a[:1], targets[:1], cfg)
 
     def test_empty_batch_zero(self):
         assert loss([], [], HeadConfig()).item() == 0.0
@@ -279,9 +349,7 @@ class TestTapeFreesItself:
         scene = generate_scene(SceneConfig(seed=5))
         idx = build_index(scene.ps, INDEX_CELL)
         params = init_head_params(cfg, 0)
-        targets = [(assign_label(p, scene.gt_boxes[g], cfg.iou_positive),
-                    scene.gt_boxes[g])
-                   for p, g in zip(scene.proposals, scene.proposal_gt)]
+        targets = scene_targets(scene, cfg)
         gc.collect()
         gc.disable()
         try:

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from oracles import batch_query_capped, grouped_forward_rois
-from pyrhead.autodiff import reshape, take
 from pyrhead.darp import context_embedding, predict_radius
 from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig,
                               PyramidLevelConfig, pyramid_grid_points, rot_z)
@@ -100,9 +99,7 @@ def _outputs(cfg, params, ps, idx, rois, targets, tau, forward):
     if forward is None:
         dets, _ = run_head(cfg, params, ps, idx, rois, tau)
     else:
-        fused = forward(cfg, params, ps, idx, rois, tau)
-        dets = [refine(roi, reshape(take(fused, [i]), (cfg.fusion_out,)), params)
-                for i, roi in enumerate(rois)]
+        dets = refine(rois, forward(cfg, params, ps, idx, rois, tau), params)
     loss(dets, targets, cfg).backward()
     scores = np.array([d.score for d in dets])
     residuals = np.stack([d.residuals for d in dets])

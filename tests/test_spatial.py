@@ -103,6 +103,50 @@ class TestBallQuery:
                                           b.query(c, 2.0, 7)[0])
 
 
+class TestBalls:
+    """``SpatialIndex.balls``: every point of many uncapped closed balls."""
+
+    @staticmethod
+    def _assert_scan(idx, ps, centers, r):
+        row, ids, dist = idx.balls(centers, r)
+        assert np.all(np.diff(row) >= 0)
+        for i, c in enumerate(np.asarray(centers, dtype=np.float64).reshape(-1, 3)):
+            mine = row == i
+            want = brute_force_query(ps, c, r)
+            np.testing.assert_array_equal(np.sort(ids[mine]), np.sort(want))
+            np.testing.assert_array_equal(
+                dist[mine], np.linalg.norm(ps.coords[ids[mine]] - c, axis=1))
+        return row
+
+    def test_matches_scan_with_points_exactly_at_r(self):
+        rng = np.random.default_rng(11)
+        rim = np.array([[1.0, 0, 0], [0, -1.0, 0], [0, 0, 1.0], [3.5, 3.0, 0.0]])
+        ps = PointSet(np.concatenate([rim, rng.uniform(-4, 4, size=(300, 3))]),
+                      np.zeros((304, 1)))
+        idx = build_index(ps, 0.9)
+        centers = np.concatenate([[[0.0, 0, 0], [2.5, 3.0, 0], [50.0, 50, 50]],
+                                  rng.uniform(-4, 4, size=(20, 3))])
+        row = self._assert_scan(idx, ps, centers, 1.0)
+        assert {0, 1, 2, 3} <= set(idx.balls(centers[:2], 1.0)[1].tolist())
+        assert 2 not in row                     # the far centre has no row
+
+    def test_empty_point_set_and_no_centers(self):
+        idx = build_index(PointSet.empty(2), 1.0)
+        row, ids, dist = idx.balls(np.zeros((3, 3)), 2.0)
+        assert row.size == ids.size == dist.size == 0
+        rng = np.random.default_rng(12)
+        ps = random_pointset(rng, 50, span=5.0)
+        assert build_index(ps, 1.0).balls(np.zeros((0, 3)), 2.0)[0].size == 0
+
+    @given(st.integers(0, 10_000), st.floats(0.05, 6.0))
+    @settings(max_examples=40, deadline=None)
+    def test_random_balls_match_scan(self, seed, r):
+        rng = np.random.default_rng(seed)
+        ps = random_pointset(rng, int(rng.integers(0, 200)), span=8.0)
+        idx = build_index(ps, float(rng.uniform(0.3, 3.0)))
+        self._assert_scan(idx, ps, rng.uniform(-1, 9, size=(6, 3)), r)
+
+
 class TestExtendedQuery:
     def test_tiny_tau_equals_ball_query(self):
         rng = np.random.default_rng(2)
