@@ -268,6 +268,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise CliError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
     except (CliError, ValueError, KeyError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

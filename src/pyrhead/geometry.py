@@ -6,6 +6,7 @@ box center by the heading angle.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -226,14 +227,13 @@ def default_pyramid_config() -> PyramidConfig:
     return PyramidConfig(levels)
 
 
+@functools.cache
 def _lattice(sizes: tuple[int, int, int]) -> np.ndarray:
-    """Integer (i,j,k) triples in lexicographic order, shape [N,3]."""
-    nw, nl, nh = sizes
-    idx = np.stack(
-        np.meshgrid(np.arange(nw), np.arange(nl), np.arange(nh), indexing="ij"),
-        axis=-1,
-    )
-    return idx.reshape(-1, 3).astype(np.float64)
+    """Integer (i,j,k) triples in lexicographic order, shape [N,3]; built
+    once per grid size and shared, so read-only."""
+    idx = np.indices(sizes).reshape(3, -1).T.astype(np.float64, order="C")
+    idx.flags.writeable = False
+    return idx
 
 
 def pyramid_grid_points(boxes, level: PyramidLevelConfig) -> np.ndarray:

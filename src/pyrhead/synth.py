@@ -22,7 +22,7 @@ from .geometry import (Box3D, PyramidConfig, default_pyramid_config,
                        pyramid_grid_points, rot_z, wrap_angle)
 from .head import (HeadConfig, HeadParams, assign_label, derotated_iou,
                    init_head_params, loss, run_head)
-from .spatial import PointSet, SpatialIndex, build_index, gather_level
+from .spatial import PointSet, SpatialIndex, _packed_key, build_index, gather_level
 
 BUCKET_EDGES = [0, 10, 50, 100, 500]
 BUCKET_LABELS = ["0-10", "10-50", "50-100", "100-500", "500+"]
@@ -100,12 +100,13 @@ def _sample_shell(rng: np.random.Generator, box: Box3D, n: int,
         areas = [box.extents[o[0]] * box.extents[o[1]] for _, _, o in visible]
     areas = np.asarray(areas) / np.sum(areas)
     choice = rng.choice(len(visible), size=n, p=areas)
+    axis, sign, others = (np.array(v)[choice] for v in zip(*visible))
+    rows = np.arange(n)
     local = np.empty((n, 3))
-    for i, c in enumerate(choice):
-        axis, sign, others = visible[c]
-        local[i, axis] = sign * half[axis]
-        local[i, others[0]] = rng.uniform(-half[others[0]], half[others[0]])
-        local[i, others[1]] = rng.uniform(-half[others[1]], half[others[1]])
+    local[rows, axis] = sign * half[axis]
+    # Generator.uniform's arithmetic on its row-major draws, so bitwise the same
+    lo, hi = -half[others], half[others]
+    local[rows[:, None], others] = lo + (hi - lo) * rng.random((n, 2))
     pts = local @ rot.T + box.center
     return pts + rng.normal(0.0, noise, size=pts.shape)
 
@@ -115,24 +116,31 @@ def occupancy_features(coords: np.ndarray, z_extent: float = 4.0) -> np.ndarray:
 
     Log-scaled counts of points sharing the point's grid cell at four cell
     sizes, the normalized height, an isolation flag, and two cross-scale
-    density contrasts.
+    density contrasts. The sizes 0.4 * 2**k double exactly in binary, so
+    one sorted int64 key (the 3.2 cell, then each finer cell's octant)
+    holds every size's cells as runs whose lengths are the counts; a span
+    whose key could wrap raises ValueError.
     """
     n = coords.shape[0]
     feats = np.zeros((n, FEAT_WIDTH))
     if n == 0:
         return feats
-    sizes = [0.4, 0.8, 1.6, 3.2]
-    logc = np.zeros((n, 4))
-    for col, size in enumerate(sizes):
-        cells = np.floor(coords / size).astype(np.int64)
-        _, inverse, counts = np.unique(cells, axis=0, return_inverse=True,
-                                       return_counts=True)
-        logc[:, col] = np.log1p(counts[inverse])
-    feats[:, 0:4] = logc / 4.0
+    cells = np.floor(coords.T / 0.4).astype(np.int64)
+    cells -= cells.min(axis=1, keepdims=True) >> 3 << 3  # keeps the 3.2 boundaries
+    top = cells >> 3
+    octants = [4 * x + 2 * y + z for x, y, z in (cells >> k & 1 for k in (2, 1, 0))]
+    key = _packed_key((*top, *octants), (*(top.max(axis=1) + 1), 8, 8, 8))
+    order = np.argsort(key)
+    key = key[order]
+    logc = np.empty((4, n))
+    for col in range(4):  # keys are >= 0, so -1 pads mark both ends as edges
+        run = np.diff(np.flatnonzero(np.diff(key >> 3 * col, prepend=-1, append=-1)))
+        logc[col, order] = np.log1p(np.repeat(run, run))
+    feats[:, 0:4] = logc.T / 4.0
     feats[:, 4] = coords[:, 2] / z_extent
-    feats[:, 5] = (logc[:, 1] <= np.log1p(1)).astype(np.float64)  # isolated
-    feats[:, 6] = (logc[:, 2] - logc[:, 1]) / 2.0
-    feats[:, 7] = (logc[:, 3] - logc[:, 2]) / 2.0
+    feats[:, 5] = (logc[1] <= np.log1p(1)).astype(np.float64)  # isolated
+    feats[:, 6] = (logc[2] - logc[1]) / 2.0
+    feats[:, 7] = (logc[3] - logc[2]) / 2.0
     return feats
 
 

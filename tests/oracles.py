@@ -33,6 +33,11 @@
   ragged attention, which projected every slot to ``d_model``-wide key,
   query and value rows and gated them there. The folded operator must
   reproduce its output and every gradient to 1e-12 relative.
+- ``row_sort_occupancy_features`` and ``loop_sample_shell``: the former
+  scene set-up, which counted each cell's points with a row sort
+  (``np.unique(cells, axis=0)``) and drew each shell point's face
+  coordinates in a Python loop. Scenes generated with the array versions
+  must be bitwise equal to scenes generated with these.
 """
 from __future__ import annotations
 
@@ -45,6 +50,7 @@ from pyrhead.geometry import (Box3D, GridSpec, _lattice, pyramid_grid_points,
                               rot_z)
 from pyrhead.operators import (AttentionParams, NeighborBundle,
                                soft_radius_coeff)
+from pyrhead.synth import _FACE_AXES, FEAT_WIDTH
 
 
 def brute_force_query(ps, center, r: float, max_k: int | None = None) -> np.ndarray:
@@ -526,3 +532,56 @@ def slot_gated_attention_batched(offsets, feats, params, gates=None, coeff=None,
     q = params.q_pos(offsets)
     v = params.value(feats)
     return slot_gate_core(k, q, v, params, gates, coeff, row, n_rows)
+
+
+def loop_sample_shell(rng: np.random.Generator, box: Box3D, n: int,
+                      sensor: np.ndarray, noise: float) -> np.ndarray:
+    """Sample n points on the faces of the box that face the sensor."""
+    rot = rot_z(box.yaw)
+    half = 0.5 * box.extents
+    visible = []
+    areas = []
+    for axis, sign in _FACE_AXES:
+        normal_local = np.zeros(3)
+        normal_local[axis] = sign
+        normal = rot @ normal_local
+        face_center = box.center + rot @ (normal_local * half)
+        if np.dot(normal, sensor - face_center) > 0:
+            others = [i for i in range(3) if i != axis]
+            visible.append((axis, sign, others))
+            areas.append(box.extents[others[0]] * box.extents[others[1]])
+    if not visible:  # degenerate sensor position, fall back to all faces
+        visible = [(a, s, [i for i in range(3) if i != a]) for a, s in _FACE_AXES]
+        areas = [box.extents[o[0]] * box.extents[o[1]] for _, _, o in visible]
+    areas = np.asarray(areas) / np.sum(areas)
+    choice = rng.choice(len(visible), size=n, p=areas)
+    local = np.empty((n, 3))
+    for i, c in enumerate(choice):
+        axis, sign, others = visible[c]
+        local[i, axis] = sign * half[axis]
+        local[i, others[0]] = rng.uniform(-half[others[0]], half[others[0]])
+        local[i, others[1]] = rng.uniform(-half[others[1]], half[others[1]])
+    pts = local @ rot.T + box.center
+    return pts + rng.normal(0.0, noise, size=pts.shape)
+
+
+def row_sort_occupancy_features(coords: np.ndarray, z_extent: float = 4.0
+                                ) -> np.ndarray:
+    """Local-occupancy features with each size's cells counted by a row sort."""
+    n = coords.shape[0]
+    feats = np.zeros((n, FEAT_WIDTH))
+    if n == 0:
+        return feats
+    sizes = [0.4, 0.8, 1.6, 3.2]
+    logc = np.zeros((n, 4))
+    for col, size in enumerate(sizes):
+        cells = np.floor(coords / size).astype(np.int64)
+        _, inverse, counts = np.unique(cells, axis=0, return_inverse=True,
+                                       return_counts=True)
+        logc[:, col] = np.log1p(counts[inverse])
+    feats[:, 0:4] = logc / 4.0
+    feats[:, 4] = coords[:, 2] / z_extent
+    feats[:, 5] = (logc[:, 1] <= np.log1p(1)).astype(np.float64)  # isolated
+    feats[:, 6] = (logc[:, 2] - logc[:, 1]) / 2.0
+    feats[:, 7] = (logc[:, 3] - logc[:, 2]) / 2.0
+    return feats

@@ -182,13 +182,19 @@ class TestExitCodes:
         (["attend", "--op", "graph"], None, '{"coords": [[0, 0, "x"]], "feats": [[1]]}',
          "could not convert string to float"),
         (["attend", "--op", "graph"], None, '{"coords": [[0, 0,', "line 1"),
+        (["stats", "--scenes", "1", "--seed", "-1"], None, None, "--seed"),
+        (["train-toy", "--steps", "1", "--scenes", "1", "--seed", "-1"], None, None,
+         "--seed"),
+        (["attend", "--op", "graph", "--seed", "-1"], None, None, "--seed"),
+        (["gradcheck", "--seed", "-1"], None, None, "--seed"),
     ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
             "stats_scenes_neg", "darp_tau_nan", "train_lr_nan",
             "train_momentum_neg", "attend_d_model_0", "gridgen_corner_nan",
             "gridgen_extent_inf", "gridgen_yaw_nan", "gridgen_grid_fraction",
             "attend_scene_list", "attend_scene_null", "attend_radius_nan",
             "attend_scene_no_coords", "attend_scene_no_feats", "attend_scene_flat_coords",
-            "attend_scene_text_coord", "attend_scene_bad_json"])
+            "attend_scene_text_coord", "attend_scene_bad_json",
+            "stats_seed_neg", "train_seed_neg", "attend_seed_neg", "gradcheck_seed_neg"])
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                      argv, config, scene, field):
         if config is not None:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import grid_points
 from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig,
-                              PyramidLevelConfig, default_pyramid_config,
+                              PyramidLevelConfig, _lattice, default_pyramid_config,
                               pyramid_grid_points, pyramid_point_count,
                               wrap_angle)
 
@@ -105,6 +105,18 @@ class TestPyramidGrid:
                                    anchor_mode="center")
         pts = pyramid_grid_points(Box3D([0, 0, 0], [2, 2, 2]), level)
         np.testing.assert_allclose(pts[0], [1.0, 1.0, 1.0], atol=1e-15)
+
+    def test_lattice_is_built_once_and_read_only(self):
+        lattice = _lattice((3, 4, 2))
+        assert lattice is _lattice((3, 4, 2))
+        want = [(i, j, k) for i in range(3) for j in range(4) for k in range(2)]
+        assert np.array_equal(lattice, np.array(want, dtype=np.float64))
+        with pytest.raises(ValueError, match="read-only"):
+            lattice[0, 0] = 1.0
+        level = PyramidLevelConfig(GridSpec((3, 4, 2)), (1.5, 1.2, 1.0))
+        box = Box3D([0.3, -1.2, 0.7], [2.5, 4.0, 1.5], 0.4)
+        assert np.array_equal(pyramid_grid_points(box, level),
+                              pyramid_grid_points(box, level))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import oracles
+from pyrhead import synth
 from pyrhead.geometry import default_pyramid_config
 from pyrhead.head import HeadConfig, assign_label
 from pyrhead.spatial import build_index
@@ -71,6 +73,71 @@ class TestGeneration:
         b = occupancy_features(coords)
         assert a.shape == (50, 8)
         np.testing.assert_array_equal(a, b)
+
+    # the scene grid the array set-up must reproduce bitwise: the default
+    # config, dense clutter, objects of 1-4 points and 7 objects of up to
+    # 2000 points, scenes 0-5 of each
+    @pytest.mark.parametrize("seed", [0, 1, 5, 81, 2002])
+    def test_scenes_match_the_row_sort_and_loop_oracles(self, seed, monkeypatch):
+        configs = [SceneConfig(seed=seed),
+                   SceneConfig(seed=seed, clutter_density=1.0, n_objects=4),
+                   SceneConfig(seed=seed, obj_points_min=1, obj_points_max=4),
+                   SceneConfig(seed=seed, n_objects=7, obj_points_max=2000)]
+        got = [generate_scene(cfg, i) for cfg in configs for i in range(6)]
+        monkeypatch.setattr(synth, "occupancy_features",
+                            oracles.row_sort_occupancy_features)
+        monkeypatch.setattr(synth, "_sample_shell", oracles.loop_sample_shell)
+        want = [generate_scene(cfg, i) for cfg in configs for i in range(6)]
+        for a, b in zip(got, want):
+            assert np.array_equal(a.ps.coords, b.ps.coords)
+            assert np.array_equal(a.ps.feats, b.ps.feats)
+            assert np.array_equal(a.proposal_gt, b.proposal_gt)
+            assert len(a.gt_boxes) == len(b.gt_boxes)
+            assert len(a.proposals) == len(b.proposals)
+            for ba, bb in zip(a.gt_boxes + a.proposals, b.gt_boxes + b.proposals):
+                assert np.array_equal(ba.corner, bb.corner)
+                assert np.array_equal(ba.extents, bb.extents)
+                assert ba.yaw == bb.yaw
+
+
+def dict_counts(coords: np.ndarray, size: float) -> np.ndarray:
+    """Points sharing each point's cell of the given size, counted in a dict."""
+    cells = [tuple(math.floor(v / size) for v in p) for p in coords.tolist()]
+    counts: dict[tuple, int] = {}
+    for c in cells:
+        counts[c] = counts.get(c, 0) + 1
+    return np.array([counts[c] for c in cells], dtype=np.int64)
+
+
+class TestOccupancyCounts:
+    BOUNDARIES = np.array([-6.4, -3.2, -1.6, -1.2, -0.8, -0.4, 0.0, 0.4, 0.8,
+                           1.2, 1.6, 2.4, 3.2, 4.8, 6.4])
+
+    @pytest.mark.parametrize("case", ["negative", "boundaries", "duplicates",
+                                      "one_point", "empty"])
+    def test_counts_match_a_dict_of_cells(self, case):
+        rng = np.random.default_rng(7)
+        if case == "negative":
+            coords = rng.uniform(-9.0, 2.0, size=(400, 3))
+        elif case == "boundaries":
+            coords = rng.choice(self.BOUNDARIES, size=(400, 3))
+        elif case == "duplicates":
+            coords = np.repeat(rng.uniform(-3.0, 3.0, size=(30, 3)), 5, axis=0)
+        elif case == "one_point":
+            coords = np.array([[-0.4, 1.6, 3.2]])
+        else:
+            coords = np.zeros((0, 3))
+        feats = occupancy_features(coords)
+        assert feats.shape == (len(coords), 8)
+        for col, size in enumerate([0.4, 0.8, 1.6, 3.2]):
+            assert np.array_equal(feats[:, col],
+                                  np.log1p(dict_counts(coords, size)) / 4.0)
+        assert np.array_equal(feats, oracles.row_sort_occupancy_features(coords))
+
+    def test_span_that_would_wrap_the_key_raises(self):
+        coords = np.array([[0.0, 0.0, 0.0], [1e7, 1e7, 1e7]])
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            occupancy_features(coords)
 
 
 class TestSparsityStats:
