@@ -261,16 +261,21 @@ def vsum(x: Value, axis=None, keepdims=False) -> Value:
     return out
 
 
+def _segment_starts(row: np.ndarray, n_rows: int) -> np.ndarray:
+    """First index of each id's run in ``row``, which must ascend within [0, n_rows)."""
+    if row.size and (row[0] < 0 or row[-1] >= n_rows or np.any(np.diff(row) < 0)):
+        raise ValueError(f"row ids must be ascending within [0, {n_rows})")
+    return np.flatnonzero(np.diff(row, prepend=-1))
+
+
 def segment_max(x: Value, row, n_rows: int) -> Value:
     """Channelwise max of the rows of x [N, d] per id ``row`` (ascending in
     [0, n_rows)) as [n_rows, d]: zeros for an id with no row, and each
     channel's gradient routes to the id's first maximal row."""
     row = np.asarray(row, dtype=np.intp)
     (n, d), xd = x.shape, x.data
-    if n and (row[0] < 0 or row[-1] >= n_rows or np.any(np.diff(row) < 0)):
-        raise ValueError(f"row ids must be ascending within [0, {n_rows})")
+    starts = _segment_starts(row, n_rows)
     out = np.zeros((n_rows, d))
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
     if n:
         out[row[starts]] = np.maximum.reduceat(xd, starts)
         first = np.minimum.reduceat(np.where(xd == out[row], np.arange(n)[:, None], n), starts)

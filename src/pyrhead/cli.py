@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Value
 from .geometry import Box3D, GridSpec, PyramidConfig, PyramidLevelConfig, pyramid_grid_points
-from .gradcheck import format_report, run_gradcheck
+from .gradcheck import run_gradcheck
 from .head import CONFIG_SCHEMA_VERSION, HeadConfig
 from .nn import init_mlp
 from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
@@ -134,17 +134,18 @@ def cmd_attend(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     results = run_gradcheck(args.seed)
-    report = format_report(results)
     ok = all(r.passed for r in results)
-    if args.format == "json":
+    if args.format == "csv":
+        rows = [f"{r.group},{r.max_rel_err!r},{r.tolerance!r},{str(r.passed).lower()}"
+                for r in results]
+        _write_out(args, "\n".join(["group,max_rel_err,tolerance,passed", *rows]) + "\n")
+    else:
         doc = {"seed": args.seed,
                "groups": [{"group": r.group, "max_rel_err": r.max_rel_err,
                            "tolerance": r.tolerance, "passed": r.passed}
                           for r in results],
                "passed": ok}
         _write_out(args, json.dumps(doc, indent=2) + "\n")
-    else:
-        _write_out(args, report)
     if args.out:
         sys.stdout.write("PASS\n" if ok else "FAIL\n")
     return 0 if ok else CHECK_FAILURE

@@ -41,9 +41,8 @@ class ContextAggregatorParams:
             yield from m.named_parameters(f"{prefix}sphere{i}.")
 
 
-def init_context_params(rng: np.random.Generator, feat_width: int,
-                        radii: tuple[float, ...] = (2.4, 4.8),
-                        sphere_width: int = 64) -> ContextAggregatorParams:
+def init_context_params(rng: np.random.Generator, feat_width: int, radii: tuple[float, ...],
+                        sphere_width: int) -> ContextAggregatorParams:
     mlps = [init_mlp(rng, [feat_width + 3, sphere_width]) for _ in radii]
     return ContextAggregatorParams(radii=tuple(radii), mlps=mlps)
 
@@ -61,7 +60,7 @@ class RadiusHeadParams:
 
     r_pre: list[float]
     mlps: list[MLPParams]
-    r_min: float = 0.05
+    r_min: float
 
     def __post_init__(self):
         if any(r <= 0 for r in self.r_pre):
@@ -78,9 +77,8 @@ class RadiusHeadParams:
             yield from m.named_parameters(f"{prefix}level{i}.")
 
 
-def init_radius_head(rng: np.random.Generator, context_width: int,
-                     r_pre: list[float], hidden: int = 64,
-                     r_min: float = 0.05) -> RadiusHeadParams:
+def init_radius_head(rng: np.random.Generator, context_width: int, r_pre: list[float],
+                     hidden: int, r_min: float) -> RadiusHeadParams:
     # zero-initialized output layer: training starts at the predefined radii
     mlps = [init_mlp(rng, [context_width, hidden, 1], zero_last=True)
             for _ in r_pre]
@@ -89,9 +87,9 @@ def init_radius_head(rng: np.random.Generator, context_width: int,
 
 @dataclass(frozen=True)
 class TemperatureSchedule:
-    tau_start: float = 0.02
-    tau_end: float = 0.0001
-    total_steps: int = 1
+    tau_start: float
+    tau_end: float
+    total_steps: int
 
     def __post_init__(self):
         if not self.tau_start >= self.tau_end > 0:

@@ -41,8 +41,7 @@ class CheckResult:
         return self.max_rel_err < self.tolerance
 
 
-def _compare(make_loss: Callable[[], Value], leaves: dict[str, Value],
-             h: float = FD_STEP) -> float:
+def _compare(make_loss: Callable[[], Value], leaves: dict[str, Value]) -> float:
     """Worst relative error between tape and finite-difference gradients."""
     out = make_loss()
     for p in leaves.values():
@@ -60,7 +59,7 @@ def _compare(make_loss: Callable[[], Value], leaves: dict[str, Value],
             finally:
                 p.data = saved
 
-        fd = finite_diff_grad(f, p.data, h)
+        fd = finite_diff_grad(f, p.data, FD_STEP)
         worst = max(worst, rel_error(tape, fd))
     return worst
 
@@ -70,8 +69,7 @@ def _projection_loss(vec: Value, direction: np.ndarray) -> Value:
 
 
 def _random_bundle(rng: np.random.Generator, m: int, d: int,
-                   radius: float = 1.0, margin: float = 0.0,
-                   feats_as_value: bool = True) -> NeighborBundle:
+                   radius: float = 1.0, margin: float = 0.0) -> NeighborBundle:
     """Neighbors at distances in (0.1, radius - margin), shuffled ids."""
     dirs = rng.normal(size=(m, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -79,8 +77,7 @@ def _random_bundle(rng: np.random.Generator, m: int, d: int,
     offsets = dirs * dist[:, None]
     feats = rng.normal(size=(m, d))
     ids = rng.permutation(m * 3)[:m]
-    return NeighborBundle(np.zeros(3), ids, offsets,
-                          Value(feats) if feats_as_value else feats)
+    return NeighborBundle(np.zeros(3), ids, offsets, Value(feats))
 
 
 def _operator_checks(seed: int) -> list[CheckResult]:
@@ -148,7 +145,7 @@ def _radius_head_checks(seed: int) -> list[CheckResult]:
     idx = build_index(ps, 1.0)
     roi = Box3D.from_center([0.0, 0.0, 0.0], [1.5, 2.0, 1.0], 0.3)
     ctx_params = init_context_params(rng, d, radii=(1.2, 2.4), sphere_width=8)
-    head = init_radius_head(rng, ctx_params.out_width, [0.8, 1.6], hidden=8)
+    head = init_radius_head(rng, ctx_params.out_width, [0.8, 1.6], hidden=8, r_min=0.05)
     # zero-initialized output layers would hide scale errors; perturb them
     for mlp in head.mlps:
         mlp.layers[-1].W.data = rng.normal(0.0, 0.1, size=mlp.layers[-1].W.shape)
@@ -251,12 +248,3 @@ def run_gradcheck(seed: int = 0) -> list[CheckResult]:
     results.extend(_head_checks(seed))
     return results
 
-
-def format_report(results: list[CheckResult]) -> str:
-    width = max(len(r.group) for r in results)
-    lines = []
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        lines.append(f"{r.group:<{width}}  max_rel_err={r.max_rel_err:.6e}  "
-                     f"tol={r.tolerance:.0e}  {status}")
-    return "\n".join(lines) + "\n"

@@ -123,9 +123,8 @@ def init_head_params(cfg: HeadConfig, seed: int) -> HeadParams:
                  for _ in levels]
     context = init_context_params(rng, cfg.feat_width, cfg.context_radii,
                                   cfg.context_sphere_width)
-    radius = init_radius_head(rng, context.out_width,
-                              [lv.r_pre for lv in levels],
-                              hidden=cfg.radius_hidden, r_min=cfg.r_min)
+    radius = init_radius_head(rng, context.out_width, [lv.r_pre for lv in levels],
+                              cfg.radius_hidden, cfg.r_min)
     reduce = [init_linear(rng, cfg.d_model, cfg.reduce_width) for _ in levels]
     fusion = init_mlp(rng, [cfg.reduce_width * len(levels), *cfg.fusion_widths])
     cls_head = init_linear(rng, cfg.fusion_out, 1)

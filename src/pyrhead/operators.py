@@ -49,8 +49,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .autodiff import Value, _data, _unbroadcast, concat, reshape, segment_max
-from .autodiff import _np_sigmoid, _np_sigmoid_slope
+from .autodiff import (Value, _data, _np_sigmoid, _np_sigmoid_slope, _segment_starts,
+                       _unbroadcast, concat, reshape, segment_max)
 from .nn import LinearParams, MLPParams, init_linear
 from .spatial import PointSet, SpatialIndex
 
@@ -86,11 +86,8 @@ TRANSFORMER_GATES = GateOverride(1.0, 1.0, 0.0, 1.0)
 
 @dataclass
 class AttentionParams:
-    """All learnable tensors of the gated attention operator."""
+    """All learnable tensors of the gated attention operator, which fix its sizes."""
 
-    d_in: int
-    d_model: int
-    heads: int
     key: LinearParams          # features -> d_model
     value: LinearParams        # features -> d_model
     q_pos: LinearParams        # location offset -> d_model
@@ -113,6 +110,14 @@ class AttentionParams:
             raise ValueError("d_model must be divisible by the head count")
 
     @property
+    def d_model(self) -> int:
+        return self.key.d_out
+
+    @property
+    def heads(self) -> int:
+        return self.w_head.d_out
+
+    @property
     def head_width(self) -> int:
         return self.d_model // self.heads
 
@@ -128,10 +133,9 @@ class AttentionParams:
 
 
 def init_attention_params(rng: np.random.Generator, d_in: int,
-                          d_model: int = 64, heads: int = 4) -> AttentionParams:
+                          d_model: int, heads: int) -> AttentionParams:
     AttentionParams.check_sizes(d_model, heads)    # before any weight is drawn
     return AttentionParams(
-        d_in=d_in, d_model=d_model, heads=heads,
         key=init_linear(rng, d_in, d_model),
         value=init_linear(rng, d_in, d_model),
         q_pos=init_linear(rng, 3, d_model),
@@ -238,10 +242,10 @@ def pool_feature(nb: NeighborBundle, mlp: MLPParams) -> Value:
 
 def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
                gates: GateOverride | None, coeff, row: np.ndarray,
-               n_rows: int) -> Value:
+               starts: np.ndarray, n_rows: int) -> Value:
     """The folded operator over slots laid end to end, slot i belonging to
-    grid point ``row[i]`` (ascending). One tape node; the backward is its
-    hand-derived adjoint.
+    grid point ``row[i]`` (ascending), each grid point's slots starting at
+    ``starts``. One tape node; the backward is its hand-derived adjoint.
 
     Per-slot projections run on the N slots, the softmax and the sums over
     each grid point's slots on the [K, G] row block of the G grid points
@@ -251,7 +255,6 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
     n, d_in = xd.shape
     heads, dh = params.heads, params.head_width
     D = d_in + 1
-    starts = np.flatnonzero(np.diff(row, prepend=-1))
     counts = np.diff(starts, append=n)
     G, K = len(starts), int(counts.max())
     # block cell of slot i: (position in its row) * G + its row's block line
@@ -382,12 +385,11 @@ def gated_attention_batched(offsets: np.ndarray, feats, params: AttentionParams,
     row = np.zeros(n, dtype=np.intp) if row is None else np.asarray(row, dtype=np.intp)
     if row.shape != (n,):
         raise ValueError(f"row has shape {row.shape}, expected one entry per slot ({n})")
-    if n and (row[0] < 0 or row[-1] >= n_rows or np.any(np.diff(row) < 0)):
-        raise ValueError(f"row must ascend within [0, {n_rows})")
+    starts = _segment_starts(row, n_rows)
     if n == 0:
         return Value(np.zeros((n_rows, params.d_model)))
     return _gate_core(np.asarray(offsets, dtype=np.float64), feats, params,
-                      gates, coeff, row, n_rows)
+                      gates, coeff, row, starts, n_rows)
 
 
 def roi_grid_attention(nb: NeighborBundle, params: AttentionParams,

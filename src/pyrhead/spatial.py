@@ -328,7 +328,9 @@ def _gather_pairs(grid: SpatialIndex, at: np.ndarray, r: np.ndarray, col_row: np
         off -= by_key[a][pos]
         off *= off
         d2 += off
-    np.take(r * r * (1.0 + 1e-9), rows, out=off)
+    # a radius too large to square without overflow admits every candidate
+    bound = np.where(r < 1e150, np.square(np.fmin(r, 1e150)) * (1.0 + 1e-9), np.inf)
+    np.take(bound, rows, out=off)
     near = np.flatnonzero(d2 <= off)
     dist = np.sqrt(d2[near])
     row = rows[near]

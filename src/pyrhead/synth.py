@@ -3,10 +3,12 @@
 Objects are cuboid shells sampled on sensor-visible faces; per-point
 features are handcrafted local-occupancy summaries so the head has fixed
 width inputs without any upstream network. Proposals are ground-truth
-boxes under configurable jitter. Settings with one value in use are module
-constants rather than ``SceneConfig`` fields: the feature width, the index
-cell, the alternating proposal jitter scales and the gradient-norm clip of
-toy training.
+boxes under jitter. Settings with one value in use are module constants
+rather than ``SceneConfig`` fields: the feature width, the index cell, the
+object size ranges (W_RANGE, L_RANGE, H_RANGE), the pair gap (PAIR_GAP),
+the shell noise (SURFACE_NOISE), the proposal jitter (CENTER_JITTER,
+EXTENT_JITTER, YAW_JITTER) and its alternating scales, the hit IoU of
+``evaluate`` and the gradient-norm clip of toy training.
 """
 from __future__ import annotations
 
@@ -28,9 +30,19 @@ BUCKET_EDGES = [0, 10, 50, 100, 500]
 BUCKET_LABELS = ["0-10", "10-50", "50-100", "100-500", "500+"]
 FEAT_WIDTH = 8      # columns of occupancy_features
 INDEX_CELL = 2.4    # sorted-cell grid cell of every scene index
+# truck-sized shells: sparse enough that small fixed-radius balls are
+# frequently empty, the regime the pyramid and predicted radii target
+W_RANGE, L_RANGE, H_RANGE = (3.5, 5.0), (7.0, 10.0), (2.2, 3.2)
+PAIR_GAP = (5.5, 7.0)        # lateral gap between the objects of a pair
+SURFACE_NOISE = 0.02         # sigma of shell jitter, meters
+# proposal noise at scale 1
+CENTER_JITTER = 1.0          # centre shift per axis, meters
+EXTENT_JITTER = (0.8, 1.25)  # extent factor range
+YAW_JITTER = 0.2             # yaw shift, radians
 # alternating per-proposal noise scale: tight proposals land clearly
 # above the positive-label IoU threshold, loose ones clearly below
 JITTER_SCALES = (0.35, 1.6)
+HIT_IOU = 0.7                # refined-box IoU that counts as a hit in evaluate
 # global gradient-norm bound of a toy-training step (PV-RCNN's setting in
 # OpenPCDet); rare spiky steps are scaled down to it, ordinary ones pass
 GRAD_CLIP = 10.0
@@ -46,17 +58,7 @@ class SceneConfig:
     obj_points_min: int = 3
     obj_points_max: int = 500
     clutter_density: float = 0.02     # points per cubic meter
-    surface_noise: float = 0.02       # sigma of shell jitter, meters
-    center_jitter: float = 1.0
-    extent_jitter: tuple[float, float] = (0.8, 1.25)
-    yaw_jitter: float = 0.2
     proposals_per_object: int = 2
-    # truck-sized shells: sparse enough that small fixed-radius balls are
-    # frequently empty, the regime the pyramid and predicted radii target
-    w_range: tuple[float, float] = (3.5, 5.0)
-    l_range: tuple[float, float] = (7.0, 10.0)
-    h_range: tuple[float, float] = (2.2, 3.2)
-    pair_gap: tuple[float, float] = (5.5, 7.0)
     seed: int = 0
 
     def __post_init__(self):
@@ -150,19 +152,19 @@ def generate_scene(cfg: SceneConfig, index: int = 0) -> Scene:
     sensor = np.array([0.0, 0.0, 1.5])
     gt_boxes: list[Box3D] = []
     obj_points: list[np.ndarray] = []
-    margin = max(cfg.l_range[1], cfg.w_range[1]) + cfg.pair_gap[1]
+    margin = max(L_RANGE[1], W_RANGE[1]) + PAIR_GAP[1]
     margin = max(1.0, min(margin, cfg.extent / 2.0 - 1.0))
     anchor_center = None
     anchor_yaw = 0.0
     for oi in range(cfg.n_objects):
-        w = rng.uniform(*cfg.w_range)
-        length = rng.uniform(*cfg.l_range)
-        h = rng.uniform(*cfg.h_range)
+        w = rng.uniform(*W_RANGE)
+        length = rng.uniform(*L_RANGE)
+        h = rng.uniform(*H_RANGE)
         if oi % 2 == 1:
             # objects spawn in same-heading pairs a fixed lateral gap apart
             # (a parked-row layout), so context outside the RoI carries
             # information: this is the partner of the object before it
-            gap = rng.uniform(*cfg.pair_gap) * (1 if rng.integers(2) else -1)
+            gap = rng.uniform(*PAIR_GAP) * (1 if rng.integers(2) else -1)
             along = rng.uniform(-0.5, 0.5)
             offset = rot_z(anchor_yaw) @ np.array([gap, along, 0.0])
             cx = float(np.clip(anchor_center[0] + offset[0], 2.0,
@@ -179,7 +181,7 @@ def generate_scene(cfg: SceneConfig, index: int = 0) -> Scene:
         box = Box3D.from_center([cx, cy, 0.5 * h], [w, length, h], yaw)
         lo, hi = math.log(cfg.obj_points_min), math.log(cfg.obj_points_max)
         n_pts = max(1, int(round(math.exp(rng.uniform(lo, hi)))))
-        pts = _sample_shell(rng, box, n_pts, sensor, cfg.surface_noise)
+        pts = _sample_shell(rng, box, n_pts, sensor, SURFACE_NOISE)
         if not box.contains(pts).any():
             pts[0] = box.center  # keep the invariant: every box holds a point
         gt_boxes.append(box)
@@ -198,10 +200,10 @@ def generate_scene(cfg: SceneConfig, index: int = 0) -> Scene:
     for gi, box in enumerate(gt_boxes):
         for pi in range(cfg.proposals_per_object):
             scale = JITTER_SCALES[pi % len(JITTER_SCALES)]
-            cj = scale * cfg.center_jitter
-            yj = scale * cfg.yaw_jitter
-            elo = 1.0 + scale * (cfg.extent_jitter[0] - 1.0)
-            ehi = 1.0 + scale * (cfg.extent_jitter[1] - 1.0)
+            cj = scale * CENTER_JITTER
+            yj = scale * YAW_JITTER
+            elo = 1.0 + scale * (EXTENT_JITTER[0] - 1.0)
+            ehi = 1.0 + scale * (EXTENT_JITTER[1] - 1.0)
             center = box.center + rng.uniform(-cj, cj, size=3)
             extents = box.extents * rng.uniform(elo, ehi, size=3)
             yaw = wrap_angle(box.yaw + rng.uniform(-yj, yj))
@@ -256,11 +258,10 @@ class SparsityStats:
         return "\n".join(lines) + "\n"
 
 
-def sparsity_stats(scenes: list[Scene],
-                   pyramid: PyramidConfig | None = None) -> SparsityStats:
-    """Histogram of object interior counts vs per-RoI pyramid-gathered counts."""
-    if pyramid is None:
-        pyramid = default_pyramid_config()
+def sparsity_stats(scenes: list[Scene]) -> SparsityStats:
+    """Histogram of object interior counts vs per-RoI pyramid-gathered counts
+    of the default pyramid."""
+    pyramid = default_pyramid_config()
     interior: dict[str, int] = {}
     gathered: dict[str, int] = {}
     for sc in scenes:
@@ -419,13 +420,12 @@ class EvalResult:
     n: int
     accuracy: float
     mean_iou: float
-    hit_rate: float                # IoU >= threshold among all proposals
+    hit_rate: float                # IoU >= HIT_IOU among all proposals
     label_base_rate: float         # majority-class share of the labels
     bucket_accuracy: dict[str, float]
 
 
-def evaluate(head_cfg: HeadConfig, params: HeadParams, scenes: list[Scene],
-             iou_threshold: float = 0.7) -> EvalResult:
+def evaluate(head_cfg: HeadConfig, params: HeadParams, scenes: list[Scene]) -> EvalResult:
     """Classification accuracy and refined-box IoU at the final temperature."""
     correct = 0
     total = 0
@@ -447,7 +447,7 @@ def evaluate(head_cfg: HeadConfig, params: HeadParams, scenes: list[Scene],
             positives += label
             iou = derotated_iou(det.box, gt)
             ious.append(iou)
-            hits += iou >= iou_threshold
+            hits += iou >= HIT_IOU
             bucket = bucket_of(interior_count(gt, sc.ps))
             bucket_tot[bucket] = bucket_tot.get(bucket, 0) + 1
             bucket_ok[bucket] = bucket_ok.get(bucket, 0) + ok

@@ -1,4 +1,6 @@
 """CLI contract: outputs, exit codes, determinism, config diagnostics."""
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -73,7 +75,7 @@ class TestAttend:
         assert code == 0
         ps = _fixture_scene(5)
         nb = NeighborBundle.gather(ps, build_index(ps, 1.4), [0, 0, 0], 1.4, 16)
-        params = init_attention_params(np.random.default_rng(5), ps.feat_width)
+        params = init_attention_params(np.random.default_rng(5), ps.feat_width, 64, 4)
         want = oracle(nb, params).data
         assert len(nb) > 1
         scale = max(np.max(np.abs(want)), 1e-12)
@@ -345,7 +347,26 @@ class TestGradcheckWiring:
         monkeypatch.setattr(cli_mod, "run_gradcheck",
                             lambda seed: [CheckResult("stub", 1.0)])
         assert cli_mod.run(["gradcheck", "--format", "csv"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows == [{"group": "stub", "max_rel_err": "1.0",
+                         "tolerance": "0.0001", "passed": "false"}]
+
+    @pytest.mark.parametrize("err,code,status", [(1e-9, 0, "PASS"), (1.0, 1, "FAIL")])
+    def test_csv_file_and_status_line(self, monkeypatch, capsys, tmp_path, err, code,
+                                      status):
+        from pyrhead import cli as cli_mod
+        from pyrhead.gradcheck import CheckResult
+        monkeypatch.setattr(cli_mod, "run_gradcheck",
+                            lambda seed: [CheckResult("a.b", 1e-9), CheckResult("c", err)])
+        out = tmp_path / "g.csv"
+        assert cli_mod.run(["gradcheck", "--format", "csv", "--out", str(out)]) == code
+        assert capsys.readouterr().out == f"{status}\n"
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["group"] for r in rows] == ["a.b", "c"]
+        assert [float(r["max_rel_err"]) for r in rows] == [1e-9, err]
+        assert {r["tolerance"] for r in rows} == {repr(1e-4)}
+        assert [r["passed"] for r in rows] == ["true", "true" if code == 0 else "false"]
 
     def test_success_maps_to_exit_zero(self, monkeypatch, capsys):
         from pyrhead import cli as cli_mod

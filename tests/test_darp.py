@@ -112,13 +112,13 @@ class TestContextEmbedding:
         rng = np.random.default_rng(0)
         for radii in ((4.8, 2.4), (0.0, 2.4), (-1.0, 2.4), (2.4, 2.4)):
             with pytest.raises(ValueError, match="positive, increasing"):
-                init_context_params(rng, D, radii=radii)
+                init_context_params(rng, D, radii=radii, sphere_width=64)
 
 
 class TestPredictRadius:
     def test_zero_init_returns_predefined(self):
         rng = np.random.default_rng(0)
-        head = init_radius_head(rng, 16, [0.8, 1.6, 2.4], hidden=8)
+        head = init_radius_head(rng, 16, [0.8, 1.6, 2.4], hidden=8, r_min=0.05)
         ctx = Value(rng.normal(size=16))
         for lvl, r_pre in enumerate([0.8, 1.6, 2.4]):
             assert predict_radius(ctx, lvl, head).item() == r_pre
@@ -174,13 +174,13 @@ class TestPredictRadius:
 
     def test_level_bounds(self):
         rng = np.random.default_rng(3)
-        head = init_radius_head(rng, 16, [0.8], hidden=8)
+        head = init_radius_head(rng, 16, [0.8], hidden=8, r_min=0.05)
         with pytest.raises(ValueError):
             predict_radius(Value(np.zeros(16)), 1, head)
 
     def test_gradient_matches_fd_when_unclamped(self):
         rng = np.random.default_rng(4)
-        head = init_radius_head(rng, 12, [0.8, 1.6], hidden=8)
+        head = init_radius_head(rng, 12, [0.8, 1.6], hidden=8, r_min=0.05)
         for mlp in head.mlps:  # perturb the zero-initialized output layers
             mlp.layers[-1].W.data = rng.normal(0, 0.1, mlp.layers[-1].W.shape)
         ctx = Value(rng.normal(size=12))
@@ -219,7 +219,7 @@ class TestRadiusGradientFlow:
 
         rng = np.random.default_rng(0)
         tau = 1e-2
-        head = init_radius_head(rng, 8, [1.0], hidden=8)
+        head = init_radius_head(rng, 8, [1.0], hidden=8, r_min=0.05)
         ctx = Value(rng.normal(size=8))
         r = predict_radius(ctx, 0, head)  # exactly 1.0 at zero init
         offsets = np.array([[1.0 + 2 * tau, 0.0, 0.0], [0.3, 0.1, 0.0]])

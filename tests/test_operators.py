@@ -100,7 +100,7 @@ class TestStandaloneOperators:
     def test_graph_singleton_returns_value_embedding(self):
         rng = np.random.default_rng(0)
         nb = make_bundle(rng, 1)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         want = params.value(np.asarray(nb.feats)).data.reshape(-1)
         np.testing.assert_allclose(graph_op(nb, params).data, want,
                                    atol=1e-12)
@@ -111,14 +111,14 @@ class TestStandaloneOperators:
         two = NeighborBundle(one.grid_point, [0, 1],
                              np.repeat(one.offsets, 2, axis=0),
                              np.repeat(np.asarray(one.feats), 2, axis=0))
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         np.testing.assert_allclose(graph_op(two, params).data,
                                    graph_op(one, params).data, atol=1e-12)
 
     def test_attention_singleton(self):
         rng = np.random.default_rng(2)
         nb = make_bundle(rng, 1)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         want = params.value(np.asarray(nb.feats)).data.reshape(-1)
         np.testing.assert_allclose(attention_op(nb, params).data, want,
                                    atol=1e-12)
@@ -126,7 +126,7 @@ class TestStandaloneOperators:
     def test_attention_zero_maps_give_mean_value(self):
         rng = np.random.default_rng(3)
         nb = make_bundle(rng, 6)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         zero_linear(params.q_pos)
         zero_linear(params.key)
         want = params.value(np.asarray(nb.feats)).data.mean(axis=0)
@@ -136,7 +136,7 @@ class TestStandaloneOperators:
     def test_transformer_singleton_zero_qpos(self):
         rng = np.random.default_rng(4)
         nb = make_bundle(rng, 1)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         zero_linear(params.q_pos)
         want = params.value(np.asarray(nb.feats)).data.reshape(-1)
         np.testing.assert_allclose(transformer_op(nb, params).data,
@@ -145,7 +145,7 @@ class TestStandaloneOperators:
     def test_transformer_zero_key_value_gives_qpos(self):
         rng = np.random.default_rng(5)
         nb = make_bundle(rng, 1)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         zero_linear(params.key)
         zero_linear(params.value)
         want = params.q_pos(nb.offsets).data.reshape(-1)
@@ -163,7 +163,7 @@ class TestGateReductions:
         rng = np.random.default_rng(9)
         for _ in range(25):
             nb = make_bundle(rng, int(rng.integers(1, 16)))
-            params = init_attention_params(rng, D_IN)
+            params = init_attention_params(rng, D_IN, 64, 4)
             want = fn(nb, params).data
             got = roi_grid_attention(nb, params, gates).data
             scale = max(np.max(np.abs(want)), 1e-12)
@@ -171,7 +171,7 @@ class TestGateReductions:
 
     def test_empty_returns_zeros(self):
         rng = np.random.default_rng(0)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         nb = NeighborBundle(np.zeros(3), np.zeros(0, int),
                             np.zeros((0, 3)), np.zeros((0, D_IN)),
                             gather_radius=0.9 + 5e-3)
@@ -187,14 +187,14 @@ class TestGateReductions:
                              ids=["descending", "negative", "past_end", "short"])
     def test_bad_row_raises(self, row):
         rng = np.random.default_rng(2)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         nb = make_bundle(rng, 3)
         with pytest.raises(ValueError, match="row"):
             gated_attention_batched(nb.offsets, nb.feats, params, row=row, n_rows=3)
 
     def test_nonfinite_parameter_raises(self):
         rng = np.random.default_rng(1)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         params.key.W.data[0, 0] = np.nan
         nb = make_bundle(rng, 3)
         with pytest.raises(FloatingPointError):
@@ -210,7 +210,7 @@ class TestGateReductions:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 12))
         nb = make_bundle(rng, m)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         perm = rng.permutation(m)
         shuffled = NeighborBundle(nb.grid_point, nb.ids[perm],
                                   nb.offsets[perm], np.asarray(nb.feats)[perm])
@@ -303,7 +303,7 @@ class TestDarpOperator:
         nb = make_bundle(rng, 5, radius=0.5)
         nb = NeighborBundle(nb.grid_point, nb.ids, nb.offsets, nb.feats,
                             gather_radius=0.9 + 5 * tau)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         plain = roi_grid_attention(nb, params).data
         soft = roi_grid_attention_darp(nb, params, Value(0.9), tau).data
         scale = max(np.max(np.abs(plain)), 1e-12)
@@ -311,7 +311,7 @@ class TestDarpOperator:
 
     def test_boundary_neighbor_is_halved(self):
         rng = np.random.default_rng(1)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         nb = NeighborBundle(np.zeros(3), [0], np.array([[0.9, 0.0, 0.0]]),
                             rng.normal(size=(1, D_IN)))
         plain = roi_grid_attention(nb, params).data
@@ -320,7 +320,7 @@ class TestDarpOperator:
 
     def test_gather_radius_contract(self):
         rng = np.random.default_rng(2)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         nb = make_bundle(rng, 4, radius=0.5)
         wrong = NeighborBundle(nb.grid_point, nb.ids, nb.offsets, nb.feats,
                                gather_radius=2.0)
@@ -329,7 +329,7 @@ class TestDarpOperator:
 
     def test_out_of_range_neighbor_rejected(self):
         rng = np.random.default_rng(3)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         nb = NeighborBundle(np.zeros(3), [0], np.array([[2.0, 0.0, 0.0]]),
                             rng.normal(size=(1, D_IN)))
         with pytest.raises(ContractViolationError):
@@ -342,7 +342,7 @@ class TestDarpOperator:
         cutoff = 0.9 + 5 * tau
         # no neighbor within 2*tau of the cutoff: membership cannot flip
         nb = make_bundle(rng, 7, radius=cutoff, margin=3 * tau)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         u = rng.normal(size=64)
 
         def make():
@@ -374,7 +374,7 @@ class TestOperatorGradients:
         nb = make_bundle(rng, m, radius=0.9 + 5 * tau, margin=3 * tau)
         nb = NeighborBundle(nb.grid_point, nb.ids, nb.offsets,
                             Value(np.asarray(nb.feats)))
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         mlp = init_mlp(rng, [D_IN + 3, 16, 32])
         u32, u64 = rng.normal(size=32), rng.normal(size=64)
         # slots of grid points 0, 2 and 3 of five: rows 1 and 4 own none
@@ -424,7 +424,7 @@ class TestOperatorGradients:
 
     def test_empty_neighborhood_zero_gradient(self):
         rng = np.random.default_rng(0)
-        params = init_attention_params(rng, D_IN)
+        params = init_attention_params(rng, D_IN, 64, 4)
         nb = NeighborBundle(np.zeros(3), np.zeros(0, int),
                             np.zeros((0, 3)), np.zeros((0, D_IN)))
         r = Value(0.9)

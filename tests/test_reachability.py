@@ -1,4 +1,5 @@
-"""Every public function, class and method in the package has a caller.
+"""Every public function, class and method in the package has a caller,
+and every ``SceneConfig`` field is set by keyword (``name=``) by one.
 
 A name counts as reached when it occurs as a word outside the lines that
 define it, in the package sources (minus the re-exports of
@@ -50,3 +51,21 @@ def test_every_public_definition_has_a_caller():
                    if (path, i) not in own):
             unreached.append(name)
     assert unreached == [], f"defined but never reached: {sorted(unreached)}"
+
+
+def test_every_scene_config_field_is_set_by_a_caller():
+    """A SceneConfig field that no line of the package (outside the class),
+    the benchmark harness or the acceptance suite sets by keyword is a
+    setting with one value, so it belongs in a module constant."""
+    synth = PACKAGE / "synth.py"
+    tree = ast.parse(synth.read_text(), filename=str(synth))
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "SceneConfig")
+    own = set(range(cls.lineno, cls.end_lineno + 1))
+    corpus = [(path, i, line) for path, i, line in caller_corpus()
+              if path.suffix == ".py" and not (path == synth and i in own)]
+    unset = [node.target.id for node in cls.body
+             if isinstance(node, ast.AnnAssign)
+             and not any(re.search(rf"\b{node.target.id}\s*=(?!=)", line)
+                         for _, _, line in corpus)]
+    assert unset == [], f"SceneConfig fields no caller sets: {unset}"

@@ -354,6 +354,10 @@ class TestSortedCellGather:
         for r in (1e4, 1e300):
             ids, d = idx.query(center, r, 64)
             np.testing.assert_array_equal(ids, brute_force_query(ps, center, r, 64))
+            _, ids, _ = gather_level(ps, center[None, None], r, 64)
+            np.testing.assert_array_equal(ids, brute_force_query(ps, center, r, 64))
+            _, ids, _ = idx.balls(center[None], r)
+            np.testing.assert_array_equal(np.sort(ids), np.sort(brute_force_query(ps, center, r)))
 
 
 @pytest.fixture

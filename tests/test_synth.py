@@ -17,10 +17,19 @@ from pyrhead.synth import (SceneConfig, bucket_of, evaluate, generate_scene,
                            sparsity_stats, train_toy)
 
 FAST = SceneConfig(extent=20.0, n_objects=2, obj_points_min=5,
-                   obj_points_max=60, clutter_density=0.005,
-                   w_range=(2.0, 3.0), l_range=(4.0, 6.0),
-                   h_range=(1.4, 2.0), pair_gap=(3.2, 4.0),
-                   center_jitter=0.5)
+                   obj_points_max=60, clutter_density=0.005)
+# the scene constants FAST scenes are drawn with: smaller objects, closer
+# pairs and a tighter centre jitter than the defaults
+FAST_CONSTANTS = dict(W_RANGE=(2.0, 3.0), L_RANGE=(4.0, 6.0), H_RANGE=(1.4, 2.0),
+                      PAIR_GAP=(3.2, 4.0), CENTER_JITTER=0.5)
+
+
+@pytest.fixture
+def fast(monkeypatch):
+    """FAST, with its scene constants set in ``synth``."""
+    for name, value in FAST_CONSTANTS.items():
+        monkeypatch.setattr(synth, name, value)
+    return FAST
 
 
 def tiny_head():
@@ -38,20 +47,20 @@ def tiny_head():
 
 
 class TestGeneration:
-    def test_empty_config_gives_empty_pointset(self):
-        cfg = dataclasses.replace(FAST, n_objects=0, clutter_density=0.0)
+    def test_empty_config_gives_empty_pointset(self, fast):
+        cfg = dataclasses.replace(fast, n_objects=0, clutter_density=0.0)
         scene = generate_scene(cfg)
         assert len(scene.ps) == 0
         assert scene.gt_boxes == [] and scene.proposals == []
 
-    def test_forced_single_point(self):
-        cfg = dataclasses.replace(FAST, n_objects=1, obj_points_min=1,
+    def test_forced_single_point(self, fast):
+        cfg = dataclasses.replace(fast, n_objects=1, obj_points_min=1,
                                   obj_points_max=1, clutter_density=0.0)
         scene = generate_scene(cfg)
         assert len(scene.ps) == 1
 
-    def test_seed_determinism_bit_identical(self):
-        cfg = dataclasses.replace(FAST, seed=42)
+    def test_seed_determinism_bit_identical(self, fast):
+        cfg = dataclasses.replace(fast, seed=42)
         a, b = generate_scene(cfg), generate_scene(cfg)
         np.testing.assert_array_equal(a.ps.coords, b.ps.coords)
         np.testing.assert_array_equal(a.ps.feats, b.ps.feats)
@@ -59,9 +68,9 @@ class TestGeneration:
             np.testing.assert_array_equal(ba.corner, bb.corner)
             assert ba.yaw == bb.yaw
 
-    def test_every_box_contains_a_point(self):
+    def test_every_box_contains_a_point(self, fast):
         for i in range(10):
-            scene = generate_scene(dataclasses.replace(FAST, obj_points_min=1,
+            scene = generate_scene(dataclasses.replace(fast, obj_points_min=1,
                                                        obj_points_max=4), i)
             for box in scene.gt_boxes:
                 assert interior_count(box, scene.ps) >= 1
@@ -148,10 +157,10 @@ class TestSparsityStats:
         assert bucket_of(499) == "100-500"
         assert bucket_of(500) == "500+"
 
-    def test_single_sparse_object_binned(self):
-        cfg = dataclasses.replace(FAST, n_objects=1, obj_points_min=7,
-                                  obj_points_max=7, clutter_density=0.0,
-                                  surface_noise=0.0)
+    def test_single_sparse_object_binned(self, fast, monkeypatch):
+        monkeypatch.setattr(synth, "SURFACE_NOISE", 0.0)
+        cfg = dataclasses.replace(fast, n_objects=1, obj_points_min=7,
+                                  obj_points_max=7, clutter_density=0.0)
         stats = sparsity_stats([generate_scene(cfg)])
         assert stats.interior.get("0-10", 0) == 1
 
@@ -161,10 +170,10 @@ class TestSparsityStats:
         assert csv.splitlines()[0] == "bucket,interior_objects,gathered_rois"
         assert all(line.endswith(",0,0") for line in csv.splitlines()[1:])
 
-    def test_gathered_dominates_interior_with_wide_radius(self):
+    def test_gathered_dominates_interior_with_wide_radius(self, fast):
         # one level whose radius covers the whole box from any grid point
         from pyrhead.geometry import GridSpec, PyramidConfig, PyramidLevelConfig
-        scene = generate_scene(dataclasses.replace(FAST, clutter_density=0.0))
+        scene = generate_scene(dataclasses.replace(fast, clutter_density=0.0))
         wide = PyramidConfig([PyramidLevelConfig(
             GridSpec((2, 2, 2)), (1.0, 1.0, 1.0), max_neighbors=10_000,
             r_pre=30.0)])
@@ -172,12 +181,12 @@ class TestSparsityStats:
             gathered = pyramid_gathered_ids(scene.ps, box, wide)
             assert len(gathered) >= interior_count(box, scene.ps)
 
-    def test_gathered_ids_equal_union_of_capped_scans(self):
+    def test_gathered_ids_equal_union_of_capped_scans(self, fast):
         from oracles import brute_force_query
         from pyrhead.geometry import pyramid_grid_points
         pyramid = default_pyramid_config()
         for seed in (0, 4):
-            sc = generate_scene(dataclasses.replace(FAST, seed=seed))
+            sc = generate_scene(dataclasses.replace(fast, seed=seed))
             for roi in sc.proposals:
                 want = set()
                 for lv in pyramid.levels:
@@ -187,16 +196,16 @@ class TestSparsityStats:
                 assert pyramid_gathered_ids(sc.ps, roi, pyramid) == want
                 assert want
 
-    def test_csv_shape(self):
-        stats = sparsity_stats(generate_scenes(FAST, 3))
+    def test_csv_shape(self, fast):
+        stats = sparsity_stats(generate_scenes(fast, 3))
         lines = stats.to_csv().strip().splitlines()
         assert len(lines) == 6
 
 
 class TestTrainToy:
-    def test_zero_lr_changes_nothing(self):
+    def test_zero_lr_changes_nothing(self, fast):
         cfg = tiny_head()
-        res = train_toy(cfg, FAST, steps=3, lr=0.0, seed=0, n_scenes=2)
+        res = train_toy(cfg, fast, steps=3, lr=0.0, seed=0, n_scenes=2)
         from pyrhead.head import init_head_params
         fresh = init_head_params(cfg, 0)
         for (_, a), (_, b) in zip(res.params.named_parameters(),
@@ -204,9 +213,9 @@ class TestTrainToy:
             np.testing.assert_array_equal(a.data, b.data)
         assert res.radii[0] == res.radii[-1]
 
-    def test_records_have_expected_lengths(self):
+    def test_records_have_expected_lengths(self, fast):
         cfg = tiny_head()
-        res = train_toy(cfg, FAST, steps=4, lr=0.001, seed=0, n_scenes=2)
+        res = train_toy(cfg, fast, steps=4, lr=0.001, seed=0, n_scenes=2)
         assert len(res.losses) == 4 == len(res.grad_norms) == len(res.radii)
         assert all(len(r) == 2 for r in res.radii)
         doc = res.to_json()
@@ -214,19 +223,19 @@ class TestTrainToy:
         csv = res.to_csv()
         assert csv.splitlines()[0] == "step,loss,grad_norm,r_level0,r_level1"
 
-    def test_determinism(self):
+    def test_determinism(self, fast):
         cfg = tiny_head()
-        a = train_toy(cfg, FAST, steps=3, lr=0.002, seed=1, n_scenes=2)
-        b = train_toy(cfg, FAST, steps=3, lr=0.002, seed=1, n_scenes=2)
+        a = train_toy(cfg, fast, steps=3, lr=0.002, seed=1, n_scenes=2)
+        b = train_toy(cfg, fast, steps=3, lr=0.002, seed=1, n_scenes=2)
         assert a.losses == b.losses and a.radii == b.radii
 
     @pytest.mark.parametrize("clip", [1e-3, 1e6])
-    def test_gradient_clipping_bounds_the_step(self, monkeypatch, clip):
+    def test_gradient_clipping_bounds_the_step(self, fast, monkeypatch, clip):
         from pyrhead import synth
         from pyrhead.head import init_head_params
         monkeypatch.setattr(synth, "GRAD_CLIP", clip)
         cfg = tiny_head()
-        res = train_toy(cfg, FAST, steps=1, lr=0.01, seed=0, n_scenes=1,
+        res = train_toy(cfg, fast, steps=1, lr=0.01, seed=0, n_scenes=1,
                         momentum=0.0)
         fresh = init_head_params(cfg, 0)
         step = math.sqrt(sum(float(np.sum((a.data - b.data) ** 2)) for (_, a), (_, b)
@@ -237,17 +246,17 @@ class TestTrainToy:
         assert res.clipped_steps == int(norm > clip)
         assert json.loads(res.to_json())["clipped_steps"] == res.clipped_steps
 
-    def test_learning_rate_anneals_along_half_cosine(self, monkeypatch):
+    def test_learning_rate_anneals_along_half_cosine(self, fast, monkeypatch):
         from pyrhead import synth
         from pyrhead.darp import TemperatureSchedule, temperature
         from pyrhead.head import loss, run_head
         monkeypatch.setattr(synth, "GRAD_CLIP", 1e6)
         cfg = tiny_head()
-        one = train_toy(cfg, FAST, steps=1, lr=0.01, seed=0, n_scenes=1, momentum=0.0)
-        two = train_toy(cfg, FAST, steps=2, lr=0.01, seed=0, n_scenes=1, momentum=0.0)
+        one = train_toy(cfg, fast, steps=1, lr=0.01, seed=0, n_scenes=1, momentum=0.0)
+        two = train_toy(cfg, fast, steps=2, lr=0.01, seed=0, n_scenes=1, momentum=0.0)
         # step 1 of 2 sits halfway along the cosine: half the rate, from
         # the parameters the full-rate first step reached
-        sc = generate_scene(FAST, 0)
+        sc = generate_scene(fast, 0)
         tau = temperature(1, TemperatureSchedule(cfg.tau_start, cfg.tau_end, 2))
         dets, _ = run_head(cfg, one.params, sc.ps, build_index(sc.ps, synth.INDEX_CELL),
                            sc.proposals, tau)
@@ -260,32 +269,33 @@ class TestTrainToy:
             np.testing.assert_allclose(b.data, a.data - 0.005 * a.grad,
                                        rtol=1e-12, atol=1e-15, err_msg=name)
 
-    def test_steps_validation(self):
+    def test_steps_validation(self, fast):
         with pytest.raises(ValueError):
-            train_toy(tiny_head(), FAST, steps=0, lr=0.1, seed=0, n_scenes=1)
+            train_toy(tiny_head(), fast, steps=0, lr=0.1, seed=0, n_scenes=1)
 
 
 class TestEvaluate:
-    def test_identity_proposals_score_unit_iou(self):
+    def test_identity_proposals_score_unit_iou(self, fast, monkeypatch):
         cfg = tiny_head()
         from pyrhead.head import init_head_params
         params = init_head_params(cfg, 0)
         # zero the regression head so refinement is the identity
         params.reg_head.W.data = np.zeros_like(params.reg_head.W.data)
         params.reg_head.b.data = np.zeros(7)
-        scene = generate_scene(dataclasses.replace(FAST, center_jitter=0.0,
-                                                   extent_jitter=(1.0, 1.0),
-                                                   yaw_jitter=0.0))
+        monkeypatch.setattr(synth, "CENTER_JITTER", 0.0)
+        monkeypatch.setattr(synth, "EXTENT_JITTER", (1.0, 1.0))
+        monkeypatch.setattr(synth, "YAW_JITTER", 0.0)
+        scene = generate_scene(fast)
         result = evaluate(cfg, params, [scene])
         assert result.mean_iou == pytest.approx(1.0)
         assert result.hit_rate == 1.0
 
-    def test_untrained_heads_sit_near_base_rate(self):
+    def test_untrained_heads_sit_near_base_rate(self, fast):
         # Monte-Carlo over random inits: mean accuracy within 0.1 of the
         # majority-class share
         cfg = tiny_head()
         from pyrhead.head import init_head_params
-        scenes = generate_scenes(FAST, 4)
+        scenes = generate_scenes(fast, 4)
         accs = []
         for seed in range(20):
             params = init_head_params(cfg, seed)
