@@ -162,8 +162,7 @@ def cmd_train_toy(args) -> int:
     scene_cfg = SceneConfig()
     try:
         result = train_toy(head_cfg, scene_cfg, steps=args.steps, lr=args.lr,
-                           seed=args.seed, n_scenes=args.scenes,
-                           momentum=args.momentum)
+                           seed=args.seed, n_scenes=args.scenes)
     except TrainingDiverged as exc:
         raise CliError(f"{exc}; lower --lr (was {args.lr})") from None
     text = result.to_csv() if args.format == "csv" else result.to_json() + "\n"
@@ -251,12 +250,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.0075)
     p.add_argument("--scenes", type=int, default=200)
-    p.add_argument("--momentum", type=float, default=0.9)
     p.set_defaults(fn=cmd_train_toy)
 
     p = sub.add_parser("stats", help="sparsity histograms as CSV",
                        epilog=epilog)
-    shared(p, "seed", "out", "threads")
+    shared(p, "seed", "out")
     p.add_argument("--scenes", type=int, default=20)
     p.set_defaults(fn=cmd_stats)
     return parser

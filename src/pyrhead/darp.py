@@ -27,8 +27,8 @@ class ContextAggregatorParams:
     mlps: list[MLPParams]
 
     def __post_init__(self):
-        if any(a >= b for a, b in zip((0.0,) + self.radii, self.radii)):
-            raise ValueError(f"context radii must be positive, increasing: {self.radii}")
+        if not all(a < b for a, b in zip((0.0, *self.radii), (*self.radii, np.inf))):
+            raise ValueError(f"context radii must be positive, increasing, finite: {self.radii}")
         if len(self.mlps) != len(self.radii):
             raise ValueError("one MLP per context sphere required")
 

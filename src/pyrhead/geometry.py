@@ -98,12 +98,12 @@ class PyramidLevelConfig:
 
     def __post_init__(self):
         self.ratios = tuple(float(r) for r in self.ratios)
-        if any(r < 1.0 for r in self.ratios):
-            raise ValueError(f"enlarging ratios must be >= 1, got {self.ratios}")
+        if not all(1.0 <= r < math.inf for r in self.ratios):
+            raise ValueError(f"enlarging ratios must be >= 1 and finite, got {self.ratios}")
         if self.max_neighbors < 1:
             raise ValueError("max_neighbors must be >= 1")
-        if self.r_pre <= 0:
-            raise ValueError("r_pre must be positive")
+        if not 0 < self.r_pre < math.inf:
+            raise ValueError(f"r_pre must be positive and finite, got {self.r_pre}")
         if self.anchor_mode not in ("corner", "center"):
             raise ValueError(f"unknown anchor_mode {self.anchor_mode!r}")
 

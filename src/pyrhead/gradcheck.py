@@ -17,14 +17,14 @@ from .autodiff import Value, finite_diff_grad, rel_error, vsum, mul
 from .darp import context_embedding, init_context_params, init_radius_head, predict_radius
 from .geometry import (Box3D, GridSpec, PyramidConfig, PyramidLevelConfig,
                        pyramid_grid_points)
-from .head import HeadConfig, assign_label, init_head_params, loss, run_head
+from .head import HeadConfig, init_head_params, run_head
 from .nn import init_mlp
 from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                         NeighborBundle, init_attention_params, pool_feature,
                         roi_grid_attention, roi_grid_attention_darp,
                         sampling_range)
 from .spatial import PointSet, build_index
-from .synth import INDEX_CELL, SceneConfig, generate_scene
+from .synth import INDEX_CELL, SceneConfig, generate_scene, scene_loss
 
 TOLERANCE = 1e-4
 FD_STEP = 1e-5
@@ -213,14 +213,7 @@ def _head_checks(seed: int) -> list[CheckResult]:
         idx = build_index(scene.ps, INDEX_CELL)
         if _boundary_clearance(scene, head_cfg, params, idx, tau) <= 2.0 * tau:
             continue
-        targets = [(assign_label(p, scene.gt_boxes[g], head_cfg.iou_positive),
-                    scene.gt_boxes[g])
-                   for p, g in zip(scene.proposals, scene.proposal_gt)]
-
-        def make():
-            dets, _ = run_head(head_cfg, params, scene.ps, idx,
-                               scene.proposals, tau)
-            return loss(dets, targets, head_cfg)
+        make = lambda: scene_loss(head_cfg, params, scene, idx, tau)[0]
 
         # require a live radius path, otherwise its check proves nothing
         probe = make()

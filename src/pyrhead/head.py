@@ -52,6 +52,19 @@ class HeadConfig:
     reg_weight: float = 2.0
     gate_override: tuple[float, float, float, float] | None = None
 
+    def __post_init__(self):
+        widths = ("feat_width", "d_model", "heads", "reduce_width",
+                  "context_sphere_width", "radius_hidden")
+        rules = [(name, ">= 1", getattr(self, name) >= 1) for name in widths] + [
+            ("fusion_widths", "non-empty and >= 1", min(self.fusion_widths, default=0) >= 1),
+            ("context_radii", "non-empty", len(self.context_radii) > 0),
+            ("r_min", "> 0", self.r_min > 0),
+            ("iou_positive", "in (0, 1]", 0 < self.iou_positive <= 1)]
+        for name, rule, holds in rules:
+            if not holds:
+                raise ValueError(f"config field {name!r} must be {rule}, "
+                                 f"got {getattr(self, name)!r}")
+
     @property
     def fusion_out(self) -> int:
         return self.fusion_widths[-1]

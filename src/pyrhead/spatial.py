@@ -168,6 +168,8 @@ class SpatialIndex:
         """(row, ids, dist) of the points within r of each of the [m, 3]
         centers: closed uncapped balls, rows ascending, at the distances
         ``gather_level`` computes."""
+        if not 0 < r < np.inf:
+            raise ValueError(f"ball radius must be positive and finite, got {r}")
         at = np.ascontiguousarray(np.reshape(centers, (-1, 3)).T, dtype=np.float64)
         r = np.full(at.shape[1], float(r))
         return _gather_pairs(self, at, r, *self._columns(_ball_boxes(at, r))[:3])

@@ -8,7 +8,8 @@ rather than ``SceneConfig`` fields: the feature width, the index cell, the
 object size ranges (W_RANGE, L_RANGE, H_RANGE), the pair gap (PAIR_GAP),
 the shell noise (SURFACE_NOISE), the proposal jitter (CENTER_JITTER,
 EXTENT_JITTER, YAW_JITTER) and its alternating scales, the hit IoU of
-``evaluate`` and the gradient-norm clip of toy training.
+``evaluate``, and the momentum (MOMENTUM) and gradient-norm clip of toy
+training.
 """
 from __future__ import annotations
 
@@ -46,6 +47,7 @@ HIT_IOU = 0.7                # refined-box IoU that counts as a hit in evaluate
 # global gradient-norm bound of a toy-training step (PV-RCNN's setting in
 # OpenPCDet); rare spiky steps are scaled down to it, ordinary ones pass
 GRAD_CLIP = 10.0
+MOMENTUM = 0.9               # momentum of toy-training SGD
 
 
 @dataclass
@@ -219,30 +221,49 @@ def generate_scenes(cfg: SceneConfig, count: int) -> list[Scene]:
     return [generate_scene(cfg, i) for i in range(count)]
 
 
+def scene_targets(scene: Scene, cfg: HeadConfig) -> list[tuple[int, Box3D]]:
+    """(label, gt box) of each proposal of the scene, in proposal order."""
+    return [(assign_label(p, scene.gt_boxes[g], cfg.iou_positive), scene.gt_boxes[g])
+            for p, g in zip(scene.proposals, scene.proposal_gt)]
+
+
+def scene_loss(cfg: HeadConfig, params: HeadParams, scene: Scene, idx: SpatialIndex,
+               tau: float):
+    """Head loss over all proposals of the scene against ``scene_targets``,
+    and the per-level effective radii of the ``run_head`` call."""
+    dets, radii = run_head(cfg, params, scene.ps, idx, scene.proposals, tau)
+    return loss(dets, scene_targets(scene, cfg), cfg), radii
+
+
 # -- sparsity statistics --------------------------------------------------------
 
-def bucket_of(count: int) -> str:
-    for lo, label in zip(BUCKET_EDGES[1:], BUCKET_LABELS[:-1]):
-        if count < lo:
-            return label
-    return BUCKET_LABELS[-1]
+def bucket_of(counts):
+    """Index into BUCKET_LABELS of the bucket of each point count."""
+    return np.searchsorted(BUCKET_EDGES[1:], counts, side="right")
+
+
+def _bucket_histogram(counts) -> dict[str, int]:
+    """Number of the counts in each bucket, for the buckets that hold any."""
+    n = np.bincount(bucket_of(counts), minlength=len(BUCKET_LABELS))
+    return {label: int(k) for label, k in zip(BUCKET_LABELS, n) if k}
 
 
 def interior_count(box: Box3D, ps: PointSet) -> int:
-    if len(ps) == 0:
-        return 0
     return int(box.contains(ps.coords).sum())
 
 
-def pyramid_gathered_ids(ps: PointSet, roi: Box3D,
-                         pyramid: PyramidConfig) -> set[int]:
-    """Union of point ids collected by every grid point of every level."""
-    ids: set[int] = set()
+def pyramid_gathered_counts(ps: PointSet, rois: list[Box3D],
+                            pyramid: PyramidConfig) -> np.ndarray:
+    """Per RoI, the number of distinct point ids that the grid points of
+    all levels gather: one capped gather per level over all RoIs."""
+    keys = []
     for lv in pyramid.levels:
-        centers = pyramid_grid_points(roi, lv)[None]
-        _, got, _ = gather_level(ps, centers, lv.r_pre, lv.max_neighbors)
-        ids.update(got.tolist())
-    return ids
+        count = lv.grid.count
+        centers = pyramid_grid_points(rois, lv).reshape(len(rois), count, 3)
+        row, ids, _ = gather_level(ps, centers, lv.r_pre, lv.max_neighbors)
+        keys.append(row // count * len(ps) + ids)
+    roi_of = np.unique(np.concatenate(keys)) // max(len(ps), 1)
+    return np.bincount(roi_of, minlength=len(rois))
 
 
 @dataclass
@@ -252,9 +273,8 @@ class SparsityStats:
 
     def to_csv(self) -> str:
         lines = ["bucket,interior_objects,gathered_rois"]
-        for label in BUCKET_LABELS:
-            lines.append(f"{label},{self.interior.get(label, 0)},"
-                         f"{self.gathered.get(label, 0)}")
+        lines += [f"{b},{self.interior.get(b, 0)},{self.gathered.get(b, 0)}"
+                  for b in BUCKET_LABELS]
         return "\n".join(lines) + "\n"
 
 
@@ -262,16 +282,10 @@ def sparsity_stats(scenes: list[Scene]) -> SparsityStats:
     """Histogram of object interior counts vs per-RoI pyramid-gathered counts
     of the default pyramid."""
     pyramid = default_pyramid_config()
-    interior: dict[str, int] = {}
-    gathered: dict[str, int] = {}
-    for sc in scenes:
-        for box in sc.gt_boxes:
-            b = bucket_of(interior_count(box, sc.ps))
-            interior[b] = interior.get(b, 0) + 1
-        for roi in sc.proposals:
-            n = len(pyramid_gathered_ids(sc.ps, roi, pyramid))
-            gathered[bucket_of(n)] = gathered.get(bucket_of(n), 0) + 1
-    return SparsityStats(interior, gathered)
+    interior = [interior_count(box, sc.ps) for sc in scenes for box in sc.gt_boxes]
+    gathered = [pyramid_gathered_counts(sc.ps, sc.proposals, pyramid) for sc in scenes]
+    return SparsityStats(_bucket_histogram(interior), _bucket_histogram(
+        np.concatenate([np.zeros(0, dtype=np.int64), *gathered])))
 
 
 # -- toy training ----------------------------------------------------------------
@@ -329,18 +343,17 @@ class TrainingDiverged(RuntimeError):
 
 
 def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
-              lr: float, seed: int, n_scenes: int = 200, momentum: float = 0.9
-              ) -> TrainResult:
-    """Momentum SGD on the head loss over a deterministic scene set.
+              lr: float, seed: int, n_scenes: int = 200) -> TrainResult:
+    """Momentum SGD (MOMENTUM) on the head loss over a deterministic scene set.
 
     The learning rate anneals from ``lr`` towards 0 along a half cosine
     over the run, and each step's gradient is scaled by
     min(1, GRAD_CLIP / norm) before the momentum update; ``grad_norms``
     records the norm before clipping. The radius trajectory records the
     per-level effective radius averaged over the step's RoIs. Raises
-    ValueError unless ``lr`` is finite and >= 0 and 0 <= ``momentum`` < 1,
-    and TrainingDiverged if the loss or the gradient norm goes non-finite
-    or the box residuals leave their range.
+    ValueError unless ``lr`` is finite and >= 0, and TrainingDiverged if
+    the loss or the gradient norm goes non-finite or the box residuals
+    leave their range.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -348,8 +361,6 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
         raise ValueError(f"n_scenes must be >= 1, got {n_scenes}")
     if not 0 <= lr < np.inf:
         raise ValueError(f"lr must be finite and >= 0, got {lr}")
-    if not 0 <= momentum < 1:
-        raise ValueError(f"momentum must be in [0, 1), got {momentum}")
     if head_cfg.feat_width != FEAT_WIDTH:
         raise ValueError(f"config field 'feat_width' is {head_cfg.feat_width}, "
                          f"but the scenes have {FEAT_WIDTH} features per point")
@@ -358,19 +369,10 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     indexes = [build_index(sc.ps, INDEX_CELL) for sc in scenes]
     params = init_head_params(head_cfg, seed)
     sched = TemperatureSchedule(head_cfg.tau_start, head_cfg.tau_end, steps)
-
-    def scene_loss(sc: Scene, idx: SpatialIndex, tau: float):
-        dets, step_radii = run_head(head_cfg, params, sc.ps, idx,
-                                    sc.proposals, tau)
-        targets = [(assign_label(p, sc.gt_boxes[g], head_cfg.iou_positive),
-                    sc.gt_boxes[g])
-                   for p, g in zip(sc.proposals, sc.proposal_gt)]
-        return loss(dets, targets, head_cfg), step_radii
-
     # reference level before any update, over a sample of the scene set
     probe = min(20, len(scenes))
     untrained = float(np.mean([
-        scene_loss(scenes[i], indexes[i], sched.tau_start)[0].item()
+        scene_loss(head_cfg, params, scenes[i], indexes[i], sched.tau_start)[0].item()
         for i in range(probe)]))
     velocity = {name: np.zeros_like(p.data)
                 for name, p in params.named_parameters()}
@@ -384,7 +386,7 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
         idx = indexes[step % len(scenes)]
         tau = temperature(step, sched)
         try:
-            step_loss, step_radii = scene_loss(sc, idx, tau)
+            step_loss, step_radii = scene_loss(head_cfg, params, sc, idx, tau)
         except RuntimeError as exc:  # from apply_residuals
             raise TrainingDiverged(
                 f"training diverged at step {step}: box residuals out of range") from exc
@@ -402,7 +404,7 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
         step_lr = lr * scale * 0.5 * (1.0 + math.cos(math.pi * step / steps))
         for name, p in named:
             v = velocity[name]
-            v *= momentum
+            v *= MOMENTUM
             v -= step_lr * p.grad
             p.data = p.data + v
         losses.append(value)
@@ -426,41 +428,32 @@ class EvalResult:
 
 
 def evaluate(head_cfg: HeadConfig, params: HeadParams, scenes: list[Scene]) -> EvalResult:
-    """Classification accuracy and refined-box IoU at the final temperature."""
-    correct = 0
-    total = 0
-    positives = 0
-    ious: list[float] = []
-    hits = 0
-    bucket_tot: dict[str, int] = {}
-    bucket_ok: dict[str, int] = {}
+    """Classification accuracy and refined-box IoU at the final temperature,
+    reduced once from one row per detection: correct, label, IoU, gt bucket."""
+    rows = []
     for sc in scenes:
         dets, _ = run_head(head_cfg, params, sc.ps, build_index(sc.ps, INDEX_CELL),
                            sc.proposals, head_cfg.tau_end)
-        for det, g in zip(dets, sc.proposal_gt):
-            gt = sc.gt_boxes[g]
-            label = assign_label(det.proposal, gt, head_cfg.iou_positive)
-            pred = int(det.score > 0.5)
-            ok = pred == label
-            correct += ok
-            total += 1
-            positives += label
-            iou = derotated_iou(det.box, gt)
-            ious.append(iou)
-            hits += iou >= HIT_IOU
-            bucket = bucket_of(interior_count(gt, sc.ps))
-            bucket_tot[bucket] = bucket_tot.get(bucket, 0) + 1
-            bucket_ok[bucket] = bucket_ok.get(bucket, 0) + ok
-    if total == 0:
+        gt_bucket = bucket_of([interior_count(gt, sc.ps) for gt in sc.gt_boxes])
+        rows += [(int(det.score > 0.5) == label, label, derotated_iou(det.box, gt),
+                  gt_bucket[g])
+                 for det, (label, gt), g in zip(dets, scene_targets(sc, head_cfg),
+                                                sc.proposal_gt)]
+    if not rows:
         return EvalResult(0, 0.0, 0.0, 0.0, 0.0, {})
-    pos_rate = positives / total
+    ok, label, iou, bucket = map(np.array, zip(*rows))
+    pos_rate = float(np.mean(label))
+    tot = np.bincount(bucket, minlength=len(BUCKET_LABELS))
+    right = np.bincount(bucket, weights=ok, minlength=len(BUCKET_LABELS))
     return EvalResult(
-        n=total,
-        accuracy=correct / total,
-        mean_iou=float(np.mean(ious)),
-        hit_rate=hits / total,
+        n=len(rows),
+        accuracy=float(np.mean(ok)),
+        mean_iou=float(np.mean(iou)),
+        hit_rate=float(np.mean(iou >= HIT_IOU)),
         label_base_rate=max(pos_rate, 1.0 - pos_rate),
-        bucket_accuracy={b: bucket_ok[b] / bucket_tot[b] for b in sorted(bucket_tot)},
+        # keyed in label order, as sorted() orders the label strings
+        bucket_accuracy={BUCKET_LABELS[b]: float(right[b] / tot[b])
+                         for b in np.argsort(BUCKET_LABELS) if tot[b]},
     )
 
 

@@ -38,6 +38,14 @@
   (``np.unique(cells, axis=0)``) and drew each shell point's face
   coordinates in a Python loop. Scenes generated with the array versions
   must be bitwise equal to scenes generated with these.
+- ``loop_evaluate``, ``loop_bucket_of`` and ``pyramid_gathered_ids``: the
+  former evaluation, which labelled each detection and folded it into
+  running counters and per-bucket dicts, the former bucket lookup, a loop
+  over the edges, and the former sparsity gather, which collected the
+  point ids of one RoI into a Python set with one gather per level. The
+  per-detection rows of ``evaluate`` must reproduce the first's
+  ``repr``, ``bucket_of`` the second's labels, and
+  ``pyramid_gathered_counts`` the third's set sizes.
 """
 from __future__ import annotations
 
@@ -48,9 +56,12 @@ from pyrhead.autodiff import (Value, add, concat, mul, reshape, take,
 from pyrhead.darp import predict_radius
 from pyrhead.geometry import (Box3D, GridSpec, _lattice, pyramid_grid_points,
                               rot_z)
+from pyrhead.head import assign_label, derotated_iou, run_head
 from pyrhead.operators import (AttentionParams, NeighborBundle,
                                soft_radius_coeff)
-from pyrhead.synth import _FACE_AXES, FEAT_WIDTH
+from pyrhead.spatial import build_index, gather_level
+from pyrhead.synth import (_FACE_AXES, BUCKET_EDGES, BUCKET_LABELS, FEAT_WIDTH,
+                           HIT_IOU, INDEX_CELL, EvalResult)
 
 
 def brute_force_query(ps, center, r: float, max_k: int | None = None) -> np.ndarray:
@@ -585,3 +596,59 @@ def row_sort_occupancy_features(coords: np.ndarray, z_extent: float = 4.0
     feats[:, 6] = (logc[:, 2] - logc[:, 1]) / 2.0
     feats[:, 7] = (logc[:, 3] - logc[:, 2]) / 2.0
     return feats
+
+
+def loop_bucket_of(count: int) -> str:
+    for lo, label in zip(BUCKET_EDGES[1:], BUCKET_LABELS[:-1]):
+        if count < lo:
+            return label
+    return BUCKET_LABELS[-1]
+
+
+def loop_evaluate(head_cfg, params, scenes) -> EvalResult:
+    """``synth.evaluate`` as running counters over the detections."""
+    correct = 0
+    total = 0
+    positives = 0
+    ious: list[float] = []
+    hits = 0
+    bucket_tot: dict[str, int] = {}
+    bucket_ok: dict[str, int] = {}
+    for sc in scenes:
+        dets, _ = run_head(head_cfg, params, sc.ps, build_index(sc.ps, INDEX_CELL),
+                           sc.proposals, head_cfg.tau_end)
+        for det, g in zip(dets, sc.proposal_gt):
+            gt = sc.gt_boxes[g]
+            label = assign_label(det.proposal, gt, head_cfg.iou_positive)
+            ok = int(det.score > 0.5) == label
+            correct += ok
+            total += 1
+            positives += label
+            iou = derotated_iou(det.box, gt)
+            ious.append(iou)
+            hits += iou >= HIT_IOU
+            bucket = loop_bucket_of(int(gt.contains(sc.ps.coords).sum()) if len(sc.ps) else 0)
+            bucket_tot[bucket] = bucket_tot.get(bucket, 0) + 1
+            bucket_ok[bucket] = bucket_ok.get(bucket, 0) + ok
+    if total == 0:
+        return EvalResult(0, 0.0, 0.0, 0.0, 0.0, {})
+    pos_rate = positives / total
+    return EvalResult(
+        n=total,
+        accuracy=correct / total,
+        mean_iou=float(np.mean(ious)),
+        hit_rate=hits / total,
+        label_base_rate=max(pos_rate, 1.0 - pos_rate),
+        bucket_accuracy={b: bucket_ok[b] / bucket_tot[b] for b in sorted(bucket_tot)},
+    )
+
+
+def pyramid_gathered_ids(ps, roi: Box3D, pyramid) -> set[int]:
+    """Union of the point ids that every grid point of every level of one
+    RoI gathers, one ``gather_level`` per level."""
+    ids: set[int] = set()
+    for lv in pyramid.levels:
+        centers = pyramid_grid_points(roi, lv)[None]
+        _, got, _ = gather_level(ps, centers, lv.r_pre, lv.max_neighbors)
+        ids.update(got.tolist())
+    return ids

@@ -12,6 +12,17 @@ import pytest
 from pyrhead.cli import run
 from pyrhead.head import CONFIG_SCHEMA_VERSION
 
+NAN, INF = float("nan"), float("inf")   # written as NaN and Infinity by json.dumps
+TRAIN_1 = ("--steps", "1", "--scenes", "1")
+
+
+def level2_ratio_nan(doc):
+    doc["pyramid"]["levels"][2]["ratios"] = [NAN, 1.5, 1.0]
+
+
+def level2_r_pre_inf(doc):
+    doc["pyramid"]["levels"][2]["r_pre"] = INF
+
 
 def invoke(argv, capsys):
     code = run(argv)
@@ -167,8 +178,6 @@ class TestExitCodes:
         (["stats", "--scenes", "-1"], None, None, "scene count"),
         (["attend", "--op", "darp", "--tau", "nan"], None, None, "tau"),
         (["train-toy", "--steps", "1", "--scenes", "1", "--lr", "nan"], None, None, "lr"),
-        (["train-toy", "--steps", "1", "--scenes", "1", "--momentum", "-5"], None, None,
-         "momentum"),
         (["attend", "--op", "unified", "--d-model", "0"], None, None, "d_model"),
         (["gridgen", "--box", "0,0,nan,1,1,1,0"], None, None, "finite"),
         (["gridgen", "--box", "0,0,0,1,1,inf,0"], None, None, "finite"),
@@ -189,20 +198,44 @@ class TestExitCodes:
          "--seed"),
         (["attend", "--op", "graph", "--seed", "-1"], None, None, "--seed"),
         (["gradcheck", "--seed", "-1"], None, None, "--seed"),
+        (["gridgen", "--box", "0,0,0,1,1,1,0"], level2_ratio_nan, None, "ratios"),
+        (["gridgen", "--box", "0,0,0,1,1,1,0"], level2_r_pre_inf, None, "r_pre"),
+        (["train-toy", *TRAIN_1], level2_ratio_nan, None, "ratios"),
+        (["train-toy", *TRAIN_1], level2_r_pre_inf, None, "r_pre"),
+        (["train-toy", *TRAIN_1], {"context_radii": [NAN, 4.8]}, None, "context radii"),
+        (["train-toy", *TRAIN_1], {"context_radii": [2.4, INF]}, None, "context radii"),
+        (["train-toy", *TRAIN_1], {"context_radii": []}, None, "'context_radii'"),
+        (["train-toy", *TRAIN_1], {"reduce_width": 0}, None, "'reduce_width'"),
+        (["train-toy", *TRAIN_1], {"context_sphere_width": 0}, None,
+         "'context_sphere_width'"),
+        (["train-toy", *TRAIN_1], {"radius_hidden": 0}, None, "'radius_hidden'"),
+        (["train-toy", *TRAIN_1], {"fusion_widths": [128, 0]}, None, "'fusion_widths'"),
+        (["train-toy", *TRAIN_1], {"r_min": -1}, None, "'r_min'"),
+        (["train-toy", *TRAIN_1], {"iou_positive": 2}, None, "'iou_positive'"),
     ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
             "stats_scenes_neg", "darp_tau_nan", "train_lr_nan",
-            "train_momentum_neg", "attend_d_model_0", "gridgen_corner_nan",
+            "attend_d_model_0", "gridgen_corner_nan",
             "gridgen_extent_inf", "gridgen_yaw_nan", "gridgen_grid_fraction",
             "attend_scene_list", "attend_scene_null", "attend_radius_nan",
             "attend_scene_no_coords", "attend_scene_no_feats", "attend_scene_flat_coords",
             "attend_scene_text_coord", "attend_scene_bad_json",
-            "stats_seed_neg", "train_seed_neg", "attend_seed_neg", "gradcheck_seed_neg"])
+            "stats_seed_neg", "train_seed_neg", "attend_seed_neg", "gradcheck_seed_neg",
+            "gridgen_ratio_nan", "gridgen_r_pre_inf", "train_ratio_nan", "train_r_pre_inf",
+            "train_context_radius_nan", "train_context_radius_inf",
+            "train_context_radii_empty", "train_reduce_width_0",
+            "train_context_sphere_width_0", "train_radius_hidden_0",
+            "train_fusion_width_0", "train_r_min_neg", "train_iou_positive_2"])
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                      argv, config, scene, field):
         if config is not None:
             from pyrhead.head import HeadConfig
             doc = json.loads(HeadConfig().to_json())
-            doc.update(config)
+            if callable(config):
+                config(doc)
+            else:
+                doc.update(config)
+            if argv[0] == "gridgen":  # the pyramid part alone
+                doc = doc["pyramid"]
             path = tmp_path / "head.json"
             path.write_text(json.dumps(doc))
             argv = argv + ["--config", str(path)]
@@ -266,15 +299,6 @@ class TestStatsAndTrain:
         assert lines[0] == "bucket,interior_objects,gathered_rois"
         assert len(lines) == 6
 
-    def test_stats_accepts_threads_as_a_no_op(self, capsys):
-        outs = []
-        for threads in ("1", "4"):
-            code, out, _ = invoke(["stats", "--scenes", "2", "--seed", "3",
-                                   "--threads", threads], capsys)
-            assert code == 0
-            outs.append(out)
-        assert outs[0] == outs[1]
-
     def test_train_toy_writes_metrics_and_is_deterministic(self, tmp_path,
                                                            capsys):
         args = ["train-toy", "--steps", "3", "--scenes", "2", "--lr", "0.001",
@@ -329,11 +353,13 @@ class TestStatsAndTrain:
     ("gridgen", "--seed"), ("gridgen", "--threads"),
     ("attend", "--config"), ("attend", "--threads"),
     ("gradcheck", "--config"),
-    ("stats", "--config"), ("stats", "--format"),
+    ("stats", "--config"), ("stats", "--format"), ("stats", "--threads"),
+    ("train-toy", "--momentum"),
 ])
 def test_rejects_shared_flag_it_does_not_read(capsys, command, flag):
     required = {"gridgen": ["--box", "0,0,0,1,1,1,0"], "attend": ["--op", "unified"]}
-    value = {"--seed": "1", "--threads": "2", "--config": "c.json", "--format": "json"}
+    value = {"--seed": "1", "--threads": "2", "--config": "c.json", "--format": "json",
+             "--momentum": "0.9"}
     code, out, err = invoke([command, *required.get(command, []), flag, value[flag]],
                             capsys)
     assert code == 2 and out == ""

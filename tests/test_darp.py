@@ -110,7 +110,8 @@ class TestContextEmbedding:
 
     def test_context_radii_must_increase(self):
         rng = np.random.default_rng(0)
-        for radii in ((4.8, 2.4), (0.0, 2.4), (-1.0, 2.4), (2.4, 2.4)):
+        for radii in ((4.8, 2.4), (0.0, 2.4), (-1.0, 2.4), (2.4, 2.4),
+                      (math.nan, 4.8), (2.4, math.nan), (2.4, math.inf)):
             with pytest.raises(ValueError, match="positive, increasing"):
                 init_context_params(rng, D, radii=radii, sphere_width=64)
 

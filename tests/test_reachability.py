@@ -69,3 +69,18 @@ def test_every_scene_config_field_is_set_by_a_caller():
              and not any(re.search(rf"\b{node.target.id}\s*=(?!=)", line)
                          for _, _, line in corpus)]
     assert unset == [], f"SceneConfig fields no caller sets: {unset}"
+
+
+def test_proposals_are_labelled_in_one_place():
+    """``assign_label(`` occurs in the package, outside its own ``def``, only
+    inside ``synth.scene_targets``, which training, the gradient check and
+    evaluation all take their labels from."""
+    synth = PACKAGE / "synth.py"
+    tree = ast.parse(synth.read_text(), filename=str(synth))
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "scene_targets")
+    inside = {(synth, i) for i in range(fn.lineno, fn.end_lineno + 1)}
+    sites = {(path, i) for path in sorted(PACKAGE.glob("*.py"))
+             for i, line in enumerate(path.read_text().splitlines(), start=1)
+             if re.search(r"\bassign_label\(", line) and not line.lstrip().startswith("def ")}
+    assert sites and sites <= inside, sorted((p.name, i) for p, i in sites - inside)

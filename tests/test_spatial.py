@@ -138,6 +138,12 @@ class TestBalls:
         ps = random_pointset(rng, 50, span=5.0)
         assert build_index(ps, 1.0).balls(np.zeros((0, 3)), 2.0)[0].size == 0
 
+    @pytest.mark.parametrize("r", [0.0, -1.0, float("nan"), float("inf")])
+    def test_radius_must_be_positive_and_finite(self, r):
+        idx = build_index(random_pointset(np.random.default_rng(13), 50, span=5.0), 1.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            idx.balls(np.zeros((2, 3)), r)
+
     @given(st.integers(0, 10_000), st.floats(0.05, 6.0))
     @settings(max_examples=40, deadline=None)
     def test_random_balls_match_scan(self, seed, r):

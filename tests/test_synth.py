@@ -9,12 +9,12 @@ import pytest
 import oracles
 from pyrhead import synth
 from pyrhead.geometry import default_pyramid_config
-from pyrhead.head import HeadConfig, assign_label
+from pyrhead.head import HeadConfig, init_head_params
 from pyrhead.spatial import build_index
-from pyrhead.synth import (SceneConfig, bucket_of, evaluate, generate_scene,
-                           generate_scenes, interior_count, occupancy_features,
-                           pyramid_gathered_ids, single_level_baseline,
-                           sparsity_stats, train_toy)
+from pyrhead.synth import (BUCKET_LABELS, SceneConfig, bucket_of, evaluate,
+                           generate_scene, generate_scenes, interior_count,
+                           occupancy_features, pyramid_gathered_counts,
+                           single_level_baseline, sparsity_stats, train_toy)
 
 FAST = SceneConfig(extent=20.0, n_objects=2, obj_points_min=5,
                    obj_points_max=60, clutter_density=0.005)
@@ -151,11 +151,14 @@ class TestOccupancyCounts:
 
 class TestSparsityStats:
     def test_bucket_edges(self):
-        assert bucket_of(0) == "0-10"
-        assert bucket_of(7) == "0-10"
-        assert bucket_of(10) == "10-50"
-        assert bucket_of(499) == "100-500"
-        assert bucket_of(500) == "500+"
+        assert BUCKET_LABELS[bucket_of(0)] == "0-10"
+        assert BUCKET_LABELS[bucket_of(7)] == "0-10"
+        assert BUCKET_LABELS[bucket_of(10)] == "10-50"
+        assert BUCKET_LABELS[bucket_of(499)] == "100-500"
+        assert BUCKET_LABELS[bucket_of(500)] == "500+"
+        counts = np.arange(1200)
+        assert [BUCKET_LABELS[b] for b in bucket_of(counts)] == \
+            [oracles.loop_bucket_of(c) for c in counts.tolist()]
 
     def test_single_sparse_object_binned(self, fast, monkeypatch):
         monkeypatch.setattr(synth, "SURFACE_NOISE", 0.0)
@@ -177,9 +180,9 @@ class TestSparsityStats:
         wide = PyramidConfig([PyramidLevelConfig(
             GridSpec((2, 2, 2)), (1.0, 1.0, 1.0), max_neighbors=10_000,
             r_pre=30.0)])
-        for box in scene.gt_boxes:
-            gathered = pyramid_gathered_ids(scene.ps, box, wide)
-            assert len(gathered) >= interior_count(box, scene.ps)
+        gathered = pyramid_gathered_counts(scene.ps, scene.gt_boxes, wide)
+        for box, n in zip(scene.gt_boxes, gathered):
+            assert n >= interior_count(box, scene.ps)
 
     def test_gathered_ids_equal_union_of_capped_scans(self, fast):
         from oracles import brute_force_query
@@ -187,14 +190,27 @@ class TestSparsityStats:
         pyramid = default_pyramid_config()
         for seed in (0, 4):
             sc = generate_scene(dataclasses.replace(fast, seed=seed))
-            for roi in sc.proposals:
+            got = pyramid_gathered_counts(sc.ps, sc.proposals, pyramid)
+            assert got.shape == (len(sc.proposals),)
+            for roi, n in zip(sc.proposals, got):
                 want = set()
                 for lv in pyramid.levels:
                     for gp in pyramid_grid_points(roi, lv):
                         want.update(brute_force_query(sc.ps, gp, lv.r_pre,
                                                       lv.max_neighbors).tolist())
-                assert pyramid_gathered_ids(sc.ps, roi, pyramid) == want
-                assert want
+                assert oracles.pyramid_gathered_ids(sc.ps, roi, pyramid) == want
+                assert n == len(want) > 0
+
+    @pytest.mark.parametrize("seed", [0, 81])
+    def test_gathered_counts_match_per_roi_oracle(self, seed):
+        pyramid = default_pyramid_config()
+        configs = [SceneConfig(seed=seed), SceneConfig(seed=seed, clutter_density=1.0),
+                   SceneConfig(seed=seed, n_objects=0, clutter_density=0.0)]
+        for sc in [generate_scene(cfg, i) for cfg in configs for i in range(3)]:
+            got = pyramid_gathered_counts(sc.ps, sc.proposals, pyramid)
+            want = [len(oracles.pyramid_gathered_ids(sc.ps, roi, pyramid))
+                    for roi in sc.proposals]
+            assert got.tolist() == want
 
     def test_csv_shape(self, fast):
         stats = sparsity_stats(generate_scenes(fast, 3))
@@ -234,9 +250,9 @@ class TestTrainToy:
         from pyrhead import synth
         from pyrhead.head import init_head_params
         monkeypatch.setattr(synth, "GRAD_CLIP", clip)
+        monkeypatch.setattr(synth, "MOMENTUM", 0.0)
         cfg = tiny_head()
-        res = train_toy(cfg, fast, steps=1, lr=0.01, seed=0, n_scenes=1,
-                        momentum=0.0)
+        res = train_toy(cfg, fast, steps=1, lr=0.01, seed=0, n_scenes=1)
         fresh = init_head_params(cfg, 0)
         step = math.sqrt(sum(float(np.sum((a.data - b.data) ** 2)) for (_, a), (_, b)
                              in zip(res.params.named_parameters(),
@@ -249,21 +265,18 @@ class TestTrainToy:
     def test_learning_rate_anneals_along_half_cosine(self, fast, monkeypatch):
         from pyrhead import synth
         from pyrhead.darp import TemperatureSchedule, temperature
-        from pyrhead.head import loss, run_head
         monkeypatch.setattr(synth, "GRAD_CLIP", 1e6)
+        monkeypatch.setattr(synth, "MOMENTUM", 0.0)
         cfg = tiny_head()
-        one = train_toy(cfg, fast, steps=1, lr=0.01, seed=0, n_scenes=1, momentum=0.0)
-        two = train_toy(cfg, fast, steps=2, lr=0.01, seed=0, n_scenes=1, momentum=0.0)
+        one = train_toy(cfg, fast, steps=1, lr=0.01, seed=0, n_scenes=1)
+        two = train_toy(cfg, fast, steps=2, lr=0.01, seed=0, n_scenes=1)
         # step 1 of 2 sits halfway along the cosine: half the rate, from
         # the parameters the full-rate first step reached
         sc = generate_scene(fast, 0)
         tau = temperature(1, TemperatureSchedule(cfg.tau_start, cfg.tau_end, 2))
-        dets, _ = run_head(cfg, one.params, sc.ps, build_index(sc.ps, synth.INDEX_CELL),
-                           sc.proposals, tau)
-        targets = [(assign_label(p, sc.gt_boxes[g], cfg.iou_positive), sc.gt_boxes[g])
-                   for p, g in zip(sc.proposals, sc.proposal_gt)]
         one.params.zero_grad()
-        loss(dets, targets, cfg).backward()
+        idx = build_index(sc.ps, synth.INDEX_CELL)
+        synth.scene_loss(cfg, one.params, sc, idx, tau)[0].backward()
         for (name, a), (_, b) in zip(one.params.named_parameters(),
                                      two.params.named_parameters()):
             np.testing.assert_allclose(b.data, a.data - 0.005 * a.grad,
@@ -309,6 +322,26 @@ class TestEvaluate:
         from pyrhead.head import init_head_params
         result = evaluate(cfg, init_head_params(cfg, 0), [])
         assert result.n == 0 and result.accuracy == 0.0
+
+    def test_rows_reproduce_the_counter_loop(self):
+        # trained, fresh and baseline heads on the acceptance suite's eval
+        # scenes and on scenes without objects or points: every field, and
+        # the key types of bucket_accuracy, show in the repr
+        cfg, scene_cfg = HeadConfig(), SceneConfig()
+        base = single_level_baseline(cfg)
+        ev = generate_scenes(dataclasses.replace(scene_cfg, seed=9000), 8)
+        no_objects = generate_scene(dataclasses.replace(scene_cfg, n_objects=0))
+        no_points = generate_scene(dataclasses.replace(scene_cfg, n_objects=0,
+                                                       clutter_density=0.0))
+        trained = train_toy(cfg, scene_cfg, steps=12, lr=0.0075, seed=0, n_scenes=4)
+        trained_base = train_toy(base, scene_cfg, steps=12, lr=0.0075, seed=0, n_scenes=4)
+        heads = [(cfg, trained.params), (cfg, init_head_params(cfg, 0)),
+                 (base, trained_base.params)]
+        for head_cfg, params in heads:
+            for scenes in (ev, [no_objects], [no_points], [no_objects, *ev[:2]], []):
+                got = evaluate(head_cfg, params, scenes)
+                assert repr(got) == repr(oracles.loop_evaluate(head_cfg, params, scenes))
+                assert all(type(k) is str for k in got.bucket_accuracy)
 
 
 class TestBaselineConfig:
