@@ -59,10 +59,6 @@ class Value:
         return self.data.shape
 
     @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
-    @property
     def size(self) -> int:
         return self.data.size
 
@@ -249,11 +245,11 @@ def smooth_l1(x: Value) -> Value:
 
 # -- reductions and shaping ---------------------------------------------
 
-def vsum(x: Value, axis=None, keepdims=False) -> Value:
-    out = Value(x.data.sum(axis=axis, keepdims=keepdims), (x,))
+def vsum(x: Value, axis=None) -> Value:
+    out = Value(x.data.sum(axis=axis), (x,))
 
     def _bw(g):
-        if axis is not None and not keepdims:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         x._accum(np.broadcast_to(g, x.shape))
 

@@ -28,7 +28,8 @@ class ContextAggregatorParams:
 
     def __post_init__(self):
         if not all(a < b for a, b in zip((0.0, *self.radii), (*self.radii, np.inf))):
-            raise ValueError(f"context radii must be positive, increasing, finite: {self.radii}")
+            raise ValueError("config field 'context_radii' must be positive, increasing "
+                             f"and finite, got {list(self.radii)}")
         if len(self.mlps) != len(self.radii):
             raise ValueError("one MLP per context sphere required")
 

@@ -129,24 +129,6 @@ class PyramidConfig:
                                  f"levels[0].anchor_mode is {self.levels[0].anchor_mode!r}; "
                                  "a pyramid has one anchor mode")
 
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def to_json(self) -> str:
-        doc = {
-            "anchor_mode": self.levels[0].anchor_mode,
-            "levels": [
-                {
-                    "grid": list(lv.grid.sizes),
-                    "ratios": list(lv.ratios),
-                    "max_neighbors": lv.max_neighbors,
-                    "r_pre": lv.r_pre,
-                }
-                for lv in self.levels
-            ],
-        }
-        return json.dumps(doc, indent=2)
-
     @classmethod
     def from_json(cls, text: str) -> "PyramidConfig":
         """Pyramid from JSON; an unknown, missing or mistyped field raises ValueError."""

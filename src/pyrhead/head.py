@@ -10,7 +10,7 @@ The math is that of the per-point operators, up to summation order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import get_type_hints
 
 import numpy as np
@@ -73,14 +73,6 @@ class HeadConfig:
         if self.gate_override is None:
             return None
         return GateOverride.from_tuple(self.gate_override)
-
-    def to_json(self) -> str:
-        doc = {"schema_version": CONFIG_SCHEMA_VERSION}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            doc[f.name] = (json.loads(v.to_json()) if isinstance(v, PyramidConfig)
-                           else list(v) if isinstance(v, tuple) else v)
-        return json.dumps(doc, indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "HeadConfig":

@@ -107,7 +107,7 @@ class AttentionParams:
         if heads < 1:
             raise ValueError(f"heads must be >= 1, got {heads}")
         if d_model % heads != 0:
-            raise ValueError("d_model must be divisible by the head count")
+            raise ValueError(f"d_model must be divisible by heads, got {d_model} and {heads}")
 
     @property
     def d_model(self) -> int:

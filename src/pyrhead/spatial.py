@@ -51,23 +51,12 @@ class PointSet:
     def feat_width(self) -> int:
         return self.feats.shape[1]
 
-    @classmethod
-    def empty(cls, feat_width: int) -> "PointSet":
-        return cls(np.zeros((0, 3)), np.zeros((0, feat_width)))
-
     # -- persistence -----------------------------------------------------
-    def save(self, path) -> None:
-        """Binary form: magic, u32 n, u32 d, f32 coords, f32 features."""
-        n, d = len(self), self.feat_width
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sII", PSET_MAGIC, n, d))
-            fh.write(self.coords.astype("<f4").tobytes())
-            fh.write(self.feats.astype("<f4").tobytes())
-
     @classmethod
     def load(cls, path) -> "PointSet":
-        """A PSET file, or a ``from_json`` one if the name ends in .json; a
-        malformed file raises ValueError naming the path."""
+        """A PSET file (magic, u32 n, u32 d, f32 coords, f32 features), or a
+        ``from_json`` one if the name ends in .json; a malformed file raises
+        ValueError naming the path."""
         path = Path(path)
         try:
             if path.suffix == ".json":
@@ -88,10 +77,6 @@ class PointSet:
                        feats.reshape(n, d).astype(np.float64))
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
-
-    def to_json(self) -> str:
-        return json.dumps({"coords": self.coords.tolist(),
-                           "feats": self.feats.tolist()})
 
     @classmethod
     def from_json(cls, text: str) -> "PointSet":
@@ -135,8 +120,7 @@ class SpatialIndex:
         self._order = np.argsort(key)
         self._keys = key[self._order]
 
-    def query(self, center, r: float, max_k: int | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, center, r: float, max_k: int) -> tuple[np.ndarray, np.ndarray]:
         """Ids and distances of points with ||p - center|| <= r (closed ball).
 
         Sorted by (distance, id); if more than max_k qualify only the
@@ -144,9 +128,11 @@ class SpatialIndex:
         """
         if not 0 < r < np.inf:
             raise ValueError(f"query radius must be positive and finite, got {r}")
-        if max_k is not None and max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {max_k}")
         center = np.asarray(center, dtype=np.float64).reshape(3)
+        if not np.all(np.isfinite(center)):
+            raise ValueError(f"query centre must be finite, got {center.tolist()}")
+        if max_k < 1:
+            raise ValueError(f"max_k must be >= 1, got {max_k}")
         pad = r * _BOX_PAD
         cand = self.region_ids(center - pad, center + pad)
         if cand.size == 0:
@@ -154,9 +140,7 @@ class SpatialIndex:
         d = np.linalg.norm(self.ps.coords[cand] - center, axis=1)
         keep = d <= r
         cand, d = cand[keep], d[keep]
-        order = np.lexsort((cand, d))
-        if max_k is not None and order.size > max_k:
-            order = order[:max_k]
+        order = np.lexsort((cand, d))[:max_k]
         return cand[order], d[order]
 
     def region_ids(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

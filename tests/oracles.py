@@ -46,20 +46,30 @@
   per-detection rows of ``evaluate`` must reproduce the first's
   ``repr``, ``bucket_of`` the second's labels, and
   ``pyramid_gathered_counts`` the third's set sizes.
+- ``empty_point_set``, ``save_pset``, ``point_set_json``,
+  ``pyramid_config_json`` and ``head_config_json``: fixture writers for
+  the forms the program reads but never writes. ``PointSet.load`` (PSET
+  and JSON), ``PyramidConfig.from_json`` and ``HeadConfig.from_json``
+  must read back what these write.
 """
 from __future__ import annotations
+
+import dataclasses
+import json
+import struct
 
 import numpy as np
 
 from pyrhead.autodiff import (Value, add, concat, mul, reshape, take,
                               vsum)
 from pyrhead.darp import predict_radius
-from pyrhead.geometry import (Box3D, GridSpec, _lattice, pyramid_grid_points,
-                              rot_z)
-from pyrhead.head import assign_label, derotated_iou, run_head
+from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig, _lattice,
+                              pyramid_grid_points, rot_z)
+from pyrhead.head import (CONFIG_SCHEMA_VERSION, HeadConfig, assign_label,
+                          derotated_iou, run_head)
 from pyrhead.operators import (AttentionParams, NeighborBundle,
                                soft_radius_coeff)
-from pyrhead.spatial import build_index, gather_level
+from pyrhead.spatial import PSET_MAGIC, PointSet, build_index, gather_level
 from pyrhead.synth import (_FACE_AXES, BUCKET_EDGES, BUCKET_LABELS, FEAT_WIDTH,
                            HIT_IOU, INDEX_CELL, EvalResult)
 
@@ -236,7 +246,7 @@ def per_roi_context_embedding(roi: Box3D, ps, idx, params) -> Value:
     derot = rot_z(roi.yaw)
     parts = []
     for radius, mlp in zip(params.radii, params.mlps):
-        ids = idx.query(center, radius, max_k=None)[0]
+        ids = idx.query(center, radius, max_k=len(ps) + 1)[0]   # uncapped
         if ids.size == 0:
             parts.append(Value(np.zeros(mlp.d_out)))
             continue
@@ -652,3 +662,42 @@ def pyramid_gathered_ids(ps, roi: Box3D, pyramid) -> set[int]:
         _, got, _ = gather_level(ps, centers, lv.r_pre, lv.max_neighbors)
         ids.update(got.tolist())
     return ids
+
+
+# -- fixture writers ---------------------------------------------------------
+
+def empty_point_set(feat_width: int) -> PointSet:
+    return PointSet(np.zeros((0, 3)), np.zeros((0, feat_width)))
+
+
+def save_pset(ps: PointSet, path) -> None:
+    """Binary form: magic, u32 n, u32 d, f32 coords, f32 features."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sII", PSET_MAGIC, len(ps), ps.feat_width))
+        fh.write(ps.coords.astype("<f4").tobytes())
+        fh.write(ps.feats.astype("<f4").tobytes())
+
+
+def point_set_json(ps: PointSet) -> str:
+    return json.dumps({"coords": ps.coords.tolist(), "feats": ps.feats.tolist()})
+
+
+def _pyramid_doc(cfg: PyramidConfig) -> dict:
+    return {"anchor_mode": cfg.levels[0].anchor_mode,
+            "levels": [{"grid": list(lv.grid.sizes), "ratios": list(lv.ratios),
+                        "max_neighbors": lv.max_neighbors, "r_pre": lv.r_pre}
+                       for lv in cfg.levels]}
+
+
+def pyramid_config_json(cfg: PyramidConfig) -> str:
+    return json.dumps(_pyramid_doc(cfg), indent=2)
+
+
+def head_config_json(cfg: HeadConfig) -> str:
+    """Every field, the pyramid as ``pyramid_config_json`` writes it."""
+    doc = {"schema_version": CONFIG_SCHEMA_VERSION}
+    for f in dataclasses.fields(cfg):
+        v = getattr(cfg, f.name)
+        doc[f.name] = (_pyramid_doc(v) if isinstance(v, PyramidConfig)
+                       else list(v) if isinstance(v, tuple) else v)
+    return json.dumps(doc, indent=2)

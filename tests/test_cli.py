@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+import oracles
 from pyrhead.cli import run
 from pyrhead.head import CONFIG_SCHEMA_VERSION
 
@@ -52,7 +53,7 @@ class TestGridgen:
     def test_pyramid_config_file(self, tmp_path, capsys):
         from pyrhead.geometry import default_pyramid_config
         cfg = tmp_path / "pyr.json"
-        cfg.write_text(default_pyramid_config().to_json())
+        cfg.write_text(oracles.pyramid_config_json(default_pyramid_config()))
         code, out, _ = invoke(["gridgen", "--box", "0,0,0,2,4,2,0.3",
                                "--config", str(cfg)], capsys)
         assert code == 0
@@ -70,7 +71,6 @@ class TestAttend:
     def test_unified_with_graph_gates_matches_graph(self, op, capsys):
         # each named op is the unified operator with pinned gates; both must
         # match the standalone oracle of that operator
-        import oracles
         from pyrhead.cli import _fixture_scene
         from pyrhead.operators import NeighborBundle, init_attention_params
         from pyrhead.spatial import build_index
@@ -99,7 +99,7 @@ class TestAttend:
         rng = np.random.default_rng(0)
         ps = PointSet(rng.uniform(-1, 1, (20, 3)), rng.normal(size=(20, 8)))
         fixture = tmp_path / "scene.json"
-        fixture.write_text(ps.to_json())
+        fixture.write_text(oracles.point_set_json(ps))
         code, out, _ = invoke(["attend", "--op", "pool", "--scene",
                                str(fixture), "--radius", "2.0"], capsys)
         assert code == 0
@@ -148,7 +148,7 @@ class TestExitCodes:
     ], ids=["empty", "level_typo", "grid_len", "top_extra", "int_str"])
     def test_gridgen_rejects_bad_pyramid_config(self, tmp_path, capsys, edit, want):
         from pyrhead.geometry import default_pyramid_config
-        doc = json.loads(default_pyramid_config().to_json())
+        doc = json.loads(oracles.pyramid_config_json(default_pyramid_config()))
         edit(doc)
         cfg = tmp_path / "pyr.json"
         cfg.write_text(json.dumps(doc))
@@ -186,6 +186,10 @@ class TestExitCodes:
         (["attend", "--op", "graph"], None, "[1, 2]", "JSON object"),
         (["attend", "--op", "graph"], None, "null", "JSON object"),
         (["attend", "--op", "graph", "--radius", "nan"], None, None, "--radius"),
+        (["attend", "--op", "darp", "--grid-point", "nan,0,0"], None, None,
+         "centre must be finite"),
+        (["attend", "--op", "graph", "--grid-point", "0,inf,0"], None, None,
+         "centre must be finite"),
         (["attend", "--op", "graph"], None, "{}", "'coords' is missing"),
         (["attend", "--op", "graph"], None, '{"coords": [[0, 0, 0]]}', "'feats' is missing"),
         (["attend", "--op", "graph"], None, '{"coords": [1, 2], "feats": []}',
@@ -202,8 +206,8 @@ class TestExitCodes:
         (["gridgen", "--box", "0,0,0,1,1,1,0"], level2_r_pre_inf, None, "r_pre"),
         (["train-toy", *TRAIN_1], level2_ratio_nan, None, "ratios"),
         (["train-toy", *TRAIN_1], level2_r_pre_inf, None, "r_pre"),
-        (["train-toy", *TRAIN_1], {"context_radii": [NAN, 4.8]}, None, "context radii"),
-        (["train-toy", *TRAIN_1], {"context_radii": [2.4, INF]}, None, "context radii"),
+        (["train-toy", *TRAIN_1], {"context_radii": [NAN, 4.8]}, None, "'context_radii'"),
+        (["train-toy", *TRAIN_1], {"context_radii": [2.4, INF]}, None, "'context_radii'"),
         (["train-toy", *TRAIN_1], {"context_radii": []}, None, "'context_radii'"),
         (["train-toy", *TRAIN_1], {"reduce_width": 0}, None, "'reduce_width'"),
         (["train-toy", *TRAIN_1], {"context_sphere_width": 0}, None,
@@ -217,6 +221,7 @@ class TestExitCodes:
             "attend_d_model_0", "gridgen_corner_nan",
             "gridgen_extent_inf", "gridgen_yaw_nan", "gridgen_grid_fraction",
             "attend_scene_list", "attend_scene_null", "attend_radius_nan",
+            "darp_grid_point_nan", "attend_grid_point_inf",
             "attend_scene_no_coords", "attend_scene_no_feats", "attend_scene_flat_coords",
             "attend_scene_text_coord", "attend_scene_bad_json",
             "stats_seed_neg", "train_seed_neg", "attend_seed_neg", "gradcheck_seed_neg",
@@ -229,7 +234,7 @@ class TestExitCodes:
                                                      argv, config, scene, field):
         if config is not None:
             from pyrhead.head import HeadConfig
-            doc = json.loads(HeadConfig().to_json())
+            doc = json.loads(oracles.head_config_json(HeadConfig()))
             if callable(config):
                 config(doc)
             else:
@@ -265,7 +270,7 @@ class TestExitCodes:
     def test_attend_rejects_bad_pset(self, tmp_path, capsys, defect):
         from pyrhead.spatial import PointSet
         path = tmp_path / "scene.pset"
-        PointSet(np.zeros((5, 3)), np.ones((5, 8))).save(path)
+        oracles.save_pset(PointSet(np.zeros((5, 3)), np.ones((5, 8))), path)
         raw = path.read_bytes()
         size = 12 + 5 * 11 * 4
         if defect == "truncated":
@@ -328,15 +333,27 @@ class TestStatsAndTrain:
         ({"feat_width": 11}, "feat_width"),
         ({"feat_widht": 8}, "feat_widht"),
         ({"darp_enabled": "no"}, "darp_enabled"),
+        ({"context_radii": [NAN, 4.8]}, "'context_radii'"),
+        ({"context_radii": [4.8, 2.4]}, "'context_radii'"),
+        ({"r_min": 1.0}, "r_min"),
+        ({"tau_end": 0.0}, "tau_end"),
+        ({"heads": 3}, "heads"),
     ])
-    def test_train_toy_rejects_bad_config(self, tmp_path, capsys, edit, field):
+    def test_train_toy_rejects_bad_config(self, tmp_path, capsys, monkeypatch, edit, field):
+        """A bad config exits 2 before any training scene is generated."""
+        from pyrhead import synth
         from pyrhead.head import HeadConfig
-        doc = json.loads(HeadConfig().to_json())
+
+        def no_scenes(*args, **kwargs):
+            raise AssertionError("scenes generated before the config was checked")
+
+        monkeypatch.setattr(synth, "generate_scenes", no_scenes)
+        doc = json.loads(oracles.head_config_json(HeadConfig()))
         doc.update(edit)
         cfg = tmp_path / "head.json"
         cfg.write_text(json.dumps(doc))
         code, out, err = invoke(["train-toy", "--config", str(cfg), "--steps", "1",
-                                 "--scenes", "1"], capsys)
+                                 "--scenes", "200"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and field in err
 

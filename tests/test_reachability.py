@@ -1,15 +1,55 @@
-"""Every public function, class and method in the package has a caller,
-and every ``SceneConfig`` field is set by keyword (``name=``) by one.
+"""Every public definition of the package is reached by the program, in
+two ways, and every ``SceneConfig`` field is set by keyword (``name=``)
+by a caller.
 
-A name counts as reached when it occurs as a word outside the lines that
-define it, in the package sources (minus the re-exports of
-``pyrhead/__init__.py``), the README, the benchmark harness or the
-acceptance suite. Tests other than the acceptance suite do not count: a
-function only its own tests call is not part of the program.
+``test_every_public_definition_has_a_caller`` reads: a name counts as
+reached when it occurs as a word outside the lines that define it, in the
+package sources (minus the re-exports of ``pyrhead/__init__.py``), the
+README, the benchmark harness or the acceptance suite. Tests other than the
+acceptance suite do not count: a function only its own tests call is not
+part of the program.
+
+``test_every_public_definition_runs`` executes: it drives the program's
+roots at tiny sizes and fails on any public function, method or property
+of the package that none of them runs, naming each as ``file:qualname``.
+Dunder methods the package defines count as public, since Python calls
+them for ``len()``, ``+`` and calls, except ``__repr__``; those the
+interpreter supplies do not. The roots are:
+
+- every CLI subcommand through ``cli.run``: ``gridgen`` (both formats, the
+  flag-built level and ``--config``), ``attend`` with each op, both formats,
+  ``--gates`` and ``--scene`` with a PSET and a JSON file, ``gradcheck
+  --seed 0`` (that is ``run_gradcheck(0)``), ``train-toy`` (both formats,
+  ``--config`` and ``--out``) and ``stats``;
+- ``cli.main`` once, with ``sys.argv`` patched;
+- the acceptance criteria that take under a second: gate reduction,
+  soft/hard membership, the geometry oracle and spatial-index exactness;
+- a 3-step ``train_toy`` plus ``evaluate``, for the default head and for
+  ``single_level_baseline``;
+- the benchmark's ``workloads.setup``, ``run_op``, ``probe`` and
+  ``oracle.check`` on both workloads, with two-scene pools.
+
+First calls are recorded by wrappers installed at every name under which a
+loaded module binds a package definition (for methods and properties, on
+their class), as the benchmark's tracer hooks its layers. Each wrapper puts
+the original back at its first call, so the roots run at full speed, and
+all of them are removed in a ``finally``.
 """
 import ast
+import contextlib
+import dataclasses
+import importlib
+import importlib.util
+import io
 import re
+import sys
 from pathlib import Path
+from types import FunctionType
+
+import numpy as np
+import pytest
+
+import oracles
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "pyrhead"
@@ -84,3 +124,163 @@ def test_proposals_are_labelled_in_one_place():
              for i, line in enumerate(path.read_text().splitlines(), start=1)
              if re.search(r"\bassign_label\(", line) and not line.lstrip().startswith("def ")}
     assert sites and sites <= inside, sorted((p.name, i) for p, i in sites - inside)
+
+
+# -- reach by execution ----------------------------------------------------
+
+def _is_public(name: str) -> bool:
+    """Dunders count (Python calls them for ``len()``, ``+`` and calls),
+    except ``__repr__``, which only debuggers and error reports call."""
+    dunder = name.startswith("__") and name.endswith("__")
+    return (dunder and name != "__repr__") or not name.startswith("_")
+
+
+def _definitions() -> list[tuple[str, object, str, object]]:
+    """(file:qualname, owner, attribute, object) of each public function,
+    method and property the package defines; owner is the class of a
+    method, None for a module-level function."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__main__.py":     # importing it runs the CLI
+            continue
+        mod = importlib.import_module(f"pyrhead.{path.stem}")
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and _is_public(node.name):
+                found.append((f"{path.name}:{node.name}", None, node.name,
+                              vars(mod)[node.name]))
+            elif isinstance(node, ast.ClassDef):
+                cls = vars(mod)[node.name]
+                found.extend((f"{path.name}:{node.name}.{sub.name}", cls, sub.name,
+                              vars(cls)[sub.name])
+                             for sub in node.body
+                             if isinstance(sub, ast.FunctionDef) and _is_public(sub.name))
+    return found
+
+
+def _recording(fn, key: str, seen: set, restore):
+    def first_call(*args, **kwargs):
+        if key not in seen:
+            seen.add(key)
+            restore(key)
+        return fn(*args, **kwargs)
+    return first_call
+
+
+@contextlib.contextmanager
+def _first_calls(seen: set):
+    """Add to ``seen`` the key of each definition at its first call, and
+    yield all keys."""
+    defs = _definitions()
+    # where each definition is bound: its class, or every module-level name
+    sites = {key: [(owner, name, obj)] if owner else [] for key, owner, name, obj in defs}
+    by_id = {id(obj): key for key, owner, _, obj in defs if owner is None}
+    for mod in list(sys.modules.values()):
+        for name, value in list(getattr(mod, "__dict__", {}).items()):
+            if id(value) in by_id:
+                sites[by_id[id(value)]].append((mod, name, value))
+
+    def restore(key):
+        for owner, name, original in sites[key]:
+            setattr(owner, name, original)
+
+    try:
+        for key, _, _, obj in defs:
+            if isinstance(obj, property):
+                hooked = property(_recording(obj.fget, key, seen, restore),
+                                  obj.fset, obj.fdel, obj.__doc__)
+            elif isinstance(obj, (classmethod, staticmethod)):
+                hooked = type(obj)(_recording(obj.__func__, key, seen, restore))
+            else:
+                assert isinstance(obj, FunctionType), f"{key}: cannot hook {obj!r}"
+                hooked = _recording(obj, key, seen, restore)
+            for owner, name, _ in sites[key]:
+                setattr(owner, name, hooked)
+        yield list(sites)
+    finally:
+        for key in sites:
+            restore(key)
+
+
+def _import_pyrbench():
+    """The benchmark harness of this checkout, found from the repo root
+    rather than from the working directory."""
+    if "pyrbench" not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            "pyrbench", ROOT / "pyrbench" / "__init__.py",
+            submodule_search_locations=[str(ROOT / "pyrbench")])
+        pkg = importlib.util.module_from_spec(spec)
+        sys.modules["pyrbench"] = pkg
+        spec.loader.exec_module(pkg)
+    return (importlib.import_module("pyrbench.workloads"),
+            importlib.import_module("pyrbench.oracle"))
+
+
+def _run_roots(tmp: Path, monkeypatch, acceptance, workloads, bench_oracle) -> None:
+    from pyrhead import cli, synth
+    from pyrhead.geometry import default_pyramid_config
+    from pyrhead.head import HeadConfig
+    from pyrhead.spatial import PointSet
+
+    rng = np.random.default_rng(0)
+    scene = PointSet(rng.uniform(-2, 2, (40, 3)), rng.normal(size=(40, 8)))
+    files = {name: tmp / name for name in
+             ("scene.pset", "scene.json", "pyramid.json", "head.json", "out")}
+    oracles.save_pset(scene, files["scene.pset"])
+    files["scene.json"].write_text(oracles.point_set_json(scene))
+    files["pyramid.json"].write_text(oracles.pyramid_config_json(default_pyramid_config()))
+    files["head.json"].write_text(oracles.head_config_json(HeadConfig()))
+    box, out = "0,0,0,2,4,2,0.3", str(files["out"])
+    train = ["train-toy", "--steps", "3", "--scenes", "2"]
+    commands = [
+        ["gridgen", "--box", box],
+        ["gridgen", "--box", box, "--grid", "2,1,1", "--ratios", "1.5,1.5,1",
+         "--anchor", "corner", "--format", "csv"],
+        ["gridgen", "--box", box, "--config", str(files["pyramid.json"])],
+        *(["attend", "--op", op]
+          for op in ("pool", "graph", "attention", "transformer", "unified", "darp")),
+        ["attend", "--op", "unified", "--gates", "1,1,0,1", "--format", "csv"],
+        ["attend", "--op", "darp", "--gates", "1,0,0,0", "--scene", str(files["scene.pset"])],
+        ["attend", "--op", "graph", "--scene", str(files["scene.json"])],
+        ["gradcheck", "--seed", "0", "--format", "csv", "--out", out],
+        [*train, "--config", str(files["head.json"]), "--out", out],
+        [*train, "--format", "csv"],
+        ["stats", "--scenes", "2"],
+    ]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in commands:
+            assert cli.run(argv) == 0, argv
+        monkeypatch.setattr(sys, "argv", ["pyrhead", "gridgen", "--box", box])
+        with pytest.raises(SystemExit) as exited:
+            cli.main()
+        assert exited.value.code == 0
+
+        acceptance.test_gate_reduction_equivalence()
+        acceptance.test_soft_hard_radius_consistency()
+        acceptance.test_geometry_oracle()
+        acceptance.test_spatial_index_exactness()
+
+    held_out = synth.generate_scenes(synth.SceneConfig(seed=9000), 2)
+    for cfg in (HeadConfig(), synth.single_level_baseline(HeadConfig())):
+        res = synth.train_toy(cfg, synth.SceneConfig(), steps=3, lr=0.0075, seed=0,
+                              n_scenes=2)
+        synth.evaluate(cfg, res.params, held_out)
+
+    for wl in workloads.WORKLOADS.values():
+        st = workloads.setup(dataclasses.replace(wl, pool=2, warmup=1), 0)
+        workloads.run_op(st)
+        ps, idx, rois, dets = workloads.probe(st)
+        assert bench_oracle.check(st.cfg, st.params, ps, idx, rois, st.tau, dets) == []
+
+
+def test_every_public_definition_runs(tmp_path, monkeypatch):
+    # the root modules are imported first, so the wrappers replace (and the
+    # finally restores) every name they bind
+    import test_acceptance
+    roots = (test_acceptance, *_import_pyrbench())
+    originals = [obj for *_, obj in _definitions()]
+    seen: set[str] = set()
+    with _first_calls(seen) as keys:
+        _run_roots(tmp_path, monkeypatch, *roots)
+    assert [obj for *_, obj in _definitions()] == originals, "a wrapper was left in place"
+    unreached = [key for key in keys if key not in seen]
+    assert unreached == [], f"defined but never run: {unreached}"

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import BucketIndex, brute_force_query, lexsort_gather_level
 from pyrhead import spatial
 from pyrhead.geometry import pyramid_grid_points
@@ -22,7 +23,7 @@ def random_pointset(rng, n, span=20.0):
 
 class TestBallQuery:
     def test_empty_pointset(self):
-        idx = build_index(PointSet.empty(4), cell=1.0)
+        idx = build_index(oracles.empty_point_set(4), cell=1.0)
         assert idx.query([0, 0, 0], 1.0, 8)[0].size == 0
 
     def test_single_point_at_origin(self):
@@ -66,14 +67,17 @@ class TestBallQuery:
                                       [1, 2, 0])
 
     def test_invalid_args(self):
-        idx = build_index(PointSet.empty(1), cell=1.0)
+        idx = build_index(oracles.empty_point_set(1), cell=1.0)
         for bad_r in (-1.0, 0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="radius"):
                 idx.query([0, 0, 0], bad_r, 4)
         with pytest.raises(ValueError, match="max_k"):
             idx.query([0, 0, 0], 1.0, 0)
+        for bad_center in ([np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf]):
+            with pytest.raises(ValueError, match="centre must be finite"):
+                idx.query(bad_center, 1.0, 4)
         with pytest.raises(ValueError):
-            build_index(PointSet.empty(1), cell=0.0)
+            build_index(oracles.empty_point_set(1), cell=0.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -131,7 +135,7 @@ class TestBalls:
         assert 2 not in row                     # the far centre has no row
 
     def test_empty_point_set_and_no_centers(self):
-        idx = build_index(PointSet.empty(2), 1.0)
+        idx = build_index(oracles.empty_point_set(2), 1.0)
         row, ids, dist = idx.balls(np.zeros((3, 3)), 2.0)
         assert row.size == ids.size == dist.size == 0
         rng = np.random.default_rng(12)
@@ -182,7 +186,7 @@ class TestExtendedQuery:
                 np.sort(got), np.sort(brute_force_query(ps, c, r + 5 * tau)))
 
     def test_tau_must_be_positive(self):
-        ps = PointSet.empty(1)
+        ps = oracles.empty_point_set(1)
         idx = build_index(ps, cell=1.0)
         with pytest.raises(ValueError):
             NeighborBundle.gather_extended(ps, idx, [0, 0, 0], 1.0, 0.0, 4)
@@ -235,11 +239,11 @@ class TestBatchQuery:
         row, ids, dist = gather_level(ps, centers, 0.5, 4)
         np.testing.assert_array_equal(row, [1])
         np.testing.assert_array_equal(ids, [0])
-        row, ids, dist = gather_level(PointSet.empty(1), centers, 0.5, 4)
+        row, ids, dist = gather_level(oracles.empty_point_set(1), centers, 0.5, 4)
         assert row.size == ids.size == dist.size == 0
 
     def test_invalid_args(self):
-        ps = PointSet.empty(1)
+        ps = oracles.empty_point_set(1)
         with pytest.raises(ValueError, match="max_k"):
             gather_level(ps, np.zeros((1, 1, 3)), 1.0, 0)
         for bad_r in (0.0, np.nan, np.inf):
@@ -560,7 +564,7 @@ class TestPointSetIO:
         rng = np.random.default_rng(0)
         ps = PointSet(rng.normal(size=(17, 3)), rng.normal(size=(17, 5)))
         path = tmp_path / "fixture.pset"
-        ps.save(path)
+        oracles.save_pset(ps, path)
         back = PointSet.load(path)
         assert len(back) == 17 and back.feat_width == 5
         # stored as f32 by format
@@ -570,7 +574,7 @@ class TestPointSetIO:
     def test_binary_header(self, tmp_path):
         ps = PointSet(np.zeros((2, 3)), np.ones((2, 4)))
         path = tmp_path / "h.pset"
-        ps.save(path)
+        oracles.save_pset(ps, path)
         raw = path.read_bytes()
         assert raw[:4] == b"PSET"
         assert int.from_bytes(raw[4:8], "little") == 2
@@ -585,7 +589,7 @@ class TestPointSetIO:
 
     def test_json_round_trip(self):
         ps = PointSet([[0, 1, 2], [3, 4, 5]], [[1.0], [2.0]])
-        back = PointSet.from_json(ps.to_json())
+        back = PointSet.from_json(oracles.point_set_json(ps))
         np.testing.assert_array_equal(back.coords, ps.coords)
         np.testing.assert_array_equal(back.feats, ps.feats)
 
@@ -596,7 +600,7 @@ class TestPointSetIO:
     @pytest.mark.parametrize("cut, size", [(-5, 12 + 17 * 7 * 4 - 5), (6, 6)])
     def test_truncated_file_names_path_and_sizes(self, tmp_path, cut, size):
         path = tmp_path / "short.pset"
-        PointSet(np.zeros((17, 3)), np.ones((17, 4))).save(path)
+        oracles.save_pset(PointSet(np.zeros((17, 3)), np.ones((17, 4))), path)
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError) as err:
             PointSet.load(path)
@@ -607,7 +611,7 @@ class TestPointSetIO:
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "long.pset"
-        PointSet(np.zeros((2, 3)), np.ones((2, 4))).save(path)
+        oracles.save_pset(PointSet(np.zeros((2, 3)), np.ones((2, 4))), path)
         path.write_bytes(path.read_bytes() + b"\0\0\0\0")
         with pytest.raises(ValueError, match=f"needs {12 + 2 * 7 * 4} bytes, file has {16 + 2 * 7 * 4}"):
             PointSet.load(path)
@@ -618,7 +622,7 @@ class TestPointSetIO:
         with pytest.raises(ValueError, match="features"):
             PointSet(np.zeros((2, 3)), feats)
         path = tmp_path / "nan.pset"
-        PointSet(np.zeros((2, 3)), np.ones((2, 4))).save(path)
+        oracles.save_pset(PointSet(np.zeros((2, 3)), np.ones((2, 4))), path)
         raw = bytearray(path.read_bytes())
         raw[-4:] = np.array([np.inf], dtype="<f4").tobytes()
         path.write_bytes(bytes(raw))

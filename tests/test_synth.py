@@ -347,7 +347,7 @@ class TestEvaluate:
 class TestBaselineConfig:
     def test_single_level_and_fixed_radius(self):
         base = single_level_baseline(HeadConfig())
-        assert len(base.pyramid) == 1
+        assert len(base.pyramid.levels) == 1
         assert base.darp_enabled is False
         assert base.pyramid.levels[0].ratios == (1.0, 1.0, 1.0)
         assert base.pyramid.levels[0].r_pre == 0.8
