@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Value
 from .geometry import Box3D, GridSpec, PyramidConfig, PyramidLevelConfig, pyramid_grid_points
-from .gradcheck import run_gradcheck
+from .gradcheck import NoGradcheckScene, run_gradcheck
 from .head import CONFIG_SCHEMA_VERSION, HeadConfig
 from .nn import init_mlp
 from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
@@ -133,7 +133,11 @@ def cmd_attend(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    results = run_gradcheck(args.seed)
+    try:
+        results = run_gradcheck(args.seed)
+    except NoGradcheckScene as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return CHECK_FAILURE
     ok = all(r.passed for r in results)
     if args.format == "csv":
         rows = [f"{r.group},{r.max_rel_err!r},{r.tolerance!r},{str(r.passed).lower()}"
@@ -270,7 +274,7 @@ def run(argv=None) -> int:
         if getattr(args, "seed", 0) < 0:
             raise CliError(f"--seed must be >= 0, got {args.seed}")
         return args.fn(args)
-    except (CliError, ValueError, KeyError, OSError) as exc:
+    except (CliError, ValueError, KeyError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_ERROR
 

@@ -26,13 +26,6 @@ class ContextAggregatorParams:
     radii: tuple[float, ...]
     mlps: list[MLPParams]
 
-    def __post_init__(self):
-        if not all(a < b for a, b in zip((0.0, *self.radii), (*self.radii, np.inf))):
-            raise ValueError("config field 'context_radii' must be positive, increasing "
-                             f"and finite, got {list(self.radii)}")
-        if len(self.mlps) != len(self.radii):
-            raise ValueError("one MLP per context sphere required")
-
     @property
     def out_width(self) -> int:
         return sum(m.d_out for m in self.mlps)
@@ -63,16 +56,6 @@ class RadiusHeadParams:
     mlps: list[MLPParams]
     r_min: float
 
-    def __post_init__(self):
-        if any(r <= 0 for r in self.r_pre):
-            raise ValueError("predefined radii must be positive")
-        for level, r in enumerate(self.r_pre):
-            if r <= self.r_min:
-                raise ValueError(f"level {level}: predefined radius {r} must "
-                                 f"exceed r_min={self.r_min}")
-        if len(self.mlps) != len(self.r_pre):
-            raise ValueError("one radius MLP per pyramid level required")
-
     def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Value]]:
         for i, m in enumerate(self.mlps):
             yield from m.named_parameters(f"{prefix}level{i}.")
@@ -93,10 +76,15 @@ class TemperatureSchedule:
     total_steps: int
 
     def __post_init__(self):
-        if not self.tau_start >= self.tau_end > 0:
-            raise ValueError("need tau_start >= tau_end > 0")
+        self.check_tau(self.tau_start, self.tau_end)
         if self.total_steps < 1:
             raise ValueError("total_steps must be >= 1")
+
+    @staticmethod
+    def check_tau(tau_start: float, tau_end: float) -> None:
+        if not np.inf > tau_start >= tau_end > 0:
+            raise ValueError("need a finite tau_start >= tau_end > 0, "
+                             f"got tau_start={tau_start} and tau_end={tau_end}")
 
 
 def temperature(step: int, sched: TemperatureSchedule) -> float:

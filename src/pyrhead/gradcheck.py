@@ -28,6 +28,7 @@ from .synth import INDEX_CELL, SceneConfig, generate_scene, scene_loss
 
 TOLERANCE = 1e-4
 FD_STEP = 1e-5
+HEAD_SCENE_ATTEMPTS = 64   # full-head check scenes per seed; seeds 0-999 need <= 43
 
 
 @dataclass
@@ -198,10 +199,16 @@ def _boundary_clearance(scene, head_cfg: HeadConfig, params, idx, tau: float) ->
     return clear
 
 
-def _head_checks(seed: int) -> list[CheckResult]:
+class NoGradcheckScene(RuntimeError):
+    """No candidate scene suits the full-head check."""
+
+
+def _head_case(seed: int):
+    """Loss closure and parameters of the first candidate scene that clears the
+    sampling boundary and has a live radius path; NoGradcheckScene if none does."""
     head_cfg = tiny_head_config()
     tau = head_cfg.tau_end
-    for attempt in range(32):
+    for attempt in range(HEAD_SCENE_ATTEMPTS):
         scene = _head_scene(seed + 3 + 1000 * attempt)
         params = init_head_params(head_cfg, seed + 3 + 1000 * attempt)
         # zero-initialized radius output layers would block all gradient
@@ -221,23 +228,17 @@ def _head_checks(seed: int) -> list[CheckResult]:
         probe.backward()
         radius_peak = max(float(np.max(np.abs(p.grad)))
                           for _, p in params.radius.named_parameters())
-        if radius_peak < 1e-5:
-            continue
-        results = []
-        for group, items in params.parameter_groups().items():
-            err = _compare(make, dict(items))
-            results.append(CheckResult(f"head_loss.{group}", err))
-        return results
-    raise RuntimeError(
-        "no gradcheck scene with boundary clearance and a live radius path")
+        if radius_peak >= 1e-5:
+            return make, params
+    raise NoGradcheckScene(
+        f"seed {seed}: none of {HEAD_SCENE_ATTEMPTS} gradcheck scenes has boundary "
+        "clearance and a live radius path")
 
 
 def run_gradcheck(seed: int = 0) -> list[CheckResult]:
-    """The full suite; deterministic for a fixed seed."""
-    results = []
-    results.extend(_operator_checks(seed))
-    results.extend(_darp_checks(seed))
-    results.extend(_radius_head_checks(seed))
-    results.extend(_head_checks(seed))
-    return results
-
+    """The full suite; deterministic for a fixed seed. The head's scene is
+    chosen first, so a seed without one fails before any finite difference."""
+    make, params = _head_case(seed)
+    return [*_operator_checks(seed), *_darp_checks(seed), *_radius_head_checks(seed),
+            *(CheckResult(f"head_loss.{group}", _compare(make, dict(items)))
+              for group, items in params.parameter_groups().items())]

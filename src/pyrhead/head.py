@@ -17,8 +17,9 @@ import numpy as np
 
 from .autodiff import (Value, add, concat, mul, reshape, sigmoid, smooth_l1,
                        softplus, take, vsum)
-from .darp import (ContextAggregatorParams, RadiusHeadParams, context_embedding,
-                   init_context_params, init_radius_head, predict_radius)
+from .darp import (ContextAggregatorParams, RadiusHeadParams, TemperatureSchedule,
+                   context_embedding, init_context_params, init_radius_head,
+                   predict_radius)
 from .geometry import (Box3D, PyramidConfig, _config_fields,
                        default_pyramid_config, pyramid_grid_points, rot_z,
                        to_box_frames, wrap_angle)
@@ -33,7 +34,8 @@ CONFIG_SCHEMA_VERSION = "pyrhead-config/1"
 
 @dataclass
 class HeadConfig:
-    """Static architecture and loss settings of the pyramid RoI head."""
+    """Static architecture and loss settings of the pyramid RoI head. Construction
+    judges them whole: a bad setting raises ValueError naming its field."""
 
     pyramid: PyramidConfig = field(default_factory=default_pyramid_config)
     feat_width: int = 8
@@ -53,17 +55,26 @@ class HeadConfig:
     gate_override: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
-        widths = ("feat_width", "d_model", "heads", "reduce_width",
-                  "context_sphere_width", "radius_hidden")
+        widths = ("feat_width", "reduce_width", "context_sphere_width", "radius_hidden")
+        radii = (0.0, *self.context_radii, np.inf)
+        r_pre, low = min((lv.r_pre, i) for i, lv in enumerate(self.pyramid.levels))
         rules = [(name, ">= 1", getattr(self, name) >= 1) for name in widths] + [
             ("fusion_widths", "non-empty and >= 1", min(self.fusion_widths, default=0) >= 1),
-            ("context_radii", "non-empty", len(self.context_radii) > 0),
-            ("r_min", "> 0", self.r_min > 0),
-            ("iou_positive", "in (0, 1]", 0 < self.iou_positive <= 1)]
+            ("context_radii", "non-empty, positive, increasing and finite",
+             len(radii) > 2 and all(a < b for a, b in zip(radii, radii[1:]))),
+            ("r_min", f"> 0 and below level {low}'s r_pre {r_pre}", 0 < self.r_min < r_pre),
+            ("iou_positive", "in (0, 1]", 0 < self.iou_positive <= 1),
+            ("reg_weight", "finite and >= 0", 0 <= self.reg_weight < np.inf)]
         for name, rule, holds in rules:
             if not holds:
                 raise ValueError(f"config field {name!r} must be {rule}, "
                                  f"got {getattr(self, name)!r}")
+        AttentionParams.check_sizes(self.d_model, self.heads)
+        TemperatureSchedule.check_tau(self.tau_start, self.tau_end)
+        try:
+            self.gates()
+        except ValueError as exc:
+            raise ValueError(f"config field 'gate_override': {exc}") from None
 
     @property
     def fusion_out(self) -> int:

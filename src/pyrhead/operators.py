@@ -97,9 +97,6 @@ class AttentionParams:
     gate_cross: LinearParams
     gate_value: LinearParams
 
-    def __post_init__(self):
-        self.check_sizes(self.d_model, self.heads)
-
     @staticmethod
     def check_sizes(d_model: int, heads: int) -> None:
         if d_model < 1:

@@ -364,8 +364,6 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     if head_cfg.feat_width != FEAT_WIDTH:
         raise ValueError(f"config field 'feat_width' is {head_cfg.feat_width}, "
                          f"but the scenes have {FEAT_WIDTH} features per point")
-    # parameters and schedule first: they check the config, and draw from
-    # their own rng, before any scene is generated
     params = init_head_params(head_cfg, seed)
     sched = TemperatureSchedule(head_cfg.tau_start, head_cfg.tau_end, steps)
     cfg2 = dataclasses.replace(scene_cfg, seed=scene_cfg.seed + seed)

@@ -216,6 +216,8 @@ class TestExitCodes:
         (["train-toy", *TRAIN_1], {"fusion_widths": [128, 0]}, None, "'fusion_widths'"),
         (["train-toy", *TRAIN_1], {"r_min": -1}, None, "'r_min'"),
         (["train-toy", *TRAIN_1], {"iou_positive": 2}, None, "'iou_positive'"),
+        (["gridgen", "--box", "0,0,0,1,1,1,0", "--grid", "100000,100000,100000"], None,
+         None, "allocate"),
     ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
             "stats_scenes_neg", "darp_tau_nan", "train_lr_nan",
             "attend_d_model_0", "gridgen_corner_nan",
@@ -229,7 +231,8 @@ class TestExitCodes:
             "train_context_radius_nan", "train_context_radius_inf",
             "train_context_radii_empty", "train_reduce_width_0",
             "train_context_sphere_width_0", "train_radius_hidden_0",
-            "train_fusion_width_0", "train_r_min_neg", "train_iou_positive_2"])
+            "train_fusion_width_0", "train_r_min_neg", "train_iou_positive_2",
+            "gridgen_grid_huge"])
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                      argv, config, scene, field):
         if config is not None:
@@ -338,6 +341,11 @@ class TestStatsAndTrain:
         ({"r_min": 1.0}, "r_min"),
         ({"tau_end": 0.0}, "tau_end"),
         ({"heads": 3}, "heads"),
+        ({"gate_override": [2, 0, 0, 0]}, "'gate_override'"),
+        ({"reg_weight": NAN}, "'reg_weight'"),
+        ({"reg_weight": -1}, "'reg_weight'"),
+        ({"reg_weight": INF}, "'reg_weight'"),
+        ({"tau_start": INF}, "tau_start"),
     ])
     def test_train_toy_rejects_bad_config(self, tmp_path, capsys, monkeypatch, edit, field):
         """A bad config exits 2 before any training scene is generated."""
@@ -356,6 +364,7 @@ class TestStatsAndTrain:
                                  "--scenes", "200"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and field in err
+        assert len(err.splitlines()) == 1
 
     def test_train_toy_csv_format(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
@@ -410,6 +419,28 @@ class TestGradcheckWiring:
         assert [float(r["max_rel_err"]) for r in rows] == [1e-9, err]
         assert {r["tolerance"] for r in rows} == {repr(1e-4)}
         assert [r["passed"] for r in rows] == ["true", "true" if code == 0 else "false"]
+
+    def test_no_head_scene_exits_one_with_one_error_line(self, monkeypatch, capsys):
+        from pyrhead import gradcheck
+        monkeypatch.setattr(gradcheck, "HEAD_SCENE_ATTEMPTS", 0)
+        code, out, err = invoke(["gradcheck", "--seed", "0"], capsys)
+        assert code == 1 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: seed 0: ")
+
+    def test_seed_96_finds_a_head_scene(self, monkeypatch):
+        """Its 42nd candidate is the first to qualify, past the old bound of 32."""
+        from pyrhead import gradcheck
+        tried = []
+        scene = gradcheck._head_scene
+
+        def spy(scene_seed):
+            tried.append(scene_seed)
+            return scene(scene_seed)
+
+        monkeypatch.setattr(gradcheck, "_head_scene", spy)
+        gradcheck._head_case(96)
+        assert len(tried) == 42
 
     def test_success_maps_to_exit_zero(self, monkeypatch, capsys):
         from pyrhead import cli as cli_mod

@@ -10,7 +10,8 @@ from pyrhead.autodiff import Value, finite_diff_grad, mul, rel_error, vsum
 from pyrhead.darp import (OFFSET_SCALE, TemperatureSchedule, context_embedding,
                           init_context_params, init_radius_head,
                           predict_radius, temperature)
-from pyrhead.geometry import Box3D, rot_z
+from pyrhead.geometry import Box3D, GridSpec, PyramidConfig, PyramidLevelConfig, rot_z
+from pyrhead.head import HeadConfig
 from pyrhead.spatial import PointSet, build_index
 
 D = 4
@@ -110,11 +111,10 @@ class TestContextEmbedding:
         assert np.max(np.abs(batched - per_roi)) <= 1e-12 * np.max(np.abs(per_roi))
 
     def test_context_radii_must_increase(self):
-        rng = np.random.default_rng(0)
         for radii in ((4.8, 2.4), (0.0, 2.4), (-1.0, 2.4), (2.4, 2.4),
                       (math.nan, 4.8), (2.4, math.nan), (2.4, math.inf)):
             with pytest.raises(ValueError, match="positive, increasing"):
-                init_context_params(rng, D, radii=radii, sphere_width=64)
+                HeadConfig(context_radii=radii)
 
 
 class TestPredictRadius:
@@ -170,9 +170,10 @@ class TestPredictRadius:
             assert r.item() == 0.8 and tape[0] == OFFSET_SCALE
 
     def test_r_pre_must_exceed_r_min(self):
-        rng = np.random.default_rng(3)
+        pyramid = PyramidConfig([PyramidLevelConfig(GridSpec((1, 1, 1)), r_pre=r)
+                                 for r in (0.8, 0.05)])
         with pytest.raises(ValueError, match="level 1"):
-            init_radius_head(rng, 16, [0.8, 0.05], hidden=8, r_min=0.05)
+            HeadConfig(pyramid=pyramid, r_min=0.05)
 
     def test_level_bounds(self):
         rng = np.random.default_rng(3)
@@ -267,3 +268,5 @@ class TestTemperature:
             TemperatureSchedule(0.0001, 0.02, 10)
         with pytest.raises(ValueError):
             TemperatureSchedule(0.02, 0.0, 10)
+        with pytest.raises(ValueError, match="tau_start=inf"):
+            TemperatureSchedule(math.inf, 0.02, 10)

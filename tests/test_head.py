@@ -2,6 +2,7 @@
 semantics, loss closed forms, determinism, config JSON."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -336,6 +337,40 @@ class TestPersistence:
             del doc[field]
         with pytest.raises(ValueError, match=repr(field)):
             HeadConfig.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("token", [float("nan"), float("inf"), float("-inf")],
+                             ids=["NaN", "Infinity", "-Infinity"])
+    def test_every_numeric_field_rejects_non_finite(self, token):
+        """Every number of a head config, down to tuple items and pyramid
+        level fields, rejects NaN and the infinities naming its field."""
+        doc = json.loads(oracles.head_config_json(HeadConfig()))
+        doc["gate_override"] = [1.0, 0.0, 0.0, 0.0]
+
+        def numbers(node, path):
+            items = node.items() if isinstance(node, dict) else enumerate(node)
+            for key, v in items:
+                if isinstance(v, (dict, list)):
+                    yield from numbers(v, path + [key])
+                elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                    yield path + [key]
+
+        paths = list(numbers(doc, []))
+        assert ["gate_override", 3] in paths and ["pyramid", "levels", 4, "r_pre"] in paths
+        unnamed = []
+        for path in paths:
+            bad = json.loads(json.dumps(doc))
+            node = bad
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = token
+            field = next(k for k in reversed(path) if isinstance(k, str))
+            try:
+                HeadConfig.from_json(json.dumps(bad))
+            except ValueError as exc:
+                if re.search(rf"\b{field}\b", str(exc)):
+                    continue
+            unnamed.append(path)
+        assert unnamed == []
 
     def test_config_json_round_trip_with_gates(self):
         cfg = tiny_config(gate_override=(1.0, 0.0, 0.5, 0.0), darp_enabled=False)

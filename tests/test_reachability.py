@@ -111,18 +111,47 @@ def test_every_scene_config_field_is_set_by_a_caller():
     assert unset == [], f"SceneConfig fields no caller sets: {unset}"
 
 
+def _sites(pattern: str) -> set[tuple[Path, int]]:
+    """(file, line) of each package line that ``pattern`` matches."""
+    return {(path, i) for path in sorted(PACKAGE.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), start=1)
+            if re.search(pattern, line)}
+
+
+def _home(file: str, qualname: str) -> set[tuple[Path, int]]:
+    """(file, line) of each line of the definition ``qualname`` in ``file``."""
+    path = PACKAGE / file
+    node = ast.parse(path.read_text(), filename=str(path))
+    for name in qualname.split("."):
+        node = next(n for n in node.body
+                    if isinstance(n, (ast.ClassDef, ast.FunctionDef)) and n.name == name)
+    return {(path, i) for i in range(node.lineno, node.end_lineno + 1)}
+
+
 def test_proposals_are_labelled_in_one_place():
     """``assign_label(`` occurs in the package, outside its own ``def``, only
     inside ``synth.scene_targets``, which training, the gradient check and
     evaluation all take their labels from."""
-    synth = PACKAGE / "synth.py"
-    tree = ast.parse(synth.read_text(), filename=str(synth))
-    fn = next(node for node in tree.body
-              if isinstance(node, ast.FunctionDef) and node.name == "scene_targets")
-    inside = {(synth, i) for i in range(fn.lineno, fn.end_lineno + 1)}
-    sites = {(path, i) for path in sorted(PACKAGE.glob("*.py"))
-             for i, line in enumerate(path.read_text().splitlines(), start=1)
-             if re.search(r"\bassign_label\(", line) and not line.lstrip().startswith("def ")}
+    sites = _sites(r"^(?!\s*def ).*\bassign_label\(")
+    inside = _home("synth.py", "scene_targets")
+    assert sites and sites <= inside, sorted((p.name, i) for p, i in sites - inside)
+
+
+@pytest.mark.parametrize("rule,file,home", [
+    (r"positive, increasing and finite", "head.py", "HeadConfig.__post_init__"),
+    (r"below level \{low\}", "head.py", "HeadConfig.__post_init__"),
+    (r"reg_weight.*finite and >= 0", "head.py", "HeadConfig.__post_init__"),
+    (r"(d_model|heads) must be >= 1|divisible by heads", "operators.py",
+     "AttentionParams.check_sizes"),
+    (r"outside \[0,1\]", "operators.py", "GateOverride"),
+    (r"tau_start >= tau_end", "darp.py", "TemperatureSchedule.check_tau"),
+], ids=["context_radii", "r_min", "reg_weight", "attention_sizes", "gate_range", "tau"])
+def test_each_head_config_rule_has_one_home(rule, file, home):
+    """The error text of each head-config rule occurs in the package only in
+    the one definition that checks it: ``HeadConfig`` checks a config whole at
+    construction and calls the homes that ``attend``'s flags also reach."""
+    sites = _sites(rule)
+    inside = _home(file, home)
     assert sites and sites <= inside, sorted((p.name, i) for p, i in sites - inside)
 
 
