@@ -49,13 +49,15 @@ def _parse_list(text: str, n: int, what: str, kind=float) -> list:
         raise CliError(f"bad {what}: {exc}") from None
 
 
-def _load_json(path: str) -> dict:
+def _load_config(path: str, from_json):
+    """``from_json`` of the text of config file ``path``; an unreadable file
+    or invalid JSON raises CliError naming the path."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(f"cannot read config {path}: {exc}") from None
     try:
-        return json.loads(text)
+        return from_json(text)
     except json.JSONDecodeError as exc:
         raise CliError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -82,8 +84,7 @@ def cmd_gridgen(args) -> int:
     box_vals = _parse_list(args.box, 7, "--box")
     box = Box3D(box_vals[0:3], box_vals[3:6], box_vals[6])
     if args.config:
-        pyramid = PyramidConfig.from_json(json.dumps(_load_json(args.config)))
-        levels = pyramid.levels
+        levels = _load_config(args.config, PyramidConfig.from_json).levels
     else:
         grid = _parse_list(args.grid, 3, "--grid", int)
         ratios = _parse_list(args.ratios, 3, "--ratios")
@@ -155,14 +156,9 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else CHECK_FAILURE
 
 
-def _head_config(args) -> HeadConfig:
-    if args.config:
-        return HeadConfig.from_json(json.dumps(_load_json(args.config)))
-    return HeadConfig()
-
-
 def cmd_train_toy(args) -> int:
-    head_cfg = _head_config(args)
+    head_cfg = (_load_config(args.config, HeadConfig.from_json) if args.config
+                else HeadConfig())
     scene_cfg = SceneConfig()
     try:
         result = train_toy(head_cfg, scene_cfg, steps=args.steps, lr=args.lr,

@@ -15,6 +15,7 @@ from typing import get_args, get_origin
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+MAX_GRID_POINTS = 10**6   # points of one grid; the default pyramid's largest has 216
 
 
 def wrap_angle(yaw: float) -> float:
@@ -79,6 +80,9 @@ class GridSpec:
         object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
         if any(s < 1 for s in self.sizes):
             raise ValueError(f"grid sizes must be >= 1, got {self.sizes}")
+        if self.count > MAX_GRID_POINTS:
+            raise ValueError(f"grid sizes {self.sizes} give {self.count} points, "
+                             f"more than {MAX_GRID_POINTS}")
 
     @property
     def count(self) -> int:

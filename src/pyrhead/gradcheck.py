@@ -17,14 +17,14 @@ from .autodiff import Value, finite_diff_grad, rel_error, vsum, mul
 from .darp import context_embedding, init_context_params, init_radius_head, predict_radius
 from .geometry import (Box3D, GridSpec, PyramidConfig, PyramidLevelConfig,
                        pyramid_grid_points)
-from .head import HeadConfig, init_head_params, run_head
+from .head import HeadConfig, init_head_params
 from .nn import init_mlp
 from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                         NeighborBundle, init_attention_params, pool_feature,
                         roi_grid_attention, roi_grid_attention_darp,
                         sampling_range)
 from .spatial import PointSet, build_index
-from .synth import INDEX_CELL, SceneConfig, generate_scene, scene_loss
+from .synth import SceneConfig, generate_scene, scene_loss
 
 TOLERANCE = 1e-4
 FD_STEP = 1e-5
@@ -187,9 +187,9 @@ def _head_scene(seed: int):
         seed=seed))
 
 
-def _boundary_clearance(scene, head_cfg: HeadConfig, params, idx, tau: float) -> float:
-    """Smallest |distance - cutoff| over all (grid point, point) pairs."""
-    _, radii = run_head(head_cfg, params, scene.ps, idx, scene.proposals, tau)
+def _boundary_clearance(scene, head_cfg: HeadConfig, radii, tau: float) -> float:
+    """Smallest |distance - cutoff| over all (grid point, point) pairs, at
+    the per-level effective radii of a forward on the scene."""
     clear = math.inf
     for r, lv in zip(radii, head_cfg.pyramid.levels):
         grid = pyramid_grid_points(scene.proposals, lv)
@@ -217,19 +217,16 @@ def _head_case(seed: int):
         for mlp in params.radius.mlps:
             mlp.layers[-1].W.data = rng.normal(0.0, 0.05,
                                                size=mlp.layers[-1].W.shape)
-        idx = build_index(scene.ps, INDEX_CELL)
-        if _boundary_clearance(scene, head_cfg, params, idx, tau) <= 2.0 * tau:
+        probe, radii = scene_loss(head_cfg, params, scene, tau)
+        if _boundary_clearance(scene, head_cfg, radii, tau) <= 2.0 * tau:
             continue
-        make = lambda: scene_loss(head_cfg, params, scene, idx, tau)[0]
-
         # require a live radius path, otherwise its check proves nothing
-        probe = make()
         params.zero_grad()
         probe.backward()
         radius_peak = max(float(np.max(np.abs(p.grad)))
                           for _, p in params.radius.named_parameters())
         if radius_peak >= 1e-5:
-            return make, params
+            return lambda: scene_loss(head_cfg, params, scene, tau)[0], params
     raise NoGradcheckScene(
         f"seed {seed}: none of {HEAD_SCENE_ATTEMPTS} gradcheck scenes has boundary "
         "clearance and a live radius path")

@@ -184,14 +184,19 @@ class NeighborBundle:
 
 # -- radius membership ----------------------------------------------------
 
+def _check_tau(tau: float) -> None:
+    """The rule for one soft-membership temperature: 0 < tau < inf."""
+    if not 0 < tau < np.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
+
+
 def sampling_range(r, tau: float):
     """Gather radius r + 5*tau that soft membership at radius r needs.
 
     Beyond it the membership weight is below 1 - sigmoid(5) ~ 6.7e-3.
     ``r`` may be a float or an array of radii.
     """
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     return r + 5.0 * tau
 
 
@@ -204,8 +209,7 @@ def soft_radius_coeff(d, r, tau):
     """
     if isinstance(tau, Value):
         raise TypeError("tau is a schedule constant, not a learnable value")
-    if not 0 < tau < np.inf:
-        raise ValueError(f"tau must be positive and finite, got {tau}")
+    _check_tau(tau)
     inv_tau = 1.0 / tau
     z = (np.asarray(d, dtype=np.float64) - _data(r)) * inv_tau
     s = 1.0 - _np_sigmoid(z)

@@ -8,10 +8,10 @@ box. ``SpatialIndex.query`` takes one ball's candidates from its box.
 ``gather_level`` (the capped balls of a pyramid level) bins a point set
 at a cell as wide as the largest radius of its call and takes each grid
 point's candidates from the cells around it, not from its RoI's whole box.
-It gathers in two passes: grid points whose cells hold many more points
-than the cap first search a smaller ball, sized from that count, and are
-done if it fills the cap; the rest search their full ball. Both filter by
-exact Euclidean distance, so results are identical to a brute-force scan.
+It gathers in two passes over that binning: grid points whose cells hold
+many more points than the cap first search a smaller ball, sized from that
+count, and are done if it fills the cap; the rest search their full ball.
+Both filter by exact distance, so results are identical to a brute-force scan.
 """
 from __future__ import annotations
 
@@ -233,7 +233,8 @@ def gather_level(ps: PointSet, centers, radius, max_k: int
     its candidate count to hold a little more than ``max_k`` points. If that
     ball fills the cap, every point outside it is farther than the row's
     ``max_k``-th neighbour, so its nearest ``max_k`` by (distance, id) are
-    final. All other rows are gathered at their full radius.
+    final. All other rows are gathered at their full radius, both passes
+    from the one binning.
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
@@ -258,8 +259,7 @@ def gather_level(ps: PointSet, centers, radius, max_k: int
     if dense.size:
         r1 = r[dense] * np.cbrt(_FIRST_FILL * max_k / expected[dense])
         at1 = at[:, dense]
-        fine = SpatialIndex(ps, float(r1.max()))
-        row, ids, dist = _gather_pairs(fine, at1, r1, *fine._columns(_ball_boxes(at1, r1))[:3])
+        row, ids, dist = _gather_pairs(grid, at1, r1, *grid._columns(_ball_boxes(at1, r1))[:3])
         full = np.bincount(row, minlength=dense.size) >= max_k
         keep = full[row]
         parts.append((dense[row[keep]], ids[keep], dist[keep]))
@@ -283,8 +283,8 @@ def gather_level(ps: PointSet, centers, radius, max_k: int
 # row takes it only where its radius is below _FIRST_SHRINK of the full one.
 # Over the gathers of 10 dense and 40 sparse benchmark scenes (seeds 81 and
 # 2002), 1.25 and 0.75 cut the dense scenes' distance-tested candidates to
-# 0.67-0.68 of one pass and left the sparse ones' at 0.99-1.00; a fill of 1.5
-# with 0.9 tested 0.67-0.68 and 1.00-1.02, a fill of 2 tested 0.72-0.78.
+# 0.76-0.77 of one pass and left the sparse ones' at 1.00-1.01; a fill of 1.5
+# with 0.9 tested 0.75-0.76 and 1.01-1.04, a fill of 2 tested 0.86-0.87.
 _FIRST_FILL = 1.25
 _FIRST_SHRINK = 0.75
 

@@ -25,7 +25,7 @@ from .geometry import (Box3D, PyramidConfig, default_pyramid_config,
                        pyramid_grid_points, rot_z, wrap_angle)
 from .head import (HeadConfig, HeadParams, assign_label, derotated_iou,
                    init_head_params, loss, run_head)
-from .spatial import PointSet, SpatialIndex, _packed_key, build_index, gather_level
+from .spatial import PointSet, _packed_key, build_index, gather_level
 
 BUCKET_EDGES = [0, 10, 50, 100, 500]
 BUCKET_LABELS = ["0-10", "10-50", "50-100", "100-500", "500+"]
@@ -227,11 +227,12 @@ def scene_targets(scene: Scene, cfg: HeadConfig) -> list[tuple[int, Box3D]]:
             for p, g in zip(scene.proposals, scene.proposal_gt)]
 
 
-def scene_loss(cfg: HeadConfig, params: HeadParams, scene: Scene, idx: SpatialIndex,
-               tau: float):
+def scene_loss(cfg: HeadConfig, params: HeadParams, scene: Scene, tau: float):
     """Head loss over all proposals of the scene against ``scene_targets``,
-    and the per-level effective radii of the ``run_head`` call."""
-    dets, radii = run_head(cfg, params, scene.ps, idx, scene.proposals, tau)
+    and the per-level effective radii of the ``run_head`` call on the
+    scene's index at INDEX_CELL."""
+    dets, radii = run_head(cfg, params, scene.ps, build_index(scene.ps, INDEX_CELL),
+                           scene.proposals, tau)
     return loss(dets, scene_targets(scene, cfg), cfg), radii
 
 
@@ -368,12 +369,9 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     sched = TemperatureSchedule(head_cfg.tau_start, head_cfg.tau_end, steps)
     cfg2 = dataclasses.replace(scene_cfg, seed=scene_cfg.seed + seed)
     scenes = generate_scenes(cfg2, n_scenes)
-    indexes = [build_index(sc.ps, INDEX_CELL) for sc in scenes]
-    # reference level before any update, over a sample of the scene set
-    probe = min(20, len(scenes))
-    untrained = float(np.mean([
-        scene_loss(head_cfg, params, scenes[i], indexes[i], sched.tau_start)[0].item()
-        for i in range(probe)]))
+    # reference level before any update, over the first 20 scenes
+    untrained = float(np.mean([scene_loss(head_cfg, params, sc, sched.tau_start)[0].item()
+                               for sc in scenes[:20]]))
     velocity = {name: np.zeros_like(p.data)
                 for name, p in params.named_parameters()}
     losses: list[float] = []
@@ -383,10 +381,9 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     r_pre = [lv.r_pre for lv in head_cfg.pyramid.levels]
     for step in range(steps):
         sc = scenes[step % len(scenes)]
-        idx = indexes[step % len(scenes)]
         tau = temperature(step, sched)
         try:
-            step_loss, step_radii = scene_loss(head_cfg, params, sc, idx, tau)
+            step_loss, step_radii = scene_loss(head_cfg, params, sc, tau)
         except RuntimeError as exc:  # from apply_residuals
             raise TrainingDiverged(
                 f"training diverged at step {step}: box residuals out of range") from exc

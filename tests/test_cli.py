@@ -25,6 +25,10 @@ def level2_r_pre_inf(doc):
     doc["pyramid"]["levels"][2]["r_pre"] = INF
 
 
+def level0_grid_huge(doc):
+    doc["pyramid"]["levels"][0]["grid"] = [1000, 1000, 1000]
+
+
 def invoke(argv, capsys):
     code = run(argv)
     captured = capsys.readouterr()
@@ -165,6 +169,14 @@ class TestExitCodes:
         assert code == 2
         assert "line 3" in err and "column" in err
 
+    def test_malformed_head_config_line_column(self, tmp_path, capsys):
+        bad = tmp_path / "broken.json"
+        bad.write_text('{\n  "schema_version": "pyrhead-config/1",\n  "heads" 4\n}\n')
+        code, out, err = invoke(["train-toy", *TRAIN_1, "--config", str(bad)], capsys)
+        assert code == 2 and out == ""
+        assert err == (f"error: {bad}: invalid JSON at line 3, column 11: "
+                       "Expecting ':' delimiter\n")
+
     def test_attend_rejects_zero_max_k(self, capsys):
         for op in ("unified", "darp"):
             code, out, err = invoke(["attend", "--op", op, "--max-k", "0"], capsys)
@@ -217,7 +229,9 @@ class TestExitCodes:
         (["train-toy", *TRAIN_1], {"r_min": -1}, None, "'r_min'"),
         (["train-toy", *TRAIN_1], {"iou_positive": 2}, None, "'iou_positive'"),
         (["gridgen", "--box", "0,0,0,1,1,1,0", "--grid", "100000,100000,100000"], None,
-         None, "allocate"),
+         None, "points, more than"),
+        (["gridgen", "--box", "0,0,0,1,1,1,0", "--grid", "1000,1000,1000"], None,
+         None, "grid sizes (1000, 1000, 1000)"),
     ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
             "stats_scenes_neg", "darp_tau_nan", "train_lr_nan",
             "attend_d_model_0", "gridgen_corner_nan",
@@ -232,7 +246,7 @@ class TestExitCodes:
             "train_context_radii_empty", "train_reduce_width_0",
             "train_context_sphere_width_0", "train_radius_hidden_0",
             "train_fusion_width_0", "train_r_min_neg", "train_iou_positive_2",
-            "gridgen_grid_huge"])
+            "gridgen_grid_huge", "gridgen_grid_1000"])
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                      argv, config, scene, field):
         if config is not None:
@@ -260,6 +274,16 @@ class TestExitCodes:
         assert field in err
         if scene is not None:
             assert f"error: {path}: " in err
+
+    def test_memory_error_exits_two_with_one_error_line(self, capsys, monkeypatch):
+        from pyrhead import cli
+
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 22.4 GiB")
+
+        monkeypatch.setattr(cli, "sparsity_stats", no_memory)
+        code, out, err = invoke(["stats", "--scenes", "1"], capsys)
+        assert (code, out, err) == (2, "", "error: Unable to allocate 22.4 GiB\n")
 
     @pytest.mark.parametrize("op", ["pool", "graph", "attention", "transformer"])
     def test_attend_rejects_gates_for_ops_without_them(self, capsys, op):
@@ -346,6 +370,7 @@ class TestStatsAndTrain:
         ({"reg_weight": -1}, "'reg_weight'"),
         ({"reg_weight": INF}, "'reg_weight'"),
         ({"tau_start": INF}, "tau_start"),
+        (level0_grid_huge, "grid sizes (1000, 1000, 1000)"),
     ])
     def test_train_toy_rejects_bad_config(self, tmp_path, capsys, monkeypatch, edit, field):
         """A bad config exits 2 before any training scene is generated."""
@@ -357,7 +382,10 @@ class TestStatsAndTrain:
 
         monkeypatch.setattr(synth, "generate_scenes", no_scenes)
         doc = json.loads(oracles.head_config_json(HeadConfig()))
-        doc.update(edit)
+        if callable(edit):
+            edit(doc)
+        else:
+            doc.update(edit)
         cfg = tmp_path / "head.json"
         cfg.write_text(json.dumps(doc))
         code, out, err = invoke(["train-toy", "--config", str(cfg), "--steps", "1",

@@ -145,7 +145,9 @@ def test_proposals_are_labelled_in_one_place():
      "AttentionParams.check_sizes"),
     (r"outside \[0,1\]", "operators.py", "GateOverride"),
     (r"tau_start >= tau_end", "darp.py", "TemperatureSchedule.check_tau"),
-], ids=["context_radii", "r_min", "reg_weight", "attention_sizes", "gate_range", "tau"])
+    (r"tau must be positive and finite", "operators.py", "_check_tau"),
+], ids=["context_radii", "r_min", "reg_weight", "attention_sizes", "gate_range", "tau",
+        "single_tau"])
 def test_each_head_config_rule_has_one_home(rule, file, home):
     """The error text of each head-config rule occurs in the package only in
     the one definition that checks it: ``HeadConfig`` checks a config whole at
@@ -153,6 +155,30 @@ def test_each_head_config_rule_has_one_home(rule, file, home):
     sites = _sites(rule)
     inside = _home(file, home)
     assert sites and sites <= inside, sorted((p.name, i) for p, i in sites - inside)
+
+
+def test_scene_index_cell_is_read_only_in_synth():
+    """``INDEX_CELL`` is read in the package only by ``synth``, whose
+    ``scene_loss`` and ``evaluate`` build each scene's index themselves."""
+    sites = _sites(r"\bINDEX_CELL\b")
+    assert sites and {p.name for p, _ in sites} == {"synth.py"}, sorted(
+        (p.name, i) for p, i in sites)
+
+
+def test_gather_level_bins_once_per_call():
+    """Both passes of ``gather_level`` search the one index the call builds."""
+    sites = _sites(r"\bSpatialIndex\(") & _home("spatial.py", "gather_level")
+    assert len(sites) == 1, sorted(i for _, i in sites)
+
+
+def test_gradcheck_builds_an_index_only_for_the_radius_head():
+    """The full-head check takes its index from ``scene_loss``; only
+    ``_radius_head_checks``, which calls ``context_embedding`` itself,
+    builds one."""
+    path = PACKAGE / "gradcheck.py"
+    sites = {site for site in _sites(r"\bbuild_index\(") if site[0] == path}
+    inside = _home("gradcheck.py", "_radius_head_checks")
+    assert sites and sites <= inside, sorted(i for _, i in sites - inside)
 
 
 # -- reach by execution ----------------------------------------------------

@@ -275,12 +275,30 @@ class TestTrainToy:
         sc = generate_scene(fast, 0)
         tau = temperature(1, TemperatureSchedule(cfg.tau_start, cfg.tau_end, 2))
         one.params.zero_grad()
-        idx = build_index(sc.ps, synth.INDEX_CELL)
-        synth.scene_loss(cfg, one.params, sc, idx, tau)[0].backward()
+        synth.scene_loss(cfg, one.params, sc, tau)[0].backward()
         for (name, a), (_, b) in zip(one.params.named_parameters(),
                                      two.params.named_parameters()):
             np.testing.assert_allclose(b.data, a.data - 0.005 * a.grad,
                                        rtol=1e-12, atol=1e-15, err_msg=name)
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["pyramid", "single_level"])
+    def test_scene_loss_indexes_its_scene(self, baseline):
+        """scene_loss is the loss of run_head on the scene's INDEX_CELL index,
+        bitwise, with the radii of that call."""
+        from pyrhead.head import loss, run_head
+        cfg = single_level_baseline(HeadConfig()) if baseline else HeadConfig()
+        params = init_head_params(cfg, 0)
+        tau = cfg.tau_start
+        for sc in generate_scenes(SceneConfig(seed=5), 3):
+            got, radii = synth.scene_loss(cfg, params, sc, tau)
+            dets, want_radii = run_head(cfg, params, sc.ps,
+                                        build_index(sc.ps, synth.INDEX_CELL),
+                                        sc.proposals, tau)
+            want = loss(dets, synth.scene_targets(sc, cfg), cfg)
+            assert np.array_equal(got.data, want.data)
+            assert len(radii) == len(want_radii) == len(cfg.pyramid.levels)
+            for r, w in zip(radii, want_radii):
+                assert np.array_equal(r, w)
 
     def test_steps_validation(self, fast):
         with pytest.raises(ValueError):
