@@ -9,18 +9,17 @@ temperature of the soft membership decays geometrically over training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .autodiff import Value, concat, reshape, segment_max
 from .geometry import Box3D, to_box_frames
-from .nn import MLPParams, init_mlp
+from .nn import MLPParams, Params, init_mlp
 from .spatial import PointSet, SpatialIndex
 
 
 @dataclass
-class ContextAggregatorParams:
+class ContextAggregatorParams(Params):
     """Per-sphere MLPs that summarize points around an RoI center."""
 
     radii: tuple[float, ...]
@@ -29,10 +28,6 @@ class ContextAggregatorParams:
     @property
     def out_width(self) -> int:
         return sum(m.d_out for m in self.mlps)
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Value]]:
-        for i, m in enumerate(self.mlps):
-            yield from m.named_parameters(f"{prefix}sphere{i}.")
 
 
 def init_context_params(rng: np.random.Generator, feat_width: int, radii: tuple[float, ...],
@@ -49,16 +44,12 @@ OFFSET_SCALE = 0.1
 
 
 @dataclass
-class RadiusHeadParams:
+class RadiusHeadParams(Params):
     """Per-level offset MLPs plus the predefined radii they perturb."""
 
     r_pre: list[float]
     mlps: list[MLPParams]
     r_min: float
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Value]]:
-        for i, m in enumerate(self.mlps):
-            yield from m.named_parameters(f"{prefix}level{i}.")
 
 
 def init_radius_head(rng: np.random.Generator, context_width: int, r_pre: list[float],

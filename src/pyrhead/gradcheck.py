@@ -157,8 +157,8 @@ def _radius_head_checks(seed: int) -> list[CheckResult]:
         r1 = predict_radius(ctx, 1, head)
         return mul(r0, 1.0) + mul(r1, 0.5)
 
-    leaves = dict(ctx_params.named_parameters())
-    leaves.update(dict(head.named_parameters()))
+    leaves = dict(ctx_params.named_parameters("context."))
+    leaves.update(dict(head.named_parameters("radius.")))
     return [CheckResult("radius_head", _compare(make, leaves))]
 
 

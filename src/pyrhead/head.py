@@ -23,7 +23,7 @@ from .darp import (ContextAggregatorParams, RadiusHeadParams, TemperatureSchedul
 from .geometry import (Box3D, PyramidConfig, _config_fields,
                        default_pyramid_config, pyramid_grid_points, rot_z,
                        to_box_frames, wrap_angle)
-from .nn import LinearParams, MLPParams, init_linear, init_mlp
+from .nn import LinearParams, MLPParams, Params, init_linear, init_mlp
 from .operators import (AttentionParams, GateOverride, gated_attention_batched,
                         init_attention_params, sampling_range,
                         soft_radius_coeff)
@@ -99,7 +99,7 @@ class HeadConfig:
 
 
 @dataclass
-class HeadParams:
+class HeadParams(Params):
     """All learnable state of the head, one attention block per level."""
 
     attention: list[AttentionParams]
@@ -110,26 +110,11 @@ class HeadParams:
     cls_head: LinearParams
     reg_head: LinearParams
 
-    def named_parameters(self):
-        for i, a in enumerate(self.attention):
-            yield from a.named_parameters(f"attention{i}.")
-        yield from self.context.named_parameters("context.")
-        yield from self.radius.named_parameters("radius.")
-        for i, r in enumerate(self.reduce):
-            yield from r.named_parameters(f"reduce{i}.")
-        yield from self.fusion.named_parameters("fusion.")
-        yield from self.cls_head.named_parameters("cls.")
-        yield from self.reg_head.named_parameters("reg.")
-
     def parameter_groups(self) -> dict[str, list[tuple[str, Value]]]:
         groups: dict[str, list[tuple[str, Value]]] = {}
         for name, p in self.named_parameters():
             groups.setdefault(name.split(".", 1)[0], []).append((name, p))
         return groups
-
-    def zero_grad(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
 
 
 def init_head_params(cfg: HeadConfig, seed: int) -> HeadParams:

@@ -9,8 +9,29 @@ import numpy as np
 from .autodiff import Value, linear, relu
 
 
+class Params:
+    """Base of the parameter containers: each ``Value`` attribute is a
+    parameter, named by its attribute path (``fusion.layers0.W``) through
+    nested containers and lists of them, in attribute order."""
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Value]]:
+        for attr, v in vars(self).items():
+            if isinstance(v, Value):
+                yield prefix + attr, v
+            elif isinstance(v, Params):
+                yield from v.named_parameters(f"{prefix}{attr}.")
+            elif isinstance(v, list):
+                for i, item in enumerate(v):
+                    if isinstance(item, Params):
+                        yield from item.named_parameters(f"{prefix}{attr}{i}.")
+
+    def zero_grad(self) -> None:
+        for _, p in self.named_parameters():
+            p.zero_grad()
+
+
 @dataclass
-class LinearParams:
+class LinearParams(Params):
     """Weights of one affine map ``x @ W + b``."""
 
     W: Value
@@ -27,22 +48,19 @@ class LinearParams:
     def __call__(self, x):
         return linear(x, self.W, self.b)
 
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Value]]:
-        yield prefix + "W", self.W
-        yield prefix + "b", self.b
-
 
 def init_linear(rng: np.random.Generator, d_in: int, d_out: int,
                 zero: bool = False) -> LinearParams:
     if zero:
         W = np.zeros((d_in, d_out))
     else:
-        W = rng.normal(0.0, 1.0 / np.sqrt(d_in), size=(d_in, d_out))
+        # a map from no features (d_in = 0) draws an empty W without a 1/0
+        W = rng.normal(0.0, 1.0 / np.sqrt(max(d_in, 1)), size=(d_in, d_out))
     return LinearParams(Value(W), Value(np.zeros(d_out)))
 
 
 @dataclass
-class MLPParams:
+class MLPParams(Params):
     """Stack of affine layers, ReLU between them, identity on the output."""
 
     layers: list[LinearParams] = field(default_factory=list)
@@ -65,10 +83,6 @@ class MLPParams:
         for lyr in self.layers[:-1]:
             x = relu(lyr(x))
         return self.layers[-1](x)
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Value]]:
-        for i, lyr in enumerate(self.layers):
-            yield from lyr.named_parameters(f"{prefix}layer{i}.")
 
 
 def init_mlp(rng: np.random.Generator, widths: list[int],

@@ -45,13 +45,12 @@ needs the neighbors within the widened sampling range r + 5*tau.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .autodiff import (Value, _data, _np_sigmoid, _np_sigmoid_slope, _segment_starts,
                        _unbroadcast, concat, reshape, segment_max)
-from .nn import LinearParams, MLPParams, init_linear
+from .nn import LinearParams, MLPParams, Params, init_linear
 from .spatial import PointSet, SpatialIndex
 
 
@@ -85,7 +84,7 @@ TRANSFORMER_GATES = GateOverride(1.0, 1.0, 0.0, 1.0)
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(Params):
     """All learnable tensors of the gated attention operator, which fix its sizes."""
 
     key: LinearParams          # features -> d_model
@@ -117,11 +116,6 @@ class AttentionParams:
     @property
     def head_width(self) -> int:
         return self.d_model // self.heads
-
-    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Value]]:
-        for name in ("key", "value", "q_pos", "w_head",
-                     "gate_pos", "gate_key", "gate_cross", "gate_value"):
-            yield from getattr(self, name).named_parameters(f"{prefix}{name}.")
 
     def check_finite(self) -> None:
         for name, p in self.named_parameters():

@@ -372,8 +372,8 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     # reference level before any update, over the first 20 scenes
     untrained = float(np.mean([scene_loss(head_cfg, params, sc, sched.tau_start)[0].item()
                                for sc in scenes[:20]]))
-    velocity = {name: np.zeros_like(p.data)
-                for name, p in params.named_parameters()}
+    tensors = [p for _, p in params.named_parameters()]
+    velocity = [np.zeros_like(p.data) for p in tensors]
     losses: list[float] = []
     grad_norms: list[float] = []
     radii: list[list[float]] = []
@@ -392,15 +392,13 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
             raise TrainingDiverged(f"training diverged at step {step}: loss {value}")
         params.zero_grad()
         step_loss.backward()
-        named = list(params.named_parameters())
-        norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for _, p in named))
+        norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in tensors))
         if not math.isfinite(norm):
             raise TrainingDiverged(f"training diverged at step {step}: gradient norm {norm}")
         scale = min(1.0, GRAD_CLIP / norm) if norm > 0 else 1.0
         clipped_steps += scale < 1.0
         step_lr = lr * scale * 0.5 * (1.0 + math.cos(math.pi * step / steps))
-        for name, p in named:
-            v = velocity[name]
+        for p, v in zip(tensors, velocity):
             v *= MOMENTUM
             v -= step_lr * p.grad
             p.data = p.data + v

@@ -109,6 +109,18 @@ class TestAttend:
         assert code == 0
         assert len(json.loads(out)["f_grid"]) == 64
 
+    @pytest.mark.parametrize("op", ["graph", "darp"])
+    def test_scene_without_feature_columns(self, tmp_path, capsys, op):
+        """Keys then come from the bias alone; no weight draw divides by zero."""
+        fixture = tmp_path / "scene.json"
+        fixture.write_text(json.dumps({"coords": [[0, 0, 0], [0.5, 0, 0]],
+                                       "feats": [[], []]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = invoke(["attend", "--op", op, "--scene", str(fixture)], capsys)
+        assert code == 0
+        assert json.loads(out)["neighbors"] == 2
+
     def test_darp_op_runs(self, capsys):
         code, out, _ = invoke(["attend", "--op", "darp", "--seed", "2",
                                "--radius", "1.0", "--tau", "0.01"], capsys)

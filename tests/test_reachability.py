@@ -181,6 +181,38 @@ def test_gradcheck_builds_an_index_only_for_the_radius_head():
     assert sites and sites <= inside, sorted(i for _, i in sites - inside)
 
 
+def test_parameters_are_walked_in_one_place():
+    """The parameter classes inherit their walk: ``def named_parameters``
+    occurs in the package once, in ``nn.Params``."""
+    sites = _sites(r"\bdef named_parameters\(")
+    inside = _home("nn.py", "Params")
+    assert len(sites) == 1 and sites <= inside, sorted((p.name, i) for p, i in sites)
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that module ``path`` imports and never refers to."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items()
+            if name not in used]
+
+
+def test_no_unused_imports():
+    """Every name a package module imports is used in it; ``__init__.py``
+    re-exports its imports and is skipped."""
+    unused = [entry for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
+              for entry in _unused_imports(path)]
+    assert unused == [], unused
+
+
 # -- reach by execution ----------------------------------------------------
 
 def _is_public(name: str) -> bool:
