@@ -24,8 +24,8 @@ from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                         pool_feature, roi_grid_attention,
                         roi_grid_attention_darp)
 from .spatial import PointSet, build_index
-from .synth import (SceneConfig, TrainingDiverged, generate_scenes,
-                    sparsity_stats, train_toy)
+from .synth import (BUCKET_LABELS, SceneConfig, TrainingDiverged,
+                    generate_scenes, sparsity_stats, train_toy)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -64,7 +64,17 @@ def _load_config(path: str, from_json):
             f"{exc.msg}") from None
 
 
-def _write_out(args, text: str) -> None:
+def _write(args, doc, header, rows) -> None:
+    """Write a subcommand's result to ``--out`` or stdout: ``doc`` as
+    indented JSON, or for ``--format csv`` the ``header`` line (none if
+    None) and one line per row, values comma-joined with floats in ``repr``
+    form and booleans as ``true`` or ``false``."""
+    if args.format == "csv":
+        lines = [",".join(str(v).lower() if isinstance(v, bool) else str(v) for v in row)
+                 for row in rows]
+        text = "\n".join(lines if header is None else [header, *lines]) + "\n"
+    else:
+        text = json.dumps(doc, indent=2) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -91,13 +101,8 @@ def cmd_gridgen(args) -> int:
         levels = [PyramidLevelConfig(GridSpec(tuple(grid)), tuple(ratios),
                                      anchor_mode=args.anchor)]
     per_level = [pyramid_grid_points(box, lv).tolist() for lv in levels]
-    if args.format == "csv":
-        lines = ["level,x,y,z"]
-        for li, pts in enumerate(per_level):
-            lines.extend(f"{li},{p[0]!r},{p[1]!r},{p[2]!r}" for p in pts)
-        _write_out(args, "\n".join(lines) + "\n")
-    else:
-        _write_out(args, json.dumps({"levels": per_level}, indent=2) + "\n")
+    _write(args, {"levels": per_level}, "level,x,y,z",
+           ((li, *p) for li, pts in enumerate(per_level) for p in pts))
     return 0
 
 
@@ -125,11 +130,9 @@ def cmd_attend(args) -> int:
             out = pool_feature(nb, mlp)
         else:
             out = roi_grid_attention(nb, params, PINNED_GATES.get(args.op, gates))
-    doc = {"op": args.op, "neighbors": len(nb), "f_grid": out.data.tolist()}
-    if args.format == "csv":
-        _write_out(args, "\n".join(repr(v) for v in out.data.tolist()) + "\n")
-    else:
-        _write_out(args, json.dumps(doc, indent=2) + "\n")
+    f_grid = out.data.tolist()
+    _write(args, {"op": args.op, "neighbors": len(nb), "f_grid": f_grid}, None,
+           ((v,) for v in f_grid))
     return 0
 
 
@@ -140,17 +143,11 @@ def cmd_gradcheck(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return CHECK_FAILURE
     ok = all(r.passed for r in results)
-    if args.format == "csv":
-        rows = [f"{r.group},{r.max_rel_err!r},{r.tolerance!r},{str(r.passed).lower()}"
-                for r in results]
-        _write_out(args, "\n".join(["group,max_rel_err,tolerance,passed", *rows]) + "\n")
-    else:
-        doc = {"seed": args.seed,
-               "groups": [{"group": r.group, "max_rel_err": r.max_rel_err,
-                           "tolerance": r.tolerance, "passed": r.passed}
-                          for r in results],
-               "passed": ok}
-        _write_out(args, json.dumps(doc, indent=2) + "\n")
+    rows = [(r.group, r.max_rel_err, r.tolerance, r.passed) for r in results]
+    header = "group,max_rel_err,tolerance,passed"
+    _write(args, {"seed": args.seed,
+                  "groups": [dict(zip(header.split(","), row)) for row in rows],
+                  "passed": ok}, header, rows)
     if args.out:
         sys.stdout.write("PASS\n" if ok else "FAIL\n")
     return 0 if ok else CHECK_FAILURE
@@ -159,14 +156,20 @@ def cmd_gradcheck(args) -> int:
 def cmd_train_toy(args) -> int:
     head_cfg = (_load_config(args.config, HeadConfig.from_json) if args.config
                 else HeadConfig())
-    scene_cfg = SceneConfig()
     try:
-        result = train_toy(head_cfg, scene_cfg, steps=args.steps, lr=args.lr,
+        result = train_toy(head_cfg, SceneConfig(), steps=args.steps, lr=args.lr,
                            seed=args.seed, n_scenes=args.scenes)
     except TrainingDiverged as exc:
         raise CliError(f"{exc}; lower --lr (was {args.lr})") from None
-    text = result.to_csv() if args.format == "csv" else result.to_json() + "\n"
-    _write_out(args, text)
+    doc = {"steps": args.steps, "lr": args.lr, "seed": args.seed,
+           "untrained_loss": result.untrained_loss, "clipped_steps": result.clipped_steps,
+           "losses": result.losses, "grad_norms": result.grad_norms,
+           "radii": result.radii, "r_pre": result.r_pre}
+    header = "step,loss,grad_norm," + ",".join(
+        f"r_level{i}" for i in range(len(result.r_pre)))
+    _write(args, doc, header, ((i, loss, norm, *radii) for i, (loss, norm, radii)
+                               in enumerate(zip(result.losses, result.grad_norms,
+                                                result.radii))))
     if args.out:
         summary = {"initial_loss": result.untrained_loss,
                    "final_loss": result.final_loss,
@@ -177,10 +180,10 @@ def cmd_train_toy(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    scene_cfg = SceneConfig(seed=args.seed)
-    scenes = generate_scenes(scene_cfg, args.scenes)
-    table = sparsity_stats(scenes)
-    _write_out(args, table.to_csv())
+    interior, gathered = sparsity_stats(
+        generate_scenes(SceneConfig(seed=args.seed), args.scenes))
+    _write(args, None, "bucket,interior_objects,gathered_rois",
+           ((b, interior[b], gathered[b]) for b in BUCKET_LABELS))
     return 0
 
 
@@ -207,23 +210,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p, *names):
-        for name in names:
-            p.add_argument(f"--{name}", **SHARED_FLAGS[name])
+    def command(name, fn, text, *flags, **defaults):
+        """Subparser ``name`` that runs ``fn``, with the named SHARED_FLAGS."""
+        p = sub.add_parser(name, help=text, epilog=epilog)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **SHARED_FLAGS[flag])
+        p.set_defaults(fn=fn, **defaults)
+        return p
 
-    p = sub.add_parser("gridgen", help="print RoI grid points for a box",
-                       epilog=epilog)
-    shared(p, "config", "out", "format")
+    p = command("gridgen", cmd_gridgen, "print RoI grid points for a box",
+                "config", "out", "format")
     p.add_argument("--box", required=True,
                    help="corner_x,corner_y,corner_z,W,L,H,yaw")
     p.add_argument("--grid", default="2,2,2", help="points per axis, e.g. 6,6,6")
     p.add_argument("--ratios", default="1,1,1", help="enlarging ratios")
     p.add_argument("--anchor", choices=("center", "corner"), default="center")
-    p.set_defaults(fn=cmd_gridgen)
 
-    p = sub.add_parser("attend", help="run one aggregation operator on a scene",
-                       epilog=epilog)
-    shared(p, "seed", "out", "format")
+    p = command("attend", cmd_attend, "run one aggregation operator on a scene",
+                "seed", "out", "format")
     p.add_argument("--op", required=True,
                    choices=("pool", "graph", "attention", "transformer",
                             "unified", "darp"))
@@ -236,27 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed gates pos,key,cross,value (--op unified or darp)")
     p.add_argument("--d-model", type=int, default=64)
     p.add_argument("--heads", type=int, default=4)
-    p.set_defaults(fn=cmd_attend)
 
-    p = sub.add_parser("gradcheck",
-                       help="compare tape gradients with finite differences",
-                       epilog=epilog)
-    shared(p, "seed", "out", "format", "threads")
-    p.set_defaults(fn=cmd_gradcheck)
+    command("gradcheck", cmd_gradcheck, "compare tape gradients with finite differences",
+            "seed", "out", "format", "threads")
 
-    p = sub.add_parser("train-toy", help="train the head on synthetic scenes",
-                       epilog=epilog)
-    shared(p, "config", "seed", "out", "format", "threads")
+    p = command("train-toy", cmd_train_toy, "train the head on synthetic scenes",
+                "config", "seed", "out", "format", "threads")
     p.add_argument("--steps", type=int, default=500)
     p.add_argument("--lr", type=float, default=0.0075)
     p.add_argument("--scenes", type=int, default=200)
-    p.set_defaults(fn=cmd_train_toy)
 
-    p = sub.add_parser("stats", help="sparsity histograms as CSV",
-                       epilog=epilog)
-    shared(p, "seed", "out")
+    # stats writes CSV only: its format is fixed, not a flag
+    p = command("stats", cmd_stats, "sparsity histograms as CSV", "seed", "out",
+                format="csv")
     p.add_argument("--scenes", type=int, default=20)
-    p.set_defaults(fn=cmd_stats)
     return parser
 
 
@@ -269,6 +266,9 @@ def run(argv=None) -> int:
     try:
         if getattr(args, "seed", 0) < 0:
             raise CliError(f"--seed must be >= 0, got {args.seed}")
+        # checked before any work, but the file is first opened to write it
+        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            raise CliError(f"--out {args.out} must name a file in an existing directory")
         return args.fn(args)
     except (CliError, ValueError, KeyError, OSError, MemoryError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -24,6 +24,9 @@ from pathlib import Path
 import numpy as np
 
 PSET_MAGIC = b"PSET"
+# Largest coordinate magnitude of a loaded point or a query centre: squared
+# offsets between such points sum to at most (2e150)^2 * 3 ~ 1.2e301.
+MAX_COORD = 1e150
 
 
 @dataclass
@@ -55,26 +58,31 @@ class PointSet:
     @classmethod
     def load(cls, path) -> "PointSet":
         """A PSET file (magic, u32 n, u32 d, f32 coords, f32 features), or a
-        ``from_json`` one if the name ends in .json; a malformed file raises
-        ValueError naming the path."""
+        ``from_json`` one if the name ends in .json; a malformed file, or a
+        coordinate of magnitude above MAX_COORD, raises ValueError naming
+        the path."""
         path = Path(path)
         try:
             if path.suffix == ".json":
-                return cls.from_json(path.read_text())
-            raw = path.read_bytes()
-            if raw[:4] != PSET_MAGIC:
-                raise ValueError("not a PSET file")
-            if len(raw) < 12:
-                raise ValueError(f"PSET header needs 12 bytes, file has {len(raw)}")
-            n, d = struct.unpack("<II", raw[4:12])
-            expected = 12 + 4 * n * (3 + d)
-            if len(raw) != expected:
-                raise ValueError(f"PSET with {n} points of width {d} needs "
-                                 f"{expected} bytes, file has {len(raw)}")
-            coords = np.frombuffer(raw, dtype="<f4", count=n * 3, offset=12)
-            feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=12 + n * 3 * 4)
-            return cls(coords.reshape(n, 3).astype(np.float64),
-                       feats.reshape(n, d).astype(np.float64))
+                ps = cls.from_json(path.read_text())
+            else:
+                raw = path.read_bytes()
+                if raw[:4] != PSET_MAGIC:
+                    raise ValueError("not a PSET file")
+                if len(raw) < 12:
+                    raise ValueError(f"PSET header needs 12 bytes, file has {len(raw)}")
+                n, d = struct.unpack("<II", raw[4:12])
+                expected = 12 + 4 * n * (3 + d)
+                if len(raw) != expected:
+                    raise ValueError(f"PSET with {n} points of width {d} needs "
+                                     f"{expected} bytes, file has {len(raw)}")
+                coords = np.frombuffer(raw, dtype="<f4", count=n * 3, offset=12)
+                feats = np.frombuffer(raw, dtype="<f4", count=n * d, offset=12 + n * 3 * 4)
+                ps = cls(coords.reshape(n, 3).astype(np.float64),
+                         feats.reshape(n, d).astype(np.float64))
+            if not np.all(np.abs(ps.coords) <= MAX_COORD):
+                raise ValueError(f"coordinates must be at most {MAX_COORD:g} in magnitude")
+            return ps
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
@@ -115,8 +123,7 @@ class SpatialIndex:
         cells = np.floor(np.ascontiguousarray(ps.coords.T) / self.cell)
         self._origin = cells.min(axis=1) if len(ps) else np.zeros(3)
         self._shape = cells.max(axis=1) - self._origin + 1 if len(ps) else np.zeros(3)
-        key = _packed_key(tuple((cells - self._origin[:, None]).astype(np.int64)),
-                          self._shape)
+        key = _packed_key(tuple(cells - self._origin[:, None]), self._shape)
         self._order = np.argsort(key)
         self._keys = key[self._order]
 
@@ -129,8 +136,9 @@ class SpatialIndex:
         if not 0 < r < np.inf:
             raise ValueError(f"query radius must be positive and finite, got {r}")
         center = np.asarray(center, dtype=np.float64).reshape(3)
-        if not np.all(np.isfinite(center)):
-            raise ValueError(f"query centre must be finite, got {center.tolist()}")
+        if not np.all(np.abs(center) <= MAX_COORD):
+            raise ValueError(f"query centre must be finite and at most {MAX_COORD:g} "
+                             f"in magnitude, got {center.tolist()}")
         if max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {max_k}")
         pad = r * _BOX_PAD
@@ -200,14 +208,14 @@ def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _packed_key(parts: tuple[np.ndarray, ...], sizes) -> np.ndarray:
     """Row-major int64 key of index tuples with ``0 <= parts[i] < sizes[i]``.
 
-    Raises ValueError, naming the sizes, when the key could wrap.
+    Raises ValueError, naming the sizes, before the int64 cast if it could wrap.
     """
     if not all(map(math.isfinite, sizes)) or math.prod(map(int, sizes)) > 2**63:
-        raise ValueError(f"a sort key over {' x '.join(f'{n:.0f}' for n in sizes)} "
+        raise ValueError(f"a sort key over {' x '.join(f'{n:.3g}' for n in sizes)} "
                          "values does not fit in int64")
-    key = parts[0]
+    key = parts[0].astype(np.int64, copy=False)
     for part, n in zip(parts[1:], sizes[1:]):
-        key = key * int(n) + part
+        key = key * int(n) + part.astype(np.int64, copy=False)
     return key
 
 

@@ -14,7 +14,6 @@ training.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -244,9 +243,9 @@ def bucket_of(counts):
 
 
 def _bucket_histogram(counts) -> dict[str, int]:
-    """Number of the counts in each bucket, for the buckets that hold any."""
+    """Number of the counts in each bucket, keyed by BUCKET_LABELS."""
     n = np.bincount(bucket_of(counts), minlength=len(BUCKET_LABELS))
-    return {label: int(k) for label, k in zip(BUCKET_LABELS, n) if k}
+    return {label: int(k) for label, k in zip(BUCKET_LABELS, n)}
 
 
 def interior_count(box: Box3D, ps: PointSet) -> int:
@@ -267,35 +266,21 @@ def pyramid_gathered_counts(ps: PointSet, rois: list[Box3D],
     return np.bincount(roi_of, minlength=len(rois))
 
 
-@dataclass
-class SparsityStats:
-    interior: dict[str, int]
-    gathered: dict[str, int]
-
-    def to_csv(self) -> str:
-        lines = ["bucket,interior_objects,gathered_rois"]
-        lines += [f"{b},{self.interior.get(b, 0)},{self.gathered.get(b, 0)}"
-                  for b in BUCKET_LABELS]
-        return "\n".join(lines) + "\n"
-
-
-def sparsity_stats(scenes: list[Scene]) -> SparsityStats:
-    """Histogram of object interior counts vs per-RoI pyramid-gathered counts
-    of the default pyramid."""
+def sparsity_stats(scenes: list[Scene]) -> tuple[dict[str, int], dict[str, int]]:
+    """(interior, gathered) bucket histograms: of the interior point counts
+    of the objects, and of the per-RoI pyramid-gathered counts of the
+    default pyramid."""
     pyramid = default_pyramid_config()
     interior = [interior_count(box, sc.ps) for sc in scenes for box in sc.gt_boxes]
     gathered = [pyramid_gathered_counts(sc.ps, sc.proposals, pyramid) for sc in scenes]
-    return SparsityStats(_bucket_histogram(interior), _bucket_histogram(
-        np.concatenate([np.zeros(0, dtype=np.int64), *gathered])))
+    return _bucket_histogram(interior), _bucket_histogram(
+        np.concatenate([np.zeros(0, dtype=np.int64), *gathered]))
 
 
 # -- toy training ----------------------------------------------------------------
 
 @dataclass
 class TrainResult:
-    steps: int
-    lr: float
-    seed: int
     losses: list[float]
     grad_norms: list[float]
     radii: list[list[float]]        # per step, mean effective radius per level
@@ -313,30 +298,6 @@ class TrainResult:
 
     def max_radius_shift(self) -> float:
         return max(abs(r - p) for r, p in zip(self.radii[-1], self.r_pre))
-
-    def to_json(self) -> str:
-        doc = {
-            "steps": self.steps,
-            "lr": self.lr,
-            "seed": self.seed,
-            "untrained_loss": self.untrained_loss,
-            "clipped_steps": self.clipped_steps,
-            "losses": self.losses,
-            "grad_norms": self.grad_norms,
-            "radii": self.radii,
-            "r_pre": self.r_pre,
-        }
-        return json.dumps(doc, indent=2)
-
-    def to_csv(self) -> str:
-        levels = len(self.r_pre)
-        header = "step,loss,grad_norm," + ",".join(
-            f"r_level{i}" for i in range(levels))
-        lines = [header]
-        for i, (lo, gn, rr) in enumerate(zip(self.losses, self.grad_norms,
-                                             self.radii)):
-            lines.append(f"{i},{lo!r},{gn!r}," + ",".join(repr(r) for r in rr))
-        return "\n".join(lines) + "\n"
 
 
 class TrainingDiverged(RuntimeError):
@@ -406,8 +367,8 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
         grad_norms.append(norm)
         radii.append([float(np.mean(r)) if r.size else float(rp)
                       for r, rp in zip(step_radii, r_pre)])
-    return TrainResult(steps, lr, seed, losses, grad_norms, radii, r_pre,
-                       untrained, clipped_steps, params)
+    return TrainResult(losses, grad_norms, radii, r_pre, untrained, clipped_steps,
+                       params)
 
 
 # -- evaluation -------------------------------------------------------------------

@@ -142,6 +142,42 @@ class TestAttend:
         assert len(out.strip().splitlines()) == 64
 
 
+class TestHugeCoordinates:
+    """Coordinates and centres beyond spatial.MAX_COORD = 1e150 are rejected
+    where they enter, so squared offsets never overflow; sizes too large for
+    an int64 sort key are rejected before any cast."""
+
+    @pytest.mark.parametrize("argv,scene,want", [
+        (["--grid-point", "1e200,0,0", "--radius", "2e200", "--max-k", "64"], None,
+         "query centre must be finite and at most 1e+150"),
+        (["--grid-point", "1e155,0,0", "--radius", "2e155"], None,
+         "query centre must be finite and at most 1e+150"),
+        (["--radius", "1"], '{"coords": [[1e20, 0, 0], [0, 0, 0]], "feats": [[1], [1]]}',
+         "a sort key over 1e+20 x 1 x 1 values does not fit in int64"),
+        ([], '{"coords": [[0, 0, 0], [0, -2e150, 0]], "feats": [[1], [1]]}',
+         "coordinates must be at most 1e+150 in magnitude"),
+    ], ids=["centre_1e200", "centre_1e155", "scene_point_1e20", "scene_point_2e150"])
+    def test_exits_two_with_one_error_line(self, tmp_path, capsys, argv, scene, want):
+        if scene is not None:
+            path = tmp_path / "scene.json"
+            path.write_text(scene)
+            argv = argv + ["--scene", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = invoke(["attend", "--op", "graph", *argv], capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and want in err
+
+    def test_centre_at_the_bound_finds_every_point(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, _ = invoke(["attend", "--op", "graph", "--grid-point", "1e150,0,0",
+                                   "--radius", "2e150", "--max-k", "64"], capsys)
+        assert code == 0
+        assert json.loads(out)["neighbors"] == 64
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert run(["nonsense"]) == 2
@@ -335,13 +371,23 @@ class TestExitCodes:
 
 class TestStatsAndTrain:
     def test_stats_csv(self, tmp_path, capsys):
+        from pyrhead.synth import (BUCKET_LABELS, SceneConfig, generate_scenes,
+                                   sparsity_stats)
         out_file = tmp_path / "stats.csv"
-        code, _, _ = invoke(["stats", "--scenes", "2", "--seed", "3",
-                             "--out", str(out_file)], capsys)
-        assert code == 0
-        lines = out_file.read_text().strip().splitlines()
+        code, out, _ = invoke(["stats", "--scenes", "2", "--seed", "3",
+                               "--out", str(out_file)], capsys)
+        assert code == 0 and out == ""
+        lines = out_file.read_text().splitlines()
         assert lines[0] == "bucket,interior_objects,gathered_rois"
-        assert len(lines) == 6
+        interior, gathered = sparsity_stats(generate_scenes(SceneConfig(seed=3), 2))
+        assert lines[1:] == [f"{b},{interior[b]},{gathered[b]}" for b in BUCKET_LABELS]
+
+    def test_stats_without_scenes(self, capsys):
+        code, out, _ = invoke(["stats", "--scenes", "0"], capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "bucket,interior_objects,gathered_rois" and len(lines) == 6
+        assert all(line.endswith(",0,0") for line in lines[1:])
 
     def test_train_toy_writes_metrics_and_is_deterministic(self, tmp_path,
                                                            capsys):
@@ -355,18 +401,22 @@ class TestStatsAndTrain:
             summary = json.loads(stdout)
             assert {"initial_loss", "final_loss", "max_radius_shift"} <= \
                 set(summary)
+            assert json.loads(path.read_text())["clipped_steps"] == summary["clipped_steps"]
             outs.append(path.read_bytes())
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("lr,steps,scenes", [("50", "40", "4"), ("1e6", "2", "2")])
     def test_diverged_training_exits_two(self, tmp_path, capsys, lr, steps, scenes):
+        """It leaves an existing --out file as it was."""
+        path = tmp_path / "m.json"
+        path.write_text("earlier run\n")
         code, out, err = invoke(["train-toy", "--lr", lr, "--steps", steps,
-                                 "--scenes", scenes,
-                                 "--out", str(tmp_path / "m.json")], capsys)
+                                 "--scenes", scenes, "--out", str(path)], capsys)
         assert code == 2 and out == ""
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "training diverged" in err and "--lr" in err
+        assert path.read_text() == "earlier run\n"
 
     @pytest.mark.parametrize("edit,field", [
         ({"feat_width": 11}, "feat_width"),
@@ -407,12 +457,40 @@ class TestStatsAndTrain:
         assert len(err.splitlines()) == 1
 
     def test_train_toy_csv_format(self, tmp_path, capsys):
+        from pyrhead.head import HeadConfig
         path = tmp_path / "m.csv"
         code, _, _ = invoke(["train-toy", "--steps", "2", "--scenes", "1",
                              "--lr", "0.001", "--format", "csv",
                              "--out", str(path)], capsys)
         assert code == 0
-        assert path.read_text().startswith("step,loss,grad_norm")
+        levels = len(HeadConfig().pyramid.levels)
+        header, *rows = path.read_text().splitlines()
+        assert header == "step,loss,grad_norm," + ",".join(
+            f"r_level{i}" for i in range(levels))
+        assert [row.split(",")[0] for row in rows] == ["0", "1"]
+        assert all(len(row.split(",")) == 3 + levels for row in rows)
+
+    @pytest.mark.parametrize("command", [
+        ["train-toy", *TRAIN_1], ["stats", "--scenes", "1"], ["gradcheck"],
+        ["gridgen", "--box", "0,0,0,1,1,1,0"], ["attend", "--op", "graph"]],
+        ids=["train_toy", "stats", "gradcheck", "gridgen", "attend"])
+    @pytest.mark.parametrize("target", ["missing/m.out", "."], ids=["no_dir", "a_dir"])
+    def test_unwritable_out_exits_two_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                       command, target):
+        from pyrhead import cli, synth
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        for module, name in [(synth, "generate_scenes"), (cli, "generate_scenes"),
+                             (cli, "run_gradcheck"), (cli, "pyramid_grid_points"),
+                             (cli, "build_index")]:
+            monkeypatch.setattr(module, name, no_work)
+        out = tmp_path / target
+        code, stdout, err = invoke([*command, "--out", str(out)], capsys)
+        assert code == 2 and stdout == ""
+        assert err == f"error: --out {out} must name a file in an existing directory\n"
+        assert not (tmp_path / "missing").exists()
 
 
 @pytest.mark.parametrize("command,flag", [

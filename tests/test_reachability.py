@@ -189,6 +189,17 @@ def test_parameters_are_walked_in_one_place():
     assert len(sites) == 1 and sites <= inside, sorted((p.name, i) for p, i in sites)
 
 
+def test_output_is_written_in_one_place():
+    """Only ``cli`` turns results into text: ``indent=2``, ``.write_text(``
+    and ``sys.stdout.write(`` occur in the package only in ``cli.py``, and no
+    ``to_json`` or ``to_csv`` method remains."""
+    sites = _sites(r"indent=2|\.write_text\(|sys\.stdout\.write\(")
+    assert sites and {p.name for p, _ in sites} == {"cli.py"}, sorted(
+        (p.name, i) for p, i in sites if p.name != "cli.py")
+    assert not _sites(r"\bdef to_(json|csv)\("), sorted(
+        (p.name, i) for p, i in _sites(r"\bdef to_(json|csv)\("))
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names that module ``path`` imports and never refers to."""
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -210,6 +221,34 @@ def test_no_unused_imports():
     re-exports its imports and is skipped."""
     unused = [entry for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
               for entry in _unused_imports(path)]
+    assert unused == [], unused
+
+
+def _unused_parameters(path: Path) -> list[str]:
+    """``line name`` of each parameter of a function, method or lambda in
+    module ``path`` that its body never reads; ``self``, ``cls`` and names
+    starting with ``_`` are exempt. A read in a nested function counts."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                  *filter(None, (args.vararg, args.kwarg))]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        found += [f"{path.name}:{node.lineno} {getattr(node, 'name', 'lambda')}({a.arg})"
+                  for a in params
+                  if a.arg not in ("self", "cls") and not a.arg.startswith("_")
+                  and a.arg not in read]
+    return found
+
+
+def test_no_unused_parameters():
+    """Every parameter of a package function, method or lambda is read by
+    its body, so a dead parameter cannot stay behind in a signature."""
+    unused = [entry for path in sorted(PACKAGE.glob("*.py"))
+              for entry in _unused_parameters(path)]
     assert unused == [], unused
 
 

@@ -1,6 +1,5 @@
 """Scene generator determinism, sparsity statistics, harness behavior."""
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -164,14 +163,11 @@ class TestSparsityStats:
         monkeypatch.setattr(synth, "SURFACE_NOISE", 0.0)
         cfg = dataclasses.replace(fast, n_objects=1, obj_points_min=7,
                                   obj_points_max=7, clutter_density=0.0)
-        stats = sparsity_stats([generate_scene(cfg)])
-        assert stats.interior.get("0-10", 0) == 1
+        interior, _ = sparsity_stats([generate_scene(cfg)])
+        assert interior["0-10"] == 1
 
     def test_empty_scene_set(self):
-        stats = sparsity_stats([])
-        csv = stats.to_csv()
-        assert csv.splitlines()[0] == "bucket,interior_objects,gathered_rois"
-        assert all(line.endswith(",0,0") for line in csv.splitlines()[1:])
+        assert sparsity_stats([]) == ({b: 0 for b in BUCKET_LABELS},) * 2
 
     def test_gathered_dominates_interior_with_wide_radius(self, fast):
         # one level whose radius covers the whole box from any grid point
@@ -212,11 +208,6 @@ class TestSparsityStats:
                     for roi in sc.proposals]
             assert got.tolist() == want
 
-    def test_csv_shape(self, fast):
-        stats = sparsity_stats(generate_scenes(fast, 3))
-        lines = stats.to_csv().strip().splitlines()
-        assert len(lines) == 6
-
 
 class TestTrainToy:
     def test_zero_lr_changes_nothing(self, fast):
@@ -234,10 +225,6 @@ class TestTrainToy:
         res = train_toy(cfg, fast, steps=4, lr=0.001, seed=0, n_scenes=2)
         assert len(res.losses) == 4 == len(res.grad_norms) == len(res.radii)
         assert all(len(r) == 2 for r in res.radii)
-        doc = res.to_json()
-        assert '"losses"' in doc
-        csv = res.to_csv()
-        assert csv.splitlines()[0] == "step,loss,grad_norm,r_level0,r_level1"
 
     def test_determinism(self, fast):
         cfg = tiny_head()
@@ -260,7 +247,6 @@ class TestTrainToy:
         norm = res.grad_norms[0]           # recorded before clipping
         assert step == pytest.approx(0.01 * min(norm, clip), rel=1e-9)
         assert res.clipped_steps == int(norm > clip)
-        assert json.loads(res.to_json())["clipped_steps"] == res.clipped_steps
 
     def test_learning_rate_anneals_along_half_cosine(self, fast, monkeypatch):
         from pyrhead import synth
