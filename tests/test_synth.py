@@ -166,6 +166,15 @@ class TestSparsityStats:
         interior, _ = sparsity_stats([generate_scene(cfg)])
         assert interior["0-10"] == 1
 
+    def test_csv_shape(self, fast, capsys):
+        from pyrhead.cli import run
+        interior, gathered = sparsity_stats(generate_scenes(fast, 3))
+        assert list(interior) == list(gathered) == list(BUCKET_LABELS)
+        assert run(["stats", "--scenes", "3"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert len(lines) == 6
+        assert [line.split(",")[0] for line in lines[1:]] == list(BUCKET_LABELS)
+
     def test_empty_scene_set(self):
         assert sparsity_stats([]) == ({b: 0 for b in BUCKET_LABELS},) * 2
 
