@@ -201,7 +201,7 @@ def apply_residuals(proposal: Box3D, residuals: np.ndarray) -> Box3D:
     res = np.asarray(residuals, dtype=np.float64).reshape(7)
     if not np.all(np.isfinite(res)) or np.any(np.abs(res[3:6]) > 50.0):
         raise RuntimeError(
-            f"box residuals out of range (diverged training?): {res}")
+            f"box residuals out of range: {res}")
     center = proposal.center + res[0:3]
     extents = proposal.extents * np.exp(res[3:6])
     return Box3D.from_center(center, extents, wrap_angle(proposal.yaw + res[6]))
@@ -240,10 +240,10 @@ def axis_aligned_iou(a: Box3D, b: Box3D) -> float:
     return inter / union if union > 0 else 0.0
 
 
-def derotated_iou(det: Box3D, gt: Box3D) -> float:
-    """Axis-aligned IoU after rotating the detection into the gt yaw frame."""
-    center = rot_z(-gt.yaw) @ (det.center - gt.center) + gt.center
-    a = Box3D.from_center(center, det.extents, 0.0)
+def derotated_iou(box: np.ndarray, gt: Box3D) -> float:
+    """Axis-aligned IoU after rotating a (centre, extents, yaw) row into the gt frame."""
+    center = rot_z(-gt.yaw) @ (box[0:3] - gt.center) + gt.center
+    a = Box3D.from_center(center, box[3:6], 0.0)
     b = Box3D.from_center(gt.center, gt.extents, 0.0)
     return axis_aligned_iou(a, b)
 

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 PSET_MAGIC = b"PSET"
-# Largest coordinate magnitude of a loaded point or a query centre: squared
-# offsets between such points sum to at most (2e150)^2 * 3 ~ 1.2e301.
+# Largest coordinate magnitude of a loaded point or of any query centre:
+# squared offsets between such points sum to at most (2e150)^2 * 3 ~ 1.2e301.
 MAX_COORD = 1e150
 
 
@@ -135,14 +135,10 @@ class SpatialIndex:
         """
         if not 0 < r < np.inf:
             raise ValueError(f"query radius must be positive and finite, got {r}")
-        center = np.asarray(center, dtype=np.float64).reshape(3)
-        if not np.all(np.abs(center) <= MAX_COORD):
-            raise ValueError(f"query centre must be finite and at most {MAX_COORD:g} "
-                             f"in magnitude, got {center.tolist()}")
+        center = _checked_centers(np.reshape(center, 3))
         if max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {max_k}")
-        pad = r * _BOX_PAD
-        cand = self.region_ids(center - pad, center + pad)
+        cand = self.region_ids(*_ball_boxes(center, r))
         if cand.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0)
         d = np.linalg.norm(self.ps.coords[cand] - center, axis=1)
@@ -162,7 +158,7 @@ class SpatialIndex:
         ``gather_level`` computes."""
         if not 0 < r < np.inf:
             raise ValueError(f"ball radius must be positive and finite, got {r}")
-        at = np.ascontiguousarray(np.reshape(centers, (-1, 3)).T, dtype=np.float64)
+        at = np.ascontiguousarray(_checked_centers(np.reshape(centers, (-1, 3))).T)
         r = np.full(at.shape[1], float(r))
         return _gather_pairs(self, at, r, *self._columns(_ball_boxes(at, r))[:3])
 
@@ -196,6 +192,16 @@ class SpatialIndex:
 # Relative widening of a ball's box before the cell lookup: the rounded norm
 # that decides membership may admit a point just beyond the exact box.
 _BOX_PAD = 1.0 + 1e-9
+
+
+def _checked_centers(centers) -> np.ndarray:
+    """``centers`` [..., 3] as float64; one beyond MAX_COORD raises ValueError."""
+    at = np.asarray(centers, dtype=np.float64)
+    bad = ~np.all(np.abs(at) <= MAX_COORD, axis=-1)
+    if bad.any():
+        raise ValueError(f"query centre must be finite and at most {MAX_COORD:g} "
+                         f"in magnitude, got {at[bad][0].tolist()}")
+    return at
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -246,7 +252,7 @@ def gather_level(ps: PointSet, centers, radius, max_k: int
     """
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
-    centers = np.asarray(centers, dtype=np.float64)
+    centers = _checked_centers(centers)
     n_rois, count = centers.shape[:2]
     radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), (n_rois,))
     if not np.all((0 < radius) & (radius < np.inf)):
@@ -298,7 +304,7 @@ _FIRST_SHRINK = 0.75
 
 
 def _ball_boxes(at: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``_columns`` bounds of the boxes of balls of radius r around ``at`` [3, n]."""
+    """``_columns`` bounds of the boxes of balls of radius r around ``at`` [3, ...]."""
     return np.stack([at - r * _BOX_PAD, at + r * _BOX_PAD])
 
 

@@ -128,10 +128,11 @@ def occupancy_features(coords: np.ndarray, z_extent: float = 4.0) -> np.ndarray:
     feats = np.zeros((n, FEAT_WIDTH))
     if n == 0:
         return feats
-    cells = np.floor(coords.T / 0.4).astype(np.int64)
-    cells -= cells.min(axis=1, keepdims=True) >> 3 << 3  # keeps the 3.2 boundaries
-    top = cells >> 3
-    octants = [4 * x + 2 * y + z for x, y, z in (cells >> k & 1 for k in (2, 1, 0))]
+    cells = np.floor(coords.T / 0.4)
+    cells -= np.floor(cells.min(axis=1, keepdims=True) / 8) * 8  # keeps the 3.2 boundaries
+    top = np.floor(cells * 0.125)  # floats until _packed_key checks the span
+    low = (cells - 8 * top).astype(np.int64)
+    octants = [4 * x + 2 * y + z for x, y, z in (low >> k & 1 for k in (2, 1, 0))]
     key = _packed_key((*top, *octants), (*(top.max(axis=1) + 1), 8, 8, 8))
     order = np.argsort(key)
     key = key[order]
@@ -235,6 +236,18 @@ def scene_loss(cfg: HeadConfig, params: HeadParams, scene: Scene, tau: float):
     return loss(dets, scene_targets(scene, cfg), cfg), radii
 
 
+def infer(cfg: HeadConfig, params: HeadParams, scene: Scene
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scores [R], box residuals [R, 7] and refined boxes [R, 7] (centre,
+    extents, yaw) of the scene's proposals, from the ``run_head`` call at
+    ``tau_end`` on the scene's index at INDEX_CELL."""
+    dets, _ = run_head(cfg, params, scene.ps, build_index(scene.ps, INDEX_CELL),
+                       scene.proposals, cfg.tau_end)
+    boxes = [[*d.box.center, *d.box.extents, d.box.yaw] for d in dets]
+    return (np.array([d.score for d in dets]),
+            np.reshape([d.residuals for d in dets], (-1, 7)), np.reshape(boxes, (-1, 7)))
+
+
 # -- sparsity statistics --------------------------------------------------------
 
 def bucket_of(counts):
@@ -304,19 +317,35 @@ class TrainingDiverged(RuntimeError):
     """Training left the finite range; the learning rate is the usual cause."""
 
 
+def update(params: HeadParams, velocity: list[np.ndarray], lr: float, step: int,
+           steps: int) -> float:
+    """Step ``step`` of ``steps``: momentum SGD (MOMENTUM, ``velocity`` in
+    ``named_parameters`` order, updated in place) at ``lr`` annealed along a
+    half cosine, on the gradients of ``params`` scaled by min(1, GRAD_CLIP /
+    norm). Clears the gradients and returns their norm; raises
+    TrainingDiverged if it is not finite."""
+    tensors = [p for _, p in params.named_parameters()]
+    norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in tensors))
+    if not math.isfinite(norm):
+        raise TrainingDiverged(f"training diverged at step {step}: gradient norm {norm}")
+    scale = min(1.0, GRAD_CLIP / norm) if norm > 0 else 1.0
+    step_lr = lr * scale * 0.5 * (1.0 + math.cos(math.pi * step / steps))
+    for p, v in zip(tensors, velocity):
+        v *= MOMENTUM
+        v -= step_lr * p.grad
+        p.data = p.data + v
+        p.zero_grad()
+    return norm
+
+
 def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
               lr: float, seed: int, n_scenes: int = 200) -> TrainResult:
-    """Momentum SGD (MOMENTUM) on the head loss over a deterministic scene set.
-
-    The learning rate anneals from ``lr`` towards 0 along a half cosine
-    over the run, and each step's gradient is scaled by
-    min(1, GRAD_CLIP / norm) before the momentum update; ``grad_norms``
-    records the norm before clipping. The radius trajectory records the
-    per-level effective radius averaged over the step's RoIs. Raises
-    ValueError unless ``lr`` is finite and >= 0, and TrainingDiverged if
-    the loss or the gradient norm goes non-finite or the box residuals
-    leave their range.
-    """
+    """Steps of ``scene_loss`` on the next scene of a deterministic set, its
+    backward and ``update``; ``grad_norms`` records the norm before clipping,
+    ``radii`` the per-level effective radius averaged over the step's RoIs.
+    Raises ValueError unless ``lr`` is finite and >= 0, and TrainingDiverged
+    if the loss or the gradient norm goes non-finite or the box residuals
+    leave their range."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if n_scenes < 1:
@@ -333,42 +362,28 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     # reference level before any update, over the first 20 scenes
     untrained = float(np.mean([scene_loss(head_cfg, params, sc, sched.tau_start)[0].item()
                                for sc in scenes[:20]]))
-    tensors = [p for _, p in params.named_parameters()]
-    velocity = [np.zeros_like(p.data) for p in tensors]
+    velocity = [np.zeros_like(p.data) for _, p in params.named_parameters()]
     losses: list[float] = []
     grad_norms: list[float] = []
     radii: list[list[float]] = []
-    clipped_steps = 0
     r_pre = [lv.r_pre for lv in head_cfg.pyramid.levels]
     for step in range(steps):
-        sc = scenes[step % len(scenes)]
-        tau = temperature(step, sched)
         try:
-            step_loss, step_radii = scene_loss(head_cfg, params, sc, tau)
+            step_loss, step_radii = scene_loss(head_cfg, params, scenes[step % len(scenes)],
+                                               temperature(step, sched))
         except RuntimeError as exc:  # from apply_residuals
             raise TrainingDiverged(
                 f"training diverged at step {step}: box residuals out of range") from exc
         value = step_loss.item()
         if not math.isfinite(value):
             raise TrainingDiverged(f"training diverged at step {step}: loss {value}")
-        params.zero_grad()
         step_loss.backward()
-        norm = math.sqrt(sum(float(np.sum(p.grad * p.grad)) for p in tensors))
-        if not math.isfinite(norm):
-            raise TrainingDiverged(f"training diverged at step {step}: gradient norm {norm}")
-        scale = min(1.0, GRAD_CLIP / norm) if norm > 0 else 1.0
-        clipped_steps += scale < 1.0
-        step_lr = lr * scale * 0.5 * (1.0 + math.cos(math.pi * step / steps))
-        for p, v in zip(tensors, velocity):
-            v *= MOMENTUM
-            v -= step_lr * p.grad
-            p.data = p.data + v
+        grad_norms.append(update(params, velocity, lr, step, steps))
         losses.append(value)
-        grad_norms.append(norm)
         radii.append([float(np.mean(r)) if r.size else float(rp)
                       for r, rp in zip(step_radii, r_pre)])
-    return TrainResult(losses, grad_norms, radii, r_pre, untrained, clipped_steps,
-                       params)
+    return TrainResult(losses, grad_norms, radii, r_pre, untrained,
+                       sum(norm > GRAD_CLIP for norm in grad_norms), params)
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -384,17 +399,15 @@ class EvalResult:
 
 
 def evaluate(head_cfg: HeadConfig, params: HeadParams, scenes: list[Scene]) -> EvalResult:
-    """Classification accuracy and refined-box IoU at the final temperature,
-    reduced once from one row per detection: correct, label, IoU, gt bucket."""
+    """Classification accuracy and refined-box IoU of ``infer``'s outputs,
+    reduced once from one row per proposal: correct, label, IoU, gt bucket."""
     rows = []
     for sc in scenes:
-        dets, _ = run_head(head_cfg, params, sc.ps, build_index(sc.ps, INDEX_CELL),
-                           sc.proposals, head_cfg.tau_end)
+        scores, _, boxes = infer(head_cfg, params, sc)
         gt_bucket = bucket_of([interior_count(gt, sc.ps) for gt in sc.gt_boxes])
-        rows += [(int(det.score > 0.5) == label, label, derotated_iou(det.box, gt),
-                  gt_bucket[g])
-                 for det, (label, gt), g in zip(dets, scene_targets(sc, head_cfg),
-                                                sc.proposal_gt)]
+        targets = scene_targets(sc, head_cfg)
+        rows += [(int(score > 0.5) == label, label, derotated_iou(box, gt), gt_bucket[g])
+                 for score, box, (label, gt), g in zip(scores, boxes, targets, sc.proposal_gt)]
     if not rows:
         return EvalResult(0, 0.0, 0.0, 0.0, 0.0, {})
     ok, label, iou, bucket = map(np.array, zip(*rows))

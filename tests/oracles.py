@@ -46,6 +46,11 @@
   per-detection rows of ``evaluate`` must reproduce the first's
   ``repr``, ``bucket_of`` the second's labels, and
   ``pyramid_gathered_counts`` the third's set sizes.
+- ``clipped_momentum_step``: toy training's update rule written out on
+  plain arrays, one formula per line. ``synth.update`` must reproduce its
+  norm, parameters and velocity.
+- ``box_row``: a ``Box3D`` as the (centre, extents, yaw) row that
+  ``synth.infer`` returns and ``derotated_iou`` reads.
 - ``empty_point_set``, ``save_pset``, ``point_set_json``,
   ``pyramid_config_json`` and ``head_config_json``: fixture writers for
   the forms the program reads but never writes. ``PointSet.load`` (PSET
@@ -56,6 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import struct
 
 import numpy as np
@@ -634,7 +640,7 @@ def loop_evaluate(head_cfg, params, scenes) -> EvalResult:
             correct += ok
             total += 1
             positives += label
-            iou = derotated_iou(det.box, gt)
+            iou = derotated_iou(box_row(det.box), gt)
             ious.append(iou)
             hits += iou >= HIT_IOU
             bucket = loop_bucket_of(int(gt.contains(sc.ps.coords).sum()) if len(sc.ps) else 0)
@@ -651,6 +657,19 @@ def loop_evaluate(head_cfg, params, scenes) -> EvalResult:
         label_base_rate=max(pos_rate, 1.0 - pos_rate),
         bucket_accuracy={b: bucket_ok[b] / bucket_tot[b] for b in sorted(bucket_tot)},
     )
+
+
+def clipped_momentum_step(data, grads, velocity, lr, step, steps, clip, momentum):
+    """(norm, new data, new velocity) of one clipped, annealed momentum step."""
+    norm = math.sqrt(sum(float(np.sum(np.square(g))) for g in grads))
+    shrink = clip / norm if norm > clip else 1.0
+    rate = lr * shrink * (1.0 + math.cos(math.pi * step / steps)) / 2.0
+    new_velocity = [momentum * v - rate * g for v, g in zip(velocity, grads)]
+    return norm, [d + v for d, v in zip(data, new_velocity)], new_velocity
+
+
+def box_row(box: Box3D) -> np.ndarray:
+    return np.array([*box.center, *box.extents, box.yaw])
 
 
 def pyramid_gathered_ids(ps, roi: Box3D, pyramid) -> set[int]:

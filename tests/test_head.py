@@ -275,7 +275,7 @@ class TestIoU:
     def test_identical_boxes(self):
         b = Box3D.from_center([0, 0, 0], [2, 3, 1], 0.0)
         assert axis_aligned_iou(b, b) == pytest.approx(1.0)
-        assert derotated_iou(b, b) == pytest.approx(1.0)
+        assert derotated_iou(oracles.box_row(b), b) == pytest.approx(1.0)
 
     def test_disjoint_boxes(self):
         a = Box3D.from_center([0, 0, 0], [1, 1, 1], 0.0)
@@ -295,7 +295,7 @@ class TestIoU:
         off = rot_z(-yaw) @ np.array([0.5, 0.0, 0.0])
         inter = (2 - abs(off[0])) * (4 - abs(off[1])) * 1
         want = inter / (2 * 4 * 1 * 2 - inter)
-        assert derotated_iou(a, b) == pytest.approx(want, rel=1e-9)
+        assert derotated_iou(oracles.box_row(a), b) == pytest.approx(want, rel=1e-9)
 
     def test_assign_label_threshold(self):
         a = Box3D([0, 0, 0], [2, 2, 2], 0.0)

@@ -159,10 +159,46 @@ def test_each_head_config_rule_has_one_home(rule, file, home):
 
 def test_scene_index_cell_is_read_only_in_synth():
     """``INDEX_CELL`` is read in the package only by ``synth``, whose
-    ``scene_loss`` and ``evaluate`` build each scene's index themselves."""
+    ``scene_loss`` and ``infer`` build each scene's index themselves."""
     sites = _sites(r"\bINDEX_CELL\b")
     assert sites and {p.name for p, _ in sites} == {"synth.py"}, sorted(
         (p.name, i) for p, i in sites)
+
+
+def test_synth_runs_the_head_only_for_the_loss_and_inference():
+    """``run_head(`` and ``build_index(`` occur in ``synth`` only inside
+    ``scene_loss`` and ``infer``: training, the gradient check and
+    evaluation reach the head through these two."""
+    path = PACKAGE / "synth.py"
+    sites = {site for site in _sites(r"\b(run_head|build_index)\(") if site[0] == path}
+    inside = _home("synth.py", "scene_loss") | _home("synth.py", "infer")
+    assert sites and sites <= inside, sorted(i for _, i in sites - inside)
+
+
+def _reads(name: str) -> set[tuple[Path, int]]:
+    """(file, line) of each package line that reads the variable ``name``."""
+    return {(path, node.lineno) for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Name) and node.id == name
+            and isinstance(node.ctx, ast.Load)}
+
+
+def test_update_rule_has_one_home():
+    """The step rule of toy training lives in ``synth.update``: ``MOMENTUM``,
+    ``math.cos`` (the anneal) and ``.grad`` are read in ``synth`` only there,
+    and ``GRAD_CLIP`` only there and in the one comparison with which
+    ``train_toy`` counts the recorded norms above it."""
+    update = _home("synth.py", "update")
+    path = PACKAGE / "synth.py"
+    counted = (_sites(r"\bnorm > GRAD_CLIP for norm in grad_norms\b")
+               & _home("synth.py", "train_toy"))
+    assert len(counted) == 1, sorted(i for _, i in counted)
+    for sites, home in [
+            (_reads("MOMENTUM"), update),
+            (_reads("GRAD_CLIP"), update | counted),
+            ({site for site in _sites(r"\.grad\b|\bmath\.cos\(") if site[0] == path},
+             update)]:
+        assert sites and sites <= home, sorted((p.name, i) for p, i in sites - home)
 
 
 def test_gather_level_bins_once_per_call():

@@ -559,6 +559,33 @@ class TestBoundedCellScan:
             idx.region_ids(np.full(3, -np.inf), np.full(3, np.inf)), np.arange(300))
 
 
+CENTRE_ENTRY_POINTS = {
+    "query": lambda ps, centre, r: build_index(ps, 1.0).query(centre, r, 64)[0],
+    "balls": lambda ps, centre, r: build_index(ps, 1.0).balls([centre], r)[1],
+    "gather_level": lambda ps, centre, r: gather_level(ps, [[centre]], r, 64)[1],
+}
+
+
+class TestCentreBound:
+    """``query``, ``balls`` and ``gather_level`` share one check of MAX_COORD."""
+
+    @pytest.mark.parametrize("entry", CENTRE_ENTRY_POINTS)
+    @pytest.mark.parametrize("centre", [[1e200, 0.0, 0.0], [0.0, -2e150, 0.0],
+                                        [0.0, 0.0, np.nan], [np.inf, 0.0, 0.0]],
+                             ids=["1e200", "-2e150", "nan", "inf"])
+    def test_centre_beyond_max_coord_raises(self, entry, centre):
+        ps = random_pointset(np.random.default_rng(3), 64, span=4.0)
+        with pytest.raises(ValueError, match=r"centre must be finite and at most 1e\+150"):
+            CENTRE_ENTRY_POINTS[entry](ps, centre, 2e200)
+
+    @pytest.mark.parametrize("entry", CENTRE_ENTRY_POINTS)
+    def test_centre_at_max_coord_finds_every_point(self, entry):
+        ps = random_pointset(np.random.default_rng(3), 64, span=4.0)
+        ids = CENTRE_ENTRY_POINTS[entry](ps, [spatial.MAX_COORD, 0.0, 0.0],
+                                         2 * spatial.MAX_COORD)
+        assert np.array_equal(np.sort(ids), np.arange(64))
+
+
 class TestPointSetIO:
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

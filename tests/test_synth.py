@@ -147,6 +147,15 @@ class TestOccupancyCounts:
         with pytest.raises(ValueError, match="does not fit in int64"):
             occupancy_features(coords)
 
+    def test_span_beyond_int64_raises_before_the_cast(self):
+        # under the suite's error::RuntimeWarning filter, a cast of the
+        # 2.5e20 cell index would fail the test with a RuntimeWarning
+        coords = np.array([[0.0, 0.0, 0.0], [1e20, 0.0, 0.0]])
+        with pytest.raises(ValueError, match="does not fit in int64"):
+            occupancy_features(coords)
+        # a lone far point spans no cells
+        assert np.array_equal(occupancy_features(coords[1:]), occupancy_features(coords[:1]))
+
 
 class TestSparsityStats:
     def test_bucket_edges(self):
@@ -298,6 +307,81 @@ class TestTrainToy:
     def test_steps_validation(self, fast):
         with pytest.raises(ValueError):
             train_toy(tiny_head(), fast, steps=0, lr=0.1, seed=0, n_scenes=1)
+
+
+def linear_with_grads(seed, grad_scale):
+    """A 3x2 linear map whose gradients, set by one backward, are random
+    draws times ``grad_scale``; returns it and the gradient arrays."""
+    from pyrhead.autodiff import add, mul, vsum
+    from pyrhead.nn import init_linear
+    rng = np.random.default_rng(seed)
+    lin = init_linear(rng, 3, 2)
+    grads = [rng.normal(size=lin.W.shape) * grad_scale, rng.normal(size=2) * grad_scale]
+    add(vsum(mul(lin.W, grads[0])), vsum(mul(lin.b, grads[1]))).backward()
+    return lin, grads
+
+
+class TestUpdate:
+    """``synth.update`` against ``oracles.clipped_momentum_step``."""
+
+    @pytest.mark.parametrize("grad_scale,step,steps,carried", [
+        (0.1, 0, 10, False),     # below the clip, full rate at step 0
+        (50.0, 0, 10, False),    # clipped to GRAD_CLIP
+        (0.1, 9, 10, False),     # the anneal at steps - 1
+        (50.0, 9, 10, True),     # clipped, annealed, momentum carried over
+        (0.0, 3, 10, True),      # zero gradient: only the momentum moves
+        (0.0, 3, 10, False),     # zero gradient, zero velocity: nothing moves
+    ], ids=["plain", "clipped", "annealed", "carried", "zero_grad_carried", "zero_grad"])
+    def test_matches_the_oracle(self, grad_scale, step, steps, carried):
+        lin, grads = linear_with_grads(0, grad_scale)
+        rng = np.random.default_rng(1)
+        tensors = [p for _, p in lin.named_parameters()]
+        velocity = [rng.normal(size=p.shape) if carried else np.zeros(p.shape)
+                    for p in tensors]
+        data = [p.data.copy() for p in tensors]
+        norm, want_data, want_velocity = oracles.clipped_momentum_step(
+            data, grads, [v.copy() for v in velocity], 0.01, step, steps,
+            synth.GRAD_CLIP, synth.MOMENTUM)
+        assert (norm > synth.GRAD_CLIP) == (grad_scale == 50.0)
+        assert synth.update(lin, velocity, 0.01, step, steps) == pytest.approx(norm, rel=1e-12)
+        for p, d, want, v, want_v in zip(tensors, data, want_data, velocity, want_velocity):
+            np.testing.assert_allclose(p.data, want, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(v, want_v, rtol=1e-12, atol=1e-15)
+            if not carried and grad_scale == 0.0:
+                assert np.array_equal(p.data, d)
+            assert not p.grad.any()        # the gradient is consumed
+
+    def test_nonfinite_gradient_diverges(self):
+        lin, _ = linear_with_grads(0, 1.0)
+        lin.b.grad[0] = np.nan
+        velocity = [np.zeros(p.shape) for _, p in lin.named_parameters()]
+        with pytest.raises(synth.TrainingDiverged,
+                           match="diverged at step 4: gradient norm nan"):
+            synth.update(lin, velocity, 0.01, 4, 10)
+
+
+class TestInfer:
+    @pytest.mark.parametrize("baseline", [False, True], ids=["pyramid", "single_level"])
+    def test_arrays_are_run_heads_detections(self, baseline):
+        """infer's arrays equal, bitwise, the detections of run_head at
+        tau_end on the scene's INDEX_CELL index; a scene without proposals
+        gives empty arrays of the same widths."""
+        from pyrhead.head import run_head
+        cfg = single_level_baseline(HeadConfig()) if baseline else HeadConfig()
+        params = init_head_params(cfg, 0)
+        scenes = [*generate_scenes(SceneConfig(seed=5), 3),
+                  generate_scene(SceneConfig(n_objects=0))]
+        for sc in scenes:
+            scores, residuals, boxes = synth.infer(cfg, params, sc)
+            dets, _ = run_head(cfg, params, sc.ps, build_index(sc.ps, synth.INDEX_CELL),
+                               sc.proposals, cfg.tau_end)
+            n = len(sc.proposals)
+            assert scores.shape == (n,) and residuals.shape == boxes.shape == (n, 7)
+            assert scores.dtype == residuals.dtype == boxes.dtype == np.float64
+            assert scores.tolist() == [d.score for d in dets]
+            for det, res, box in zip(dets, residuals, boxes):
+                assert np.array_equal(res, det.residuals)
+                assert np.array_equal(box, oracles.box_row(det.box))
 
 
 class TestEvaluate:
