@@ -109,8 +109,9 @@ def cmd_gridgen(args) -> int:
 def cmd_attend(args) -> int:
     if args.gates and args.op not in ("unified", "darp"):
         raise CliError(f"--gates applies to --op unified or darp, not {args.op}")
-    if not 0 < args.radius < math.inf:
-        raise CliError(f"--radius must be positive and finite, got {args.radius}")
+    for flag, value in (("--radius", args.radius), ("--tau", args.tau)):
+        if not 0 < value < math.inf:    # every op, though only darp reads tau
+            raise CliError(f"{flag} must be positive and finite, got {value}")
     rng = np.random.default_rng(args.seed)
     ps = PointSet.load(args.scene) if args.scene else _fixture_scene(args.seed)
     idx = build_index(ps, cell=max(args.radius, 0.5))

@@ -3,8 +3,9 @@ level fusion, and classification/box-refinement outputs.
 
 The RoIs of a scene are an array axis through every stage: one context
 embedding; per level one grid call, one capped gather and one gated
-attention call that returns a feature for every grid point (zeros where it
-has no neighbor), summed per RoI; one cls and one reg call; one loss.
+attention call that returns each RoI's sum of its grid points' features
+(zeros where a grid point has no neighbor); one cls and one reg call; one
+loss.
 The math is that of the per-point operators, up to summation order.
 """
 from __future__ import annotations
@@ -143,9 +144,9 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
 
     Each level is one ragged batch over all RoIs: one grid call, a single
     capped gather that lays the neighbors of every grid point end to end,
-    and one gated attention call that returns the feature of every grid
-    point, which are summed per RoI. Grid points without a neighbor
-    contribute zero to their RoI's level mean.
+    and one gated attention call that returns each RoI's sum of its grid
+    points' features. Grid points without a neighbor contribute zero to
+    their RoI's level mean.
     """
     R = len(rois)
     gates = cfg.gates()
@@ -173,9 +174,8 @@ def forward_rois(cfg: HeadConfig, params: HeadParams, ps: PointSet,
         offs = to_box_frames(ps.coords[ids] - centers[row], yaw, roi_of)
         coeff = (soft_radius_coeff(dist, take(r_vec, roi_of), tau)
                  if cfg.darp_enabled else None)
-        grid = gated_attention_batched(offs, ps.feats[ids], params.attention[li],
-                                       gates, coeff, row, R * count)
-        sums = vsum(reshape(grid, (R, count, cfg.d_model)), axis=1)
+        sums = gated_attention_batched(offs, ps.feats[ids], params.attention[li],
+                                       gates, coeff, row, R * count, count)
         level_feats.append(params.reduce[li](mul(sums, 1.0 / count)))
     fused = params.fusion(concat(level_feats, axis=1))
     return fused, radii_used

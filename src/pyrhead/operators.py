@@ -35,7 +35,10 @@ dwc = Y dz^T and dY = wc dz. The block is stored position-major,
 [K, G, ...]: numpy reduces a leading axis in long contiguous passes, while
 reducing the middle axis of a [G, K, 4] array ran 30-40 times slower.
 The per-neighbor projections stay on the N neighbors themselves, which
-measured faster than projecting the pads too.
+measured faster than projecting the pads too. The adjoint keeps x1, o1,
+copies of the heads logit columns, the gate pre-activations, the softmax
+weights and Z, and rebuilds the gates, the coefficient block, wc and the
+[x1, gv*o1] block; recomputing the projections measured 8-19% slower.
 
 The soft radius
 coefficient ``soft_radius_coeff`` makes the aggregation radius
@@ -237,7 +240,7 @@ def pool_feature(nb: NeighborBundle, mlp: MLPParams) -> Value:
 
 def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
                gates: GateOverride | None, coeff, row: np.ndarray,
-               starts: np.ndarray, n_rows: int) -> Value:
+               starts: np.ndarray, n_rows: int, group: int) -> Value:
     """The folded operator over slots laid end to end, slot i belonging to
     grid point ``row[i]`` (ascending), each grid point's slots starting at
     ``starts``. One tape node; the backward is its hand-derived adjoint.
@@ -254,6 +257,7 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
     G, K = len(starts), int(counts.max())
     # block cell of slot i: (position in its row) * G + its row's block line
     cell = np.arange(n) * G + np.repeat(np.arange(G) - starts * G, counts)
+    out_row = row[starts] // group          # output row of each block line
 
     def block(a, fill=0.0):
         out = np.full((K * G, a.shape[1]), fill)
@@ -268,6 +272,11 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
         out = np.empty((K, G, b.shape[2]))
         np.matmul(a, b, out=out.transpose(1, 0, 2))
         return out
+
+    def weighted(w, gv):    # sd, wc and y [K, G, D+4], which the tape does not keep
+        # no coefficient is a coefficient of one; pads keep coefficient 0
+        sd = block(np.ones((n, 1)) if coeff is None else _data(coeff).reshape(n, 1))
+        return sd, w * sd, block(np.concatenate([x1, gv * o1], axis=1))
 
     x1 = np.concatenate([xd, np.ones((n, 1))], axis=1)
     o1 = np.concatenate([offsets, np.ones((n, 1))], axis=1)
@@ -295,23 +304,23 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
     # pinned gates are constant gates: their slope, and so the gradient
     # of the gate parameters, is zero; the backward takes slope(pre)
     if gates is None:
-        g, slope = _np_sigmoid(pre), _np_sigmoid_slope
+        gate, slope = _np_sigmoid, _np_sigmoid_slope
     else:
-        g, slope = np.array([[gates.key, gates.pos, gates.value, gates.cross]]), np.zeros_like
-    gk, gq, gv, gqk = g[:, 0:1], g[:, 1:2], g[:, 2:3], g[:, 3:4]
-    lk, lq, lc = lk[:, :heads], lq[:, :heads], lc[:, :heads]
+        pinned = np.array([[gates.key, gates.pos, gates.value, gates.cross]])
+        gate, slope = (lambda _: pinned), np.zeros_like
+    gk, gq, gv, gqk = np.hsplit(gate(pre), 4)
+    lk, lq, lc = (np.ascontiguousarray(a[:, :heads]) for a in (lk, lq, lc))  # lx is freed
     logits = block(gk * lk + gq * lq + gqk * lc + params.w_head.b.data, -np.inf)
     e = np.exp(logits - logits.max(axis=0))
     w = e / e.sum(axis=0)                                        # [K, G, H]
-    # no coefficient is a coefficient of one; pads keep coefficient 0
-    sd = block(np.ones((n, 1)) if coeff is None else _data(coeff).reshape(n, 1))
-    wc = w * sd
-    y = block(np.concatenate([x1, gv * o1], axis=1))             # [K, G, D+4]
+    _, wc, y = weighted(w, gv)
     z = np.matmul(wc.transpose(1, 2, 0), y.transpose(1, 0, 2))   # [G, H, D+4]
     m_h = vqt.reshape(D + 4, heads, dh).transpose(1, 0, 2)       # [H, D+4, dh]
     out_data = np.zeros((n_rows, params.d_model))
     out_data[row[starts]] = np.matmul(z.transpose(1, 0, 2), m_h) \
         .transpose(1, 0, 2).reshape(-1, params.d_model)
+    if group > 1:
+        out_data = out_data.reshape(-1, group, params.d_model).sum(axis=1)
 
     lps = (params.key, params.value, params.q_pos, params.w_head) + gate_lps
     x_val, s_val = (v if isinstance(v, Value) else None for v in (feats, coeff))
@@ -319,7 +328,9 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
         [v for v in (x_val, s_val) if v is not None]
 
     def _bw(gout):
-        gz = gout[row[starts]].reshape(-1, heads, dh).transpose(1, 0, 2)
+        gk, gq, gv, gqk = np.hsplit(gate(pre), 4)
+        sd, wc, y = weighted(w, gv)
+        gz = gout[out_row].reshape(-1, heads, dh).transpose(1, 0, 2)
         dvqt = np.matmul(z.transpose(1, 2, 0), gz).transpose(1, 0, 2) \
             .reshape(D + 4, -1)
         dz = np.matmul(gz, m_h.transpose(0, 2, 1)).transpose(1, 0, 2)  # [G, H, D+4]
@@ -366,15 +377,16 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
 
 def gated_attention_batched(offsets: np.ndarray, feats, params: AttentionParams,
                             gates: GateOverride | None = None, coeff=None,
-                            row=None, n_rows: int = 1) -> Value:
+                            row=None, n_rows: int = 1, group: int = 1) -> Value:
     """Unified operator over the neighbors of a batch of grid points.
 
     offsets: [N,3] array; feats: [N,d] array or Value; coeff: optional [N]
     per-neighbor multiplier applied after the softmax (no
     renormalization). ``row`` is the grid point of each slot, ascending
     within [0, n_rows); by default all N slots belong to grid point 0.
-    Returns the [n_rows, d_model] grid features, zero for a grid point
-    that owns no slot.
+    Returns [n_rows // group, d_model]: each ``group`` grid points' features
+    summed in order, as ``ndarray.sum`` sums an axis of them; a grid point
+    that owns no slot has zeros.
     """
     n = len(offsets)
     row = np.zeros(n, dtype=np.intp) if row is None else np.asarray(row, dtype=np.intp)
@@ -382,9 +394,9 @@ def gated_attention_batched(offsets: np.ndarray, feats, params: AttentionParams,
         raise ValueError(f"row has shape {row.shape}, expected one entry per slot ({n})")
     starts = _segment_starts(row, n_rows)
     if n == 0:
-        return Value(np.zeros((n_rows, params.d_model)))
+        return Value(np.zeros((n_rows // group, params.d_model)))
     return _gate_core(np.asarray(offsets, dtype=np.float64), feats, params,
-                      gates, coeff, row, starts, n_rows)
+                      gates, coeff, row, starts, n_rows, group)
 
 
 def roi_grid_attention(nb: NeighborBundle, params: AttentionParams,

@@ -122,12 +122,14 @@ def occupancy_features(coords: np.ndarray, z_extent: float = 4.0) -> np.ndarray:
     density contrasts. The sizes 0.4 * 2**k double exactly in binary, so
     one sorted int64 key (the 3.2 cell, then each finer cell's octant)
     holds every size's cells as runs whose lengths are the counts; a span
-    whose key could wrap raises ValueError.
+    whose key could wrap, or a non-finite coordinate, raises ValueError.
     """
     n = coords.shape[0]
     feats = np.zeros((n, FEAT_WIDTH))
     if n == 0:
         return feats
+    if not np.all(np.isfinite(coords)):
+        raise ValueError("occupancy_features needs finite coordinates")
     cells = np.floor(coords.T / 0.4)
     cells -= np.floor(cells.min(axis=1, keepdims=True) / 8) * 8  # keeps the 3.2 boundaries
     top = np.floor(cells * 0.125)  # floats until _packed_key checks the span

@@ -128,6 +128,16 @@ class TestAttend:
         doc = json.loads(out)
         assert doc["op"] == "darp" and len(doc["f_grid"]) == 64
 
+    @pytest.mark.parametrize("tau", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("op", ["pool", "graph", "attention", "transformer",
+                                    "unified", "darp"])
+    def test_bad_tau_exits_two_whatever_the_op(self, op, tau, capsys):
+        # only darp reads --tau, but every op rejects a bad one the same way
+        code, out, err = invoke(["attend", "--op", op, "--tau", tau], capsys)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: --tau must be positive and finite, "
+                                    f"got {float(tau)}"]
+
     @pytest.mark.parametrize("op", ["attention", "transformer", "unified"])
     def test_remaining_ops_run(self, op, capsys):
         code, out, _ = invoke(["attend", "--op", op, "--seed", "4",

@@ -7,6 +7,7 @@ compute the same function, so outputs and every gradient must agree up to
 summation order.
 """
 import math
+import types
 
 import numpy as np
 import pytest
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import slot_gated_attention_batched
+from pyrhead import operators
 from pyrhead.autodiff import Value, mul, vsum
-from pyrhead.head import (HeadConfig, assign_label, init_head_params, loss,
-                          run_head)
+from pyrhead.head import (HeadConfig, assign_label, forward_rois, init_head_params,
+                          loss, run_head)
 from pyrhead.operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                                GateOverride, gated_attention_batched,
                                init_attention_params)
@@ -29,8 +31,13 @@ GATES = {"learned": None, "graph": GRAPH_GATES, "attention": ATTENTION_GATES,
 # nodes of the default training step's tape on scene 0 of seed 0, leaves
 # included; 276 while each level had key, query and value nodes and each
 # radius three nodes, 251 while the context embedding, refine and loss
-# made nodes per RoI
-TRAIN_STEP_TAPE_NODES = 206
+# made nodes per RoI, 206 while each level summed its grid features per
+# RoI in a reshape and a sum node of its own
+TRAIN_STEP_TAPE_NODES = 196
+# float64 an attention node's backward may keep alive per slot on a dense
+# scene, beyond its parents; 93 while it kept the [N, 25] logit product, the
+# y, wc and coefficient blocks and the gates
+KEPT_PER_SLOT = 48
 
 
 def _rel(a, b, floor=1e-300):
@@ -173,6 +180,17 @@ def test_gate_gradient_exact_far_from_boundary(z):
     assert abs(params.gate_value.b.grad[0] - want) <= 1e-15 * want
 
 
+def _tape(root):
+    """Every node reachable from ``root``, leaves included."""
+    seen, todo = {}, [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node._parents)
+    return list(seen.values())
+
+
 def _train_step_tape_nodes(copies):
     """Tape nodes of a default training step on scene 0 of seed 0, its
     proposals repeated ``copies`` times."""
@@ -184,13 +202,7 @@ def _train_step_tape_nodes(copies):
                        rois, cfg.tau_start)
     targets = [(assign_label(p, scene.gt_boxes[g], cfg.iou_positive), scene.gt_boxes[g])
                for p, g in zip(scene.proposals, scene.proposal_gt)] * copies
-    seen, todo = set(), [loss(dets, targets, cfg)]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            todo.extend(node._parents)
-    return len(rois), len(seen)
+    return len(rois), len(_tape(loss(dets, targets, cfg)))
 
 
 def test_default_training_step_tape_size():
@@ -198,3 +210,56 @@ def test_default_training_step_tape_size():
     one radius node per level, and one context, refine and loss path."""
     assert _train_step_tape_nodes(1) == (4, TRAIN_STEP_TAPE_NODES)
     assert _train_step_tape_nodes(4) == (16, TRAIN_STEP_TAPE_NODES)
+
+
+def _kept_arrays(fn):
+    """The base arrays a backward closure keeps alive, by id: those its
+    closure cells reach, through nested functions, tuples and lists, but
+    not through tape nodes (its parents, alive on their own)."""
+    seen, arrays, todo = set(), {}, [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, Value):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            arrays[id(obj)] = obj
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(c.cell_contents for c in obj.__closure__ or ())
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+    return arrays
+
+
+def test_attention_tape_is_lean_on_a_dense_scene(monkeypatch):
+    """On a dense scene, where the gathers fill the neighbor caps, the
+    attention nodes keep at most KEPT_PER_SLOT float64 per slot alive, and
+    no node of the head's tape holds a [R*c, d_model] grid array: the core
+    hands the head its per-RoI sums."""
+    calls = []
+
+    def spy(offsets, *args):
+        out = core(offsets, *args)
+        calls.append((len(offsets), out))
+        return out
+
+    core = operators._gate_core
+    monkeypatch.setattr(operators, "_gate_core", spy)
+    scene = generate_scene(SceneConfig(seed=81, clutter_density=1.0, n_objects=4), 0)
+    cfg = HeadConfig()
+    params = init_head_params(cfg, 0)
+    fused, _ = forward_rois(cfg, params, scene.ps, build_index(scene.ps, INDEX_CELL),
+                            scene.proposals, cfg.tau_end)
+    slots = sum(n for n, _ in calls)
+    kept = sum(a.nbytes for _, out in calls for a in _kept_arrays(out._backward).values())
+    assert len(calls) == len(cfg.pyramid.levels) and slots > 20000
+    assert kept / 8 / slots <= KEPT_PER_SLOT, kept / 8 / slots
+    R = len(scene.proposals)
+    grids = {(R * lv.grid.count, cfg.d_model) for lv in cfg.pyramid.levels
+             if lv.grid.count > 1}
+    held = [a.shape for node in _tape(fused)
+            for a in (node.data, *(_kept_arrays(node._backward).values()
+                                   if node._backward else ()))]
+    assert not grids & set(held), grids & set(held)

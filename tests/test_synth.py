@@ -156,6 +156,16 @@ class TestOccupancyCounts:
         # a lone far point spans no cells
         assert np.array_equal(occupancy_features(coords[1:]), occupancy_features(coords[:1]))
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_coordinate_raises(self, bad):
+        # under the suite's error::RuntimeWarning filter: unchecked, inf
+        # warns in the cell subtraction and nan in the int64 cast
+        for col in range(3):
+            coords = np.zeros((4, 3))
+            coords[2, col] = bad
+            with pytest.raises(ValueError, match="finite coordinates"):
+                occupancy_features(coords)
+
 
 class TestSparsityStats:
     def test_bucket_edges(self):
