@@ -2,9 +2,14 @@
 
 A minimal tape: every operation records its parents and a backward closure,
 ``Value.backward()`` runs the closures in reverse topological order, handing
-each the gradient of its output. A closure refers to its inputs but never to
-its own output, so the tape holds no reference cycles and reference counting
-frees it as soon as the last result goes out of scope. Only first-order
+each the gradient of its output. The backward releases the tape as it walks
+it: once a node's closure has passed its gradient on, the node drops its
+closure, its parents and its gradient, so the tape is gone when
+``backward()`` returns and only leaves (parameters and inputs) keep
+``.grad``. A second backward that reaches a released node raises
+RuntimeError. A closure refers to its inputs but never to its own output, so
+the tape holds no reference cycles, and reference counting frees an
+unwalked tape as soon as its last result goes out of scope. Only first-order
 gradients are supported. All math is 64-bit. The ops here are the ones the
 library calls; ops that only the reference implementations use live with
 them in ``tests/oracles.py``.
@@ -35,14 +40,19 @@ def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
     return g
 
 
+def _released(_g: Array) -> None:
+    """Backward slot of a node whose tape an earlier backward() released."""
+    raise RuntimeError("backward() reached a node that an earlier backward() released")
+
+
 class Value:
     """A node in the computation graph: float64 array plus a gradient slot.
 
-    Gradients are materialized lazily; reading ``.grad`` of a node the
+    Gradients are materialized lazily; reading ``.grad`` of a leaf the
     backward pass never reached yields exact zeros.
     """
 
-    __slots__ = ("data", "_grad", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "_parents", "_backward", "__weakref__")
 
     # make numpy defer mixed expressions like `ndarray - Value` to our ops
     __array_ufunc__ = None
@@ -64,6 +74,7 @@ class Value:
 
     @property
     def grad(self) -> Array:
+        """Accumulated gradient; only leaves keep theirs once backward() returns."""
         if self._grad is None:
             return np.zeros_like(self.data)
         return self._grad
@@ -93,7 +104,12 @@ class Value:
 
     # -- backward ------------------------------------------------------
     def backward(self) -> None:
-        """Accumulate gradients of this scalar into every reachable node."""
+        """Accumulate gradients of this scalar into every reachable leaf.
+
+        Pops the reverse topological order and releases each node once its
+        closure has run, so only leaves keep ``.grad``. A later backward that
+        reaches a released node raises RuntimeError before any gradient moves.
+        """
         if self.size != 1:
             raise ValueError("backward() requires a scalar output")
         order: list[Value] = []
@@ -106,15 +122,21 @@ class Value:
                 continue
             if id(node) in seen:
                 continue
+            if node._backward is _released:
+                _released(node.data)        # raises before any gradient moves
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if id(p) not in seen:
                     stack.append((p, False))
         self._accum(np.ones_like(self.data))
-        for node in reversed(order):
-            if node._backward is not None and node._grad is not None:
+        while order:
+            node = order.pop()
+            if node._backward is None:
+                continue                    # a leaf keeps its gradient
+            if node._grad is not None:
                 node._backward(node._grad)
+            node._backward, node._parents, node._grad = _released, (), None
 
     # -- arithmetic ----------------------------------------------------
     def __add__(self, other):

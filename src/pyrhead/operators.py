@@ -39,6 +39,9 @@ measured faster than projecting the pads too. The adjoint keeps x1, o1,
 copies of the heads logit columns, the gate pre-activations, the softmax
 weights and Z, and rebuilds the gates, the coefficient block, wc and the
 [x1, gv*o1] block; recomputing the projections measured 8-19% slower.
+The forward frees its temporaries (the x1 projection, the logit and
+exponential blocks, the gates, wc and the [x1, gv*o1] block) at their
+last use, so they do not sit on the earlier levels' tapes at the op's peak.
 
 The soft radius
 coefficient ``soft_radius_coeff`` makes the aggregation radius
@@ -309,12 +312,17 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
         pinned = np.array([[gates.key, gates.pos, gates.value, gates.cross]])
         gate, slope = (lambda _: pinned), np.zeros_like
     gk, gq, gv, gqk = np.hsplit(gate(pre), 4)
-    lk, lq, lc = (np.ascontiguousarray(a[:, :heads]) for a in (lk, lq, lc))  # lx is freed
+    lk, lq, lc = (np.ascontiguousarray(a[:, :heads]) for a in (lk, lq, lc))
+    del lx      # the forward's temporaries go at their last use
     logits = block(gk * lk + gq * lq + gqk * lc + params.w_head.b.data, -np.inf)
     e = np.exp(logits - logits.max(axis=0))
+    del logits
     w = e / e.sum(axis=0)                                        # [K, G, H]
+    del e
     _, wc, y = weighted(w, gv)
+    del gk, gq, gv, gqk
     z = np.matmul(wc.transpose(1, 2, 0), y.transpose(1, 0, 2))   # [G, H, D+4]
+    del wc, y
     m_h = vqt.reshape(D + 4, heads, dh).transpose(1, 0, 2)       # [H, D+4, dh]
     out_data = np.zeros((n_rows, params.d_model))
     out_data[row[starts]] = np.matmul(z.transpose(1, 0, 2), m_h) \
@@ -386,8 +394,12 @@ def gated_attention_batched(offsets: np.ndarray, feats, params: AttentionParams,
     within [0, n_rows); by default all N slots belong to grid point 0.
     Returns [n_rows // group, d_model]: each ``group`` grid points' features
     summed in order, as ``ndarray.sum`` sums an axis of them; a grid point
-    that owns no slot has zeros.
+    that owns no slot has zeros. ``group`` must be >= 1 and divide
+    ``n_rows``, else ValueError before any work.
     """
+    if group < 1 or n_rows % group:
+        raise ValueError(f"group must be >= 1 and divide n_rows, got group={group} "
+                         f"and n_rows={n_rows}")
     n = len(offsets)
     row = np.zeros(n, dtype=np.intp) if row is None else np.asarray(row, dtype=np.intp)
     if row.shape != (n,):

@@ -253,8 +253,14 @@ def gather_level(ps: PointSet, centers, radius, max_k: int
     if max_k < 1:
         raise ValueError(f"max_k must be >= 1, got {max_k}")
     centers = _checked_centers(centers)
+    if centers.ndim != 3 or centers.shape[2] != 3:
+        raise ValueError(f"centers must be [R, c, 3], got shape {centers.shape}")
     n_rois, count = centers.shape[:2]
-    radius = np.broadcast_to(np.asarray(radius, dtype=np.float64), (n_rois,))
+    radius = np.asarray(radius, dtype=np.float64)
+    if radius.ndim and radius.shape != (n_rois,):
+        raise ValueError(f"radius must be a scalar or one value per RoI, got shape "
+                         f"{radius.shape} for centers of shape {centers.shape}")
+    radius = np.broadcast_to(radius, (n_rois,))
     if not np.all((0 < radius) & (radius < np.inf)):
         raise ValueError("gather radius must be positive and finite")
     flat = centers.reshape(-1, 3)

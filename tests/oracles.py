@@ -11,6 +11,10 @@
   pyramid level must reproduce bitwise.
 - ``softmax``, ``segment_sum``, ``vsigmoid`` and ``vmax``: autodiff ops
   that only these references and the autodiff tests use.
+- ``retaining_backward``: the former tape walk, which ran every closure in
+  reverse topological order and left each node its closure, parents and
+  gradient. ``Value.backward``, which releases the tape as it walks it,
+  must give every leaf the same gradient bitwise.
 - ``per_roi_context_embedding``: the former context embedding, one RoI
   at a time, with one ``SpatialIndex.query`` per sphere and a zero branch
   for an empty sphere. The batched embedding must reproduce it.
@@ -179,6 +183,32 @@ def masked_sigmoid(d: np.ndarray) -> np.ndarray:
     e = np.exp(d[~pos])
     out[~pos] = e / (1.0 + e)
     return out
+
+
+def retaining_backward(root: Value) -> None:
+    """Accumulate the gradients of scalar ``root`` into every reachable node,
+    keeping the whole tape: no node drops its closure, parents or gradient."""
+    if root.size != 1:
+        raise ValueError("backward() requires a scalar output")
+    order: list[Value] = []
+    seen: set[int] = set()
+    stack: list[tuple[Value, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen:
+                stack.append((p, False))
+    root._accum(np.ones_like(root.data))
+    for node in reversed(order):
+        if node._backward is not None and node._grad is not None:
+            node._backward(node._grad)
 
 
 def vsigmoid(x: Value) -> Value:

@@ -165,6 +165,18 @@ class TestReverseMode:
         assert shared == float(x2.grad)
         assert abs(shared - 2 * 1.7 * 5.0) < 1e-12
 
+    def test_backward_releases_interior_nodes(self):
+        # a leaf keeps its gradient; a backward through a released node raises
+        # before any gradient moves
+        x = Value(np.array([1.5, -2.0]))
+        w = mul(x, x)
+        vsum(w).backward()
+        np.testing.assert_array_equal(x.grad, [3.0, -4.0])
+        assert w._parents == () and x._parents == ()
+        with pytest.raises(RuntimeError, match="released"):
+            vsum(add(w, 1.0)).backward()
+        np.testing.assert_array_equal(x.grad, [3.0, -4.0])
+
     def test_unreached_parameter_has_zero_grad(self):
         x, unused = Value(2.0), Value(np.ones(3))
         y = mul(x, x)

@@ -1,8 +1,11 @@
 """Full-head behavior: cross-implementation pipeline checks, refinement
 semantics, loss closed forms, determinism, config JSON."""
+import dataclasses
 import json
 import math
 import re
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,9 +22,13 @@ from pyrhead.head import (CONFIG_SCHEMA_VERSION, Detection, HeadConfig,
                           derotated_iou, forward_rois, init_head_params, loss,
                           refine, run_head)
 from pyrhead.nn import init_mlp
-from pyrhead.operators import NeighborBundle
+from pyrhead.operators import GRAPH_GATES, NeighborBundle
 from pyrhead.spatial import PointSet, build_index
 from pyrhead.synth import INDEX_CELL, SceneConfig, generate_scene
+
+# traced bytes a training step may leave behind once its backward() returns,
+# with its detections alive: a 4-RoI step's tape is several MB
+RETAINED_BYTES = 100_000
 
 TINY_PYRAMID = PyramidConfig([
     PyramidLevelConfig(GridSpec((3, 3, 3)), (1.0, 1.0, 1.0),
@@ -378,6 +385,12 @@ class TestPersistence:
         assert back == cfg and oracles.head_config_json(back) == oracles.head_config_json(cfg)
 
 
+def _step(cfg, params, scene, idx):
+    """Detections and loss of one training step on ``scene``."""
+    dets, _ = run_head(cfg, params, scene.ps, idx, scene.proposals, 0.01)
+    return dets, loss(dets, scene_targets(scene, cfg), cfg)
+
+
 class TestTapeFreesItself:
     def test_step_and_forward_leave_no_reference_cycles(self):
         import gc
@@ -397,3 +410,72 @@ class TestTapeFreesItself:
         finally:
             gc.enable()
         assert any(np.any(p.grad) for _, p in params.named_parameters())
+
+    def test_backward_releases_the_tape_while_detections_live(self, monkeypatch):
+        """With the detections still referenced, backward() leaves no attention
+        or context node alive; the leaves keep their gradients, and a second
+        backward() raises before any gradient moves."""
+        nodes = []
+
+        def spy(fn):
+            def recorded(*args, **kw):
+                out = fn(*args, **kw)
+                nodes.append(weakref.ref(out))
+                return out
+            return recorded
+
+        monkeypatch.setattr(head, "gated_attention_batched", spy(head.gated_attention_batched))
+        monkeypatch.setattr(head, "context_embedding", spy(head.context_embedding))
+        cfg = HeadConfig()
+        scene = generate_scene(SceneConfig(seed=5))
+        params = init_head_params(cfg, 0)
+        dets, total = _step(cfg, params, scene, build_index(scene.ps, INDEX_CELL))
+        assert len(nodes) == len(cfg.pyramid.levels) + 1
+        assert all(ref() is not None for ref in nodes)
+        total.backward()
+        assert all(ref() is None for ref in nodes)
+        assert all(node._parents == () for node in dets[0].outputs)
+        grads = {name: p.grad.copy() for name, p in params.named_parameters()}
+        assert all(np.any(g) for name, g in grads.items() if name.startswith("attention"))
+        with pytest.raises(RuntimeError, match="released"):
+            total.backward()
+        for name, p in params.named_parameters():
+            np.testing.assert_array_equal(p.grad, grads[name])
+
+    def test_memory_after_backward_is_back_to_its_pre_forward_level(self):
+        """Once backward() returns, traced memory is within RETAINED_BYTES of
+        where it stood before the forward, though the detections live on."""
+        cfg = HeadConfig()
+        scene = generate_scene(SceneConfig(seed=5))
+        idx = build_index(scene.ps, INDEX_CELL)
+        params = init_head_params(cfg, 0)
+        _step(cfg, params, scene, idx)[1].backward()    # the leaves' .grad arrays exist
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dets, total = _step(cfg, params, scene, idx)
+            taped = tracemalloc.get_traced_memory()[0] - before
+            total.backward()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(dets) == len(scene.proposals)
+        assert taped > 1_000_000 and kept < RETAINED_BYTES, (taped, kept)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("gates", [None, dataclasses.astuple(GRAPH_GATES)],
+                             ids=["learned", "graph"])
+    @pytest.mark.parametrize("darp", [True, False], ids=["darp", "fixed"])
+    def test_gradients_equal_the_retaining_walk(self, dense, gates, darp):
+        """Releasing the tape changes no bit of any parameter gradient."""
+        scene = generate_scene(SceneConfig(seed=5) if not dense else
+                               SceneConfig(seed=5, clutter_density=1.0, n_objects=4))
+        idx = build_index(scene.ps, INDEX_CELL)
+        cfg = HeadConfig(darp_enabled=darp, gate_override=gates)
+        params = init_head_params(cfg, 0)
+        oracles.retaining_backward(_step(cfg, params, scene, idx)[1])
+        want = {name: p.grad.copy() for name, p in params.named_parameters()}
+        params.zero_grad()
+        _step(cfg, params, scene, idx)[1].backward()
+        for name, p in params.named_parameters():
+            np.testing.assert_array_equal(p.grad, want[name], err_msg=name)

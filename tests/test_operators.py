@@ -192,6 +192,16 @@ class TestGateReductions:
         with pytest.raises(ValueError, match="row"):
             gated_attention_batched(nb.offsets, nb.feats, params, row=row, n_rows=3)
 
+    @pytest.mark.parametrize("slots,group,n_rows", [(3, 0, 1), (0, 2, 5), (3, 2, 5)],
+                             ids=["group_zero", "no_slots", "slots"])
+    def test_group_must_divide_rows(self, slots, group, n_rows):
+        rng = np.random.default_rng(2)
+        params = init_attention_params(rng, D_IN, 64, 4)
+        nb = make_bundle(rng, slots)
+        with pytest.raises(ValueError, match=f"group={group} and n_rows={n_rows}"):
+            gated_attention_batched(nb.offsets, nb.feats, params, row=np.zeros(slots),
+                                    n_rows=n_rows, group=group)
+
     def test_nonfinite_parameter_raises(self):
         rng = np.random.default_rng(1)
         params = init_attention_params(rng, D_IN, 64, 4)

@@ -250,6 +250,13 @@ class TestBatchQuery:
             with pytest.raises(ValueError, match="radius"):
                 gather_level(ps, np.zeros((2, 1, 3)), [1.0, bad_r], 4)
 
+    def test_bad_shapes_raise_naming_them(self):
+        ps = PointSet(np.zeros((3, 3)), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=r"\[R, c, 3\], got shape \(4, 3\)"):
+            gather_level(ps, np.zeros((4, 3)), 1.0, 4)
+        with pytest.raises(ValueError, match=r"shape \(3,\) for centers of shape \(2, 1, 3\)"):
+            gather_level(ps, np.zeros((2, 1, 3)), [1.0, 1.0, 1.0], 4)
+
 
 @st.composite
 def gather_scenes(draw):
