@@ -267,12 +267,10 @@ def smooth_l1(x: Value) -> Value:
 
 # -- reductions and shaping ---------------------------------------------
 
-def vsum(x: Value, axis=None) -> Value:
-    out = Value(x.data.sum(axis=axis), (x,))
+def vsum(x: Value) -> Value:
+    out = Value(x.data.sum(), (x,))
 
     def _bw(g):
-        if axis is not None:
-            g = np.expand_dims(g, axis)
         x._accum(np.broadcast_to(g, x.shape))
 
     out._backward = _bw

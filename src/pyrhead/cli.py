@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -22,13 +23,18 @@ from .nn import init_mlp
 from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                         GateOverride, NeighborBundle, init_attention_params,
                         pool_feature, roi_grid_attention,
-                        roi_grid_attention_darp)
+                        roi_grid_attention_darp, sampling_range)
 from .spatial import PointSet, build_index
 from .synth import (BUCKET_LABELS, SceneConfig, TrainingDiverged,
                     generate_scenes, sparsity_stats, train_toy)
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+
+# comma-list flags whose value may start with a minus sign, which argparse
+# takes for a flag unless the value is joined on with "="
+LIST_FLAGS = ("--box", "--grid", "--ratios", "--grid-point", "--gates")
+NEGATIVE_VALUE = re.compile(r"-[0-9.]")
 
 # attend ops that are the unified operator with its gates pinned
 PINNED_GATES = {"graph": GRAPH_GATES, "attention": ATTENTION_GATES,
@@ -47,6 +53,18 @@ def _parse_list(text: str, n: int, what: str, kind=float) -> list:
         return [kind(p) for p in parts]
     except ValueError as exc:
         raise CliError(f"bad {what}: {exc}") from None
+
+
+def _join_list_values(argv: list[str]) -> list[str]:
+    """``argv`` with each LIST_FLAGS flag followed by a negative value, as in
+    ``--box -1,0,0,2,2,2,0``, joined into its ``--box=-1,0,0,2,2,2,0`` form."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in LIST_FLAGS and NEGATIVE_VALUE.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _load_config(path: str, from_json):
@@ -112,6 +130,9 @@ def cmd_attend(args) -> int:
     for flag, value in (("--radius", args.radius), ("--tau", args.tau)):
         if not 0 < value < math.inf:    # every op, though only darp reads tau
             raise CliError(f"{flag} must be positive and finite, got {value}")
+    if args.op == "darp" and not sampling_range(args.radius, args.tau) < math.inf:
+        raise CliError(f"--radius {args.radius} + 5 * --tau {args.tau}, the darp "
+                       "sampling range, must be finite")
     rng = np.random.default_rng(args.seed)
     ps = PointSet.load(args.scene) if args.scene else _fixture_scene(args.seed)
     idx = build_index(ps, cell=max(args.radius, 0.5))
@@ -261,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:

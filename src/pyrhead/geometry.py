@@ -18,9 +18,10 @@ TWO_PI = 2.0 * math.pi
 MAX_GRID_POINTS = 10**6   # points of one grid; the default pyramid's largest has 216
 
 
-def wrap_angle(yaw: float) -> float:
-    """Wrap an angle to [-pi, pi)."""
-    return float((yaw + math.pi) % TWO_PI - math.pi)
+def wrap_angle(yaw):
+    """Wrap an angle, or each angle of an array, to [-pi, pi)."""
+    wrapped = (yaw + math.pi) % TWO_PI - math.pi
+    return wrapped if isinstance(wrapped, np.ndarray) else float(wrapped)
 
 
 def rot_z(yaw: float) -> np.ndarray:
@@ -68,6 +69,11 @@ class Box3D:
         local = (pts - self.center) @ rot_z(self.yaw)  # inverse rotation
         half = 0.5 * self.extents
         return np.all(np.abs(local) <= half + 1e-12, axis=1)
+
+
+def box_rows(boxes) -> np.ndarray:
+    """Boxes as the [N, 7] rows (centre, extents, yaw) that the box codec reads."""
+    return np.array([[*b.center, *b.extents, b.yaw] for b in boxes]).reshape(-1, 7)
 
 
 @dataclass(frozen=True)

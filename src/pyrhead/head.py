@@ -21,7 +21,7 @@ from .autodiff import (Value, add, concat, mul, reshape, sigmoid, smooth_l1,
 from .darp import (ContextAggregatorParams, RadiusHeadParams, TemperatureSchedule,
                    context_embedding, init_context_params, init_radius_head,
                    predict_radius)
-from .geometry import (Box3D, PyramidConfig, _config_fields,
+from .geometry import (Box3D, PyramidConfig, _config_fields, box_rows,
                        default_pyramid_config, pyramid_grid_points, rot_z,
                        to_box_frames, wrap_angle)
 from .nn import LinearParams, MLPParams, Params, init_linear, init_mlp
@@ -196,35 +196,32 @@ class Detection:
     row: int = 0
 
 
-def apply_residuals(proposal: Box3D, residuals: np.ndarray) -> Box3D:
-    """Shift center, scale extents through exp, add and wrap yaw."""
-    res = np.asarray(residuals, dtype=np.float64).reshape(7)
-    if not np.all(np.isfinite(res)) or np.any(np.abs(res[3:6]) > 50.0):
-        raise RuntimeError(
-            f"box residuals out of range: {res}")
-    center = proposal.center + res[0:3]
-    extents = proposal.extents * np.exp(res[3:6])
-    return Box3D.from_center(center, extents, wrap_angle(proposal.yaw + res[6]))
+def decode_boxes(rows: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Box rows [R, 7] moved by residuals ``res`` [R, 7]: centre + res, extents * exp(res),
+    wrapped yaw + res. RuntimeError names the first non-finite or |log-extent| > 50 row."""
+    bad = ~np.isfinite(res).all(axis=1) | (np.abs(res[:, 3:6]) > 50.0).any(axis=1)
+    if bad.any():
+        raise RuntimeError(f"box residuals out of range: {res[bad][0]}")
+    return np.hstack([rows[:, 0:3] + res[:, 0:3], rows[:, 3:6] * np.exp(res[:, 3:6]),
+                      wrap_angle(rows[:, 6:7] + res[:, 6:7])])
 
 
 def refine(rois: list[Box3D], fused: Value, params: HeadParams) -> list[Detection]:
     """Detections of the RoIs from their fused features [R, fusion_out]:
-    one cls and one reg call over all rows."""
+    one cls, one reg and one decode call over all rows."""
     logits = reshape(params.cls_head(fused), (len(rois),))
     res = params.reg_head(fused)
     outputs = (logits, res)
-    scores = sigmoid(logits.data)
-    return [Detection(roi, apply_residuals(roi, res.data[i]), float(scores[i]),
+    boxes = decode_boxes(box_rows(rois), res.data)
+    return [Detection(roi, Box3D.from_center(b[0:3], b[3:6], b[6]), float(score),
                       res.data[i].copy(), outputs, i)
-            for i, roi in enumerate(rois)]
+            for i, (roi, b, score) in enumerate(zip(rois, boxes, sigmoid(logits.data)))]
 
 
 def run_head(cfg: HeadConfig, params: HeadParams, ps: PointSet,
              idx: SpatialIndex, rois: list[Box3D], tau: float
              ) -> tuple[list[Detection], list[np.ndarray]]:
     """Forward the head over all proposals of one scene."""
-    if not rois:
-        return [], [np.zeros(0) for _ in cfg.pyramid.levels]
     fused, radii = forward_rois(cfg, params, ps, idx, rois, tau)
     return refine(rois, fused, params), radii
 
@@ -252,13 +249,10 @@ def assign_label(proposal: Box3D, gt: Box3D, threshold: float) -> int:
     return int(axis_aligned_iou(proposal, gt) >= threshold)
 
 
-def residual_target(proposal: Box3D, gt: Box3D) -> np.ndarray:
-    """The residual vector that would map the proposal exactly onto gt."""
-    return np.concatenate([
-        gt.center - proposal.center,
-        np.log(gt.extents / proposal.extents),
-        [wrap_angle(gt.yaw - proposal.yaw)],
-    ])
+def residual_targets(rows: np.ndarray, gt_rows: np.ndarray) -> np.ndarray:
+    """The residuals [N, 7] that ``decode_boxes`` maps box rows onto gt rows with."""
+    return np.hstack([gt_rows[:, 0:3] - rows[:, 0:3], np.log(gt_rows[:, 3:6] / rows[:, 3:6]),
+                      wrap_angle(gt_rows[:, 6:7] - rows[:, 6:7])])
 
 
 def loss(dets: list[Detection], targets: list[tuple[int, Box3D]],
@@ -279,6 +273,7 @@ def loss(dets: list[Detection], targets: list[tuple[int, Box3D]],
     pos = np.flatnonzero(labels)
     if not pos.size:
         return bce
-    want = np.array([residual_target(dets[i].proposal, targets[i][1]) for i in pos])
+    want = residual_targets(box_rows([dets[i].proposal for i in pos]),
+                            box_rows([targets[i][1] for i in pos]))
     reg = mul(vsum(smooth_l1(add(take(residuals, pos), -want))), 1.0 / pos.size)
     return add(bce, mul(reg, cfg.reg_weight))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .darp import TemperatureSchedule, temperature
-from .geometry import (Box3D, PyramidConfig, default_pyramid_config,
+from .geometry import (Box3D, PyramidConfig, box_rows, default_pyramid_config,
                        pyramid_grid_points, rot_z, wrap_angle)
 from .head import (HeadConfig, HeadParams, assign_label, derotated_iou,
                    init_head_params, loss, run_head)
@@ -245,9 +245,8 @@ def infer(cfg: HeadConfig, params: HeadParams, scene: Scene
     ``tau_end`` on the scene's index at INDEX_CELL."""
     dets, _ = run_head(cfg, params, scene.ps, build_index(scene.ps, INDEX_CELL),
                        scene.proposals, cfg.tau_end)
-    boxes = [[*d.box.center, *d.box.extents, d.box.yaw] for d in dets]
     return (np.array([d.score for d in dets]),
-            np.reshape([d.residuals for d in dets], (-1, 7)), np.reshape(boxes, (-1, 7)))
+            np.reshape([d.residuals for d in dets], (-1, 7)), box_rows([d.box for d in dets]))
 
 
 # -- sparsity statistics --------------------------------------------------------
@@ -360,7 +359,8 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     params = init_head_params(head_cfg, seed)
     sched = TemperatureSchedule(head_cfg.tau_start, head_cfg.tau_end, steps)
     cfg2 = dataclasses.replace(scene_cfg, seed=scene_cfg.seed + seed)
-    scenes = generate_scenes(cfg2, n_scenes)
+    # scene i depends on (seed, i) alone, so only the scenes read are built
+    scenes = generate_scenes(cfg2, min(n_scenes, max(steps, 20)))
     # reference level before any update, over the first 20 scenes
     untrained = float(np.mean([scene_loss(head_cfg, params, sc, sched.tau_start)[0].item()
                                for sc in scenes[:20]]))
@@ -371,9 +371,9 @@ def train_toy(head_cfg: HeadConfig, scene_cfg: SceneConfig, steps: int,
     r_pre = [lv.r_pre for lv in head_cfg.pyramid.levels]
     for step in range(steps):
         try:
-            step_loss, step_radii = scene_loss(head_cfg, params, scenes[step % len(scenes)],
+            step_loss, step_radii = scene_loss(head_cfg, params, scenes[step % n_scenes],
                                                temperature(step, sched))
-        except RuntimeError as exc:  # from apply_residuals
+        except RuntimeError as exc:  # from decode_boxes
             raise TrainingDiverged(
                 f"training diverged at step {step}: box residuals out of range") from exc
         value = step_loss.item()

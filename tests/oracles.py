@@ -54,7 +54,12 @@
   plain arrays, one formula per line. ``synth.update`` must reproduce its
   norm, parameters and velocity.
 - ``box_row``: a ``Box3D`` as the (centre, extents, yaw) row that
-  ``synth.infer`` returns and ``derotated_iou`` reads.
+  ``synth.infer`` returns and ``derotated_iou`` reads; ``geometry.box_rows``
+  must reproduce it bitwise, box by box.
+- ``apply_residuals`` and ``residual_target``: the former box codec, one
+  RoI at a time on ``Box3D``s. ``head.decode_boxes`` and
+  ``head.residual_targets``, one call over all rows, must reproduce their
+  boxes and targets bitwise, and the decode its range check.
 - ``empty_point_set``, ``save_pset``, ``point_set_json``,
   ``pyramid_config_json`` and ``head_config_json``: fixture writers for
   the forms the program reads but never writes. ``PointSet.load`` (PSET
@@ -70,11 +75,10 @@ import struct
 
 import numpy as np
 
-from pyrhead.autodiff import (Value, add, concat, mul, reshape, take,
-                              vsum)
+from pyrhead.autodiff import Value, add, concat, mul, reshape, take
 from pyrhead.darp import predict_radius
 from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig, _lattice,
-                              pyramid_grid_points, rot_z)
+                              pyramid_grid_points, rot_z, wrap_angle)
 from pyrhead.head import (CONFIG_SCHEMA_VERSION, HeadConfig, assign_label,
                           derotated_iou, run_head)
 from pyrhead.operators import (AttentionParams, NeighborBundle,
@@ -298,7 +302,7 @@ def _per_head_combine(weights: Value, values: Value, heads: int) -> Value:
     dh = dm // heads
     w3 = reshape(weights, (m, heads, 1))
     v3 = reshape(values, (m, heads, dh))
-    return reshape(vsum(mul(w3, v3), axis=0), (dm,))
+    return reshape(segment_sum(mul(w3, v3), np.zeros(m, dtype=np.intp), 1), (dm,))
 
 
 def graph_feature(nb: NeighborBundle, params: AttentionParams) -> Value:
@@ -700,6 +704,26 @@ def clipped_momentum_step(data, grads, velocity, lr, step, steps, clip, momentum
 
 def box_row(box: Box3D) -> np.ndarray:
     return np.array([*box.center, *box.extents, box.yaw])
+
+
+def apply_residuals(proposal: Box3D, residuals: np.ndarray) -> Box3D:
+    """Shift center, scale extents through exp, add and wrap yaw."""
+    res = np.asarray(residuals, dtype=np.float64).reshape(7)
+    if not np.all(np.isfinite(res)) or np.any(np.abs(res[3:6]) > 50.0):
+        raise RuntimeError(
+            f"box residuals out of range: {res}")
+    center = proposal.center + res[0:3]
+    extents = proposal.extents * np.exp(res[3:6])
+    return Box3D.from_center(center, extents, wrap_angle(proposal.yaw + res[6]))
+
+
+def residual_target(proposal: Box3D, gt: Box3D) -> np.ndarray:
+    """The residual vector that would map the proposal exactly onto gt."""
+    return np.concatenate([
+        gt.center - proposal.center,
+        np.log(gt.extents / proposal.extents),
+        [wrap_angle(gt.yaw - proposal.yaw)],
+    ])
 
 
 def pyramid_gathered_ids(ps, roi: Box3D, pyramid) -> set[int]:

@@ -290,6 +290,8 @@ class TestExitCodes:
          None, "points, more than"),
         (["gridgen", "--box", "0,0,0,1,1,1,0", "--grid", "1000,1000,1000"], None,
          None, "grid sizes (1000, 1000, 1000)"),
+        (["attend", "--op", "darp", "--radius", "1", "--tau", "1e308"], None, None,
+         "--tau"),
     ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
             "stats_scenes_neg", "darp_tau_nan", "train_lr_nan",
             "attend_d_model_0", "gridgen_corner_nan",
@@ -304,7 +306,7 @@ class TestExitCodes:
             "train_context_radii_empty", "train_reduce_width_0",
             "train_context_sphere_width_0", "train_radius_hidden_0",
             "train_fusion_width_0", "train_r_min_neg", "train_iou_positive_2",
-            "gridgen_grid_huge", "gridgen_grid_1000"])
+            "gridgen_grid_huge", "gridgen_grid_1000", "darp_sampling_range_inf"])
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                      argv, config, scene, field):
         if config is not None:
@@ -377,6 +379,38 @@ class TestExitCodes:
     def test_subcommand_help_includes_schema_version(self, capsys):
         assert run(["gradcheck", "--help"]) == 0
         assert CONFIG_SCHEMA_VERSION in capsys.readouterr().out
+
+
+class TestNegativeListValues:
+    """A comma-list value that starts with a minus sign may follow its flag
+    as its own argument, as well as joined on with "="."""
+
+    @pytest.mark.parametrize("argv,flag,value,code", [
+        (["gridgen", "--grid", "2,1,1"], "--box", "-1,0,0,2,2,2,0", 0),
+        (["gridgen", "--box", "0,0,0,1,1,1,0", "--format", "csv"], "--box", "-.5,0,0,1,1,1,0",
+         0),
+        (["gridgen", "--box", "0,0,0,1,1,1,0"], "--grid", "-1,2,2", 2),
+        (["gridgen", "--box", "0,0,0,1,1,1,0"], "--ratios", "-.5,1,1", 2),
+        (["attend", "--op", "graph"], "--grid-point", "-0.5,0,0", 0),
+        (["attend", "--op", "unified"], "--gates", "-0.0,1,0.5,1", 0),
+        (["attend", "--op", "darp"], "--gates", "-1,0,0,0", 2),
+    ], ids=["box", "box_dot", "grid", "ratios", "grid_point", "gates", "gates_bad"])
+    def test_spaced_form_equals_the_joined_form(self, capsys, argv, flag, value, code):
+        spaced = invoke([*argv, flag, value], capsys)
+        joined = invoke([*argv, f"{flag}={value}"], capsys)
+        assert spaced == joined and spaced[0] == code
+
+    @pytest.mark.parametrize("argv", [
+        ["gridgen", "--box", "--format", "csv"],
+        ["gridgen", "--box", "0,0,0,1,1,1,0", "--grid"],
+        ["gridgen", "--box", "0,0,0,1,1,1,0", "--grid", "--ratios", "-1,1,1"],
+        ["attend", "--op", "graph", "--grid-point", "--seed", "-1"],
+    ], ids=["box_then_flag", "grid_last", "grid_then_list_flag", "grid_point_then_seed"])
+    def test_missing_value_still_exits_two_with_one_error_line(self, capsys, argv):
+        code, out, err = invoke(argv, capsys)
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert code == 2 and out == ""
+        assert len(errors) == 1 and errors[0].endswith("expected one argument")
 
 
 class TestStatsAndTrain:

@@ -15,16 +15,18 @@ from oracles import graph_feature, grid_points
 from pyrhead import head
 from pyrhead.autodiff import Value
 from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig,
-                              PyramidLevelConfig, default_pyramid_config,
-                              pyramid_grid_points, rot_z)
+                              PyramidLevelConfig, box_rows,
+                              default_pyramid_config, pyramid_grid_points,
+                              rot_z)
 from pyrhead.head import (CONFIG_SCHEMA_VERSION, Detection, HeadConfig,
-                          apply_residuals, assign_label, axis_aligned_iou,
+                          assign_label, axis_aligned_iou, decode_boxes,
                           derotated_iou, forward_rois, init_head_params, loss,
-                          refine, run_head)
+                          refine, residual_targets, run_head)
 from pyrhead.nn import init_mlp
 from pyrhead.operators import GRAPH_GATES, NeighborBundle
 from pyrhead.spatial import PointSet, build_index
-from pyrhead.synth import INDEX_CELL, SceneConfig, generate_scene
+from pyrhead.synth import (INDEX_CELL, SceneConfig, generate_scene,
+                           single_level_baseline)
 
 # traced bytes a training step may leave behind once its backward() returns,
 # with its detections alive: a 4-RoI step's tape is several MB
@@ -49,6 +51,11 @@ def roi_feature(roi, ps, idx, cfg, params):
     """Fused feature vector of a single RoI at the evaluation temperature."""
     fused, _ = forward_rois(cfg, params, ps, idx, [roi], cfg.tau_end)
     return fused.data.reshape(cfg.fusion_out)
+
+
+def decode_one(roi, res):
+    """``decode_boxes`` of one RoI's box row: the refined (centre, extents, yaw) row."""
+    return decode_boxes(box_rows([roi]), np.reshape(res, (1, 7)))[0]
 
 
 def scene_targets(scene, cfg):
@@ -154,23 +161,23 @@ class TestExtractFeatures:
 class TestRefine:
     def test_zero_residuals_identity(self):
         roi = Box3D.from_center([1, 2, 3], [2, 4, 1.5], 0.3)
-        box = apply_residuals(roi, np.zeros(7))
-        np.testing.assert_allclose(box.corner, roi.corner, atol=1e-15)
-        np.testing.assert_allclose(box.extents, roi.extents, atol=1e-15)
-        assert box.yaw == roi.yaw
+        box = decode_one(roi, np.zeros(7))
+        np.testing.assert_allclose(box[0:3], roi.center, atol=1e-15)
+        np.testing.assert_allclose(box[3:6], roi.extents, atol=1e-15)
+        assert box[6] == roi.yaw
 
     def test_log_width_residual_doubles_extent(self):
         roi = Box3D.from_center([0, 0, 0], [2, 4, 1.5], 0.0)
         res = np.zeros(7)
         res[3] = math.log(2.0)
-        box = apply_residuals(roi, res)
-        np.testing.assert_allclose(box.extents, [4.0, 4.0, 1.5], atol=1e-12)
+        box = decode_one(roi, res)
+        np.testing.assert_allclose(box[3:6], [4.0, 4.0, 1.5], atol=1e-12)
 
     def test_yaw_wraps(self):
         roi = Box3D.from_center([0, 0, 0], [1, 1, 1], 3.0)
         res = np.zeros(7)
         res[6] = 1.0
-        assert apply_residuals(roi, res).yaw == pytest.approx(3.0 + 1.0 - 2 * math.pi)
+        assert decode_one(roi, res)[6] == pytest.approx(3.0 + 1.0 - 2 * math.pi)
 
     def test_zero_logit_gives_half_score(self):
         cfg = tiny_config()
@@ -198,15 +205,100 @@ class TestRefine:
             np.testing.assert_allclose(det.residuals, res, rtol=1e-12, atol=1e-15)
             logit = params.cls_head(fused.data[i]).data.item()
             assert det.score == pytest.approx(1 / (1 + math.exp(-logit)), rel=1e-12)
-            box = apply_residuals(roi, res)
-            np.testing.assert_allclose(det.box.corner, box.corner, rtol=1e-12)
+            box = decode_one(roi, res)
+            np.testing.assert_allclose(box_rows([det.box])[0], box, rtol=1e-12)
 
     def test_diverged_residuals_raise(self):
         roi = Box3D.from_center([0, 0, 0], [1, 1, 1], 0.0)
         res = np.zeros(7)
         res[4] = 100.0
         with pytest.raises(RuntimeError):
-            apply_residuals(roi, res)
+            decode_one(roi, res)
+
+    def test_detection_boxes_equal_the_per_roi_oracle(self):
+        """refine's one decode gives each Detection bitwise the box of the
+        former per-RoI decode, on a sparse and a dense scene."""
+        for scene_cfg in (SceneConfig(seed=5),
+                          SceneConfig(seed=81, clutter_density=1.0, n_objects=4)):
+            scene = generate_scene(scene_cfg)
+            cfg = HeadConfig()
+            dets, _ = run_head(cfg, init_head_params(cfg, 0), scene.ps,
+                               build_index(scene.ps, INDEX_CELL), scene.proposals, 0.01)
+            for roi, det in zip(scene.proposals, dets):
+                want = oracles.apply_residuals(roi, det.residuals)
+                assert np.array_equal(det.box.corner, want.corner)
+                assert np.array_equal(det.box.extents, want.extents)
+                assert det.box.yaw == want.yaw
+
+    @pytest.mark.parametrize("baseline", [False, True], ids=["pyramid", "baseline"])
+    def test_zero_rois_give_no_detections_and_empty_radii(self, baseline):
+        cfg = single_level_baseline(HeadConfig()) if baseline else HeadConfig()
+        scene = generate_scene(SceneConfig(seed=5))
+        dets, radii = run_head(cfg, init_head_params(cfg, 0), scene.ps,
+                               build_index(scene.ps, INDEX_CELL), [], 0.01)
+        assert dets == [] and len(radii) == len(cfg.pyramid.levels)
+        assert all(r.shape == (0,) and r.dtype == np.float64 for r in radii)
+        assert loss(dets, [], cfg).item() == 0.0
+
+
+def codec_cases(rng, n):
+    """``n`` seeded (proposal, gt, residuals) triples, with yaws at and near
+    +-pi and log-extent residuals at the +-50 bound among them."""
+    near_pi = [math.pi, -math.pi, np.nextafter(math.pi, 0), np.nextafter(-math.pi, 0),
+               math.pi - 1e-9, -math.pi + 1e-9]
+    cases = []
+    for i in range(n):
+        yaws = rng.choice(near_pi, 2) if i % 3 == 0 else rng.uniform(-math.pi, math.pi, 2)
+        prop = Box3D.from_center(rng.normal(scale=20.0, size=3),
+                                 rng.uniform(0.2, 12.0, 3), yaws[0])
+        gt = Box3D.from_center(rng.normal(scale=20.0, size=3),
+                               rng.uniform(0.2, 12.0, 3), yaws[1])
+        res = rng.normal(scale=2.0, size=7)
+        if i % 4 == 1:
+            res[3:6] = rng.choice([-50.0, 50.0, np.nextafter(50.0, 0)], 3)
+        if i % 5 == 2:
+            res[6] = rng.choice([math.pi, -math.pi, 2 * math.pi, 1e-17])
+        cases.append((prop, gt, res))
+    return cases
+
+
+class TestBoxCodec:
+    """decode_boxes, residual_targets and box_rows against the per-RoI oracles, bitwise."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4000])
+    def test_equal_the_per_roi_oracles(self, n):
+        cases = codec_cases(np.random.default_rng(2109 + n), n)
+        props = [p for p, _, _ in cases]
+        gts = [g for _, g, _ in cases]
+        res = np.reshape([r for _, _, r in cases], (n, 7))
+        rows, gt_rows = box_rows(props), box_rows(gts)
+        assert rows.shape == (n, 7) and rows.dtype == np.float64
+        decoded = decode_boxes(rows, res)
+        targets = residual_targets(rows, gt_rows)
+        assert decoded.shape == targets.shape == (n, 7)
+        for i, (prop, gt, r) in enumerate(cases):
+            assert np.array_equal(rows[i], oracles.box_row(prop))
+            want = oracles.apply_residuals(prop, r)
+            got = Box3D.from_center(decoded[i, 0:3], decoded[i, 3:6], decoded[i, 6])
+            assert np.array_equal(got.corner, want.corner), i
+            assert np.array_equal(got.extents, want.extents), i
+            assert got.yaw == want.yaw, i
+            assert np.array_equal(targets[i], oracles.residual_target(prop, gt)), i
+
+    def test_range_error_names_the_first_bad_row_as_the_oracle_does(self):
+        rng = np.random.default_rng(7)
+        props = [Box3D.from_center(rng.normal(size=3), [1, 2, 1], 0.1) for _ in range(6)]
+        for col, value in ([3, 50.0 + 1e-9], [4, -np.inf], [0, np.nan], [6, np.inf],
+                           [5, -51.0]):
+            res = rng.normal(size=(6, 7))
+            res[:, 3:6] = np.clip(res[:, 3:6], -50.0, 50.0)
+            res[2, col] = value
+            res[4, 0] = np.nan     # a later bad row is not the one named
+            with pytest.raises(RuntimeError) as want:
+                oracles.apply_residuals(props[2], res[2])
+            with pytest.raises(RuntimeError) as got:
+                decode_boxes(box_rows(props), res)
+            assert str(got.value) == str(want.value) == f"box residuals out of range: {res[2]}"
 
 
 def detections(proposal, logits, residuals):
@@ -263,19 +355,21 @@ class TestLoss:
         assert loss([], [], HeadConfig()).item() == 0.0
 
     def test_regression_targets_recover_gt(self):
-        from pyrhead.head import residual_target
         rng = np.random.default_rng(0)
+        props, gts = [], []
         for _ in range(10):
-            prop = Box3D.from_center(rng.normal(size=3),
-                                     rng.uniform(0.5, 3.0, 3),
-                                     rng.uniform(-3, 3))
-            gt = Box3D.from_center(rng.normal(size=3),
-                                   rng.uniform(0.5, 3.0, 3),
-                                   rng.uniform(-3, 3))
-            refined = apply_residuals(prop, residual_target(prop, gt))
-            np.testing.assert_allclose(refined.corner, gt.corner, atol=1e-9)
-            np.testing.assert_allclose(refined.extents, gt.extents, atol=1e-9)
-            assert abs(math.remainder(refined.yaw - gt.yaw, 2 * math.pi)) < 1e-9
+            props.append(Box3D.from_center(rng.normal(size=3),
+                                           rng.uniform(0.5, 3.0, 3),
+                                           rng.uniform(-3, 3)))
+            gts.append(Box3D.from_center(rng.normal(size=3),
+                                         rng.uniform(0.5, 3.0, 3),
+                                         rng.uniform(-3, 3)))
+        rows, gt_rows = box_rows(props), box_rows(gts)
+        refined = decode_boxes(rows, residual_targets(rows, gt_rows))
+        np.testing.assert_allclose(refined[:, 0:3], gt_rows[:, 0:3], atol=1e-9)
+        np.testing.assert_allclose(refined[:, 3:6], gt_rows[:, 3:6], atol=1e-9)
+        for got, gt in zip(refined[:, 6], gts):
+            assert abs(math.remainder(got - gt.yaw, 2 * math.pi)) < 1e-9
 
 
 class TestIoU:

@@ -260,6 +260,32 @@ class TestTrainToy:
         b = train_toy(cfg, fast, steps=3, lr=0.002, seed=1, n_scenes=2)
         assert a.losses == b.losses and a.radii == b.radii
 
+    @pytest.mark.parametrize("steps,n_scenes,built", [(3, 30, 20), (25, 30, 25), (3, 7, 7)])
+    def test_builds_only_the_scenes_it_reads(self, fast, monkeypatch, steps, n_scenes,
+                                             built):
+        """min(n_scenes, max(steps, 20)) scenes are generated, and every
+        TrainResult field equals that of a run over the full list."""
+        cfg = tiny_head()
+        generate = synth.generate_scene
+        calls = []
+
+        def counting(scene_cfg, index=0):
+            calls.append(index)
+            return generate(scene_cfg, index)
+
+        monkeypatch.setattr(synth, "generate_scene", counting)
+        got = train_toy(cfg, fast, steps=steps, lr=0.002, seed=1, n_scenes=n_scenes)
+        assert calls == list(range(built))
+        monkeypatch.setattr(synth, "generate_scenes", lambda scene_cfg, _count: [
+            generate(scene_cfg, i) for i in range(n_scenes)])
+        want = train_toy(cfg, fast, steps=steps, lr=0.002, seed=1, n_scenes=n_scenes)
+        for f in dataclasses.fields(want):
+            if f.name != "params":
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+        for (_, a), (_, b) in zip(got.params.named_parameters(),
+                                  want.params.named_parameters()):
+            assert np.array_equal(a.data, b.data)
+
     @pytest.mark.parametrize("clip", [1e-3, 1e6])
     def test_gradient_clipping_bounds_the_step(self, fast, monkeypatch, clip):
         from pyrhead import synth
