@@ -1,15 +1,17 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-A minimal tape: every operation records its parents and a backward closure,
-``Value.backward()`` runs the closures in reverse topological order, handing
-each the gradient of its output. The backward releases the tape as it walks
-it: once a node's closure has passed its gradient on, the node drops its
-closure, its parents and its gradient, so the tape is gone when
-``backward()`` returns and only leaves (parameters and inputs) keep
-``.grad``. A second backward that reaches a released node raises
-RuntimeError. A closure refers to its inputs but never to its own output, so
-the tape holds no reference cycles, and reference counting frees an
-unwalked tape as soon as its last result goes out of scope. Only first-order
+A minimal tape: every operation defines its backward closure first and then
+builds its node whole, ``Value(data, parents, backward)``, which keeps the
+Values among the parents in the given order. ``Value.backward()`` runs the
+closures in reverse topological order, handing each the gradient of its
+output. The backward releases the tape as it walks it: once a node's closure
+has passed its gradient on, the node drops its closure, its parents and its
+gradient, so the tape is gone when ``backward()`` returns and only leaves
+(parameters and inputs) keep ``.grad``. A second backward that reaches a
+released node raises RuntimeError. A closure is made before its node exists,
+so it cannot refer to it: the tape holds no reference cycles, and reference
+counting frees an unwalked tape as soon as its last result goes out of
+scope. ``add`` is the one way to add Values. Only first-order
 gradients are supported. All math is 64-bit. The ops here are the ones the
 library calls; ops that only the reference implementations use live with
 them in ``tests/oracles.py``.
@@ -57,11 +59,12 @@ class Value:
     # make numpy defer mixed expressions like `ndarray - Value` to our ops
     __array_ufunc__ = None
 
-    def __init__(self, data, _parents=(), _backward=None):
+    def __init__(self, data, parents=(), backward=None):
         self.data = _as_array(data)
         self._grad: Array | None = None
-        self._parents: tuple[Value, ...] = _parents
-        self._backward: Callable[[Array], None] | None = _backward
+        # the Values among the parents, in order: constants get no gradient
+        self._parents: tuple[Value, ...] = tuple(p for p in parents if isinstance(p, Value))
+        self._backward: Callable[[Array], None] | None = backward
 
     # -- introspection -------------------------------------------------
     @property
@@ -138,26 +141,15 @@ class Value:
                 node._backward(node._grad)
             node._backward, node._parents, node._grad = _released, (), None
 
-    # -- arithmetic ----------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
 
 def _data(x) -> Array:
     return x.data if isinstance(x, Value) else _as_array(x)
-
-
-def _parents_of(*xs) -> tuple[Value, ...]:
-    return tuple(x for x in xs if isinstance(x, Value))
 
 
 # -- binary ops ---------------------------------------------------------
 
 def add(a, b) -> Value:
     ad, bd = _data(a), _data(b)
-    out = Value(ad + bd, _parents_of(a, b))
 
     def _bw(g):
         if isinstance(a, Value):
@@ -165,13 +157,11 @@ def add(a, b) -> Value:
         if isinstance(b, Value):
             b._accum(_unbroadcast(g, bd.shape))
 
-    out._backward = _bw
-    return out
+    return Value(ad + bd, (a, b), _bw)
 
 
 def mul(a, b) -> Value:
     ad, bd = _data(a), _data(b)
-    out = Value(ad * bd, _parents_of(a, b))
 
     def _bw(g):
         if isinstance(a, Value):
@@ -179,8 +169,7 @@ def mul(a, b) -> Value:
         if isinstance(b, Value):
             b._accum_owned(_unbroadcast(g * ad, bd.shape))
 
-    out._backward = _bw
-    return out
+    return Value(ad * bd, (a, b), _bw)
 
 
 def linear(x, W, b) -> Value:
@@ -190,7 +179,6 @@ def linear(x, W, b) -> Value:
     if xd.ndim < 1 or xd.shape[-1] != Wd.shape[0] or bd.shape != (Wd.shape[1],):
         raise ValueError(
             f"linear dimension mismatch: x{xd.shape} W{Wd.shape} b{bd.shape}")
-    out = Value(xd @ Wd + bd, _parents_of(x, W, b))
 
     def _bw(g):
         if isinstance(x, Value):
@@ -201,13 +189,13 @@ def linear(x, W, b) -> Value:
         if isinstance(b, Value):
             b._accum_owned(g.reshape(-1, Wd.shape[1]).sum(axis=0))
 
-    out._backward = _bw
-    return out
+    return Value(xd @ Wd + bd, (x, W, b), _bw)
 
 
 # -- elementwise --------------------------------------------------------
 
-def _np_sigmoid(d: Array) -> Array:
+def sigmoid(d: Array) -> Array:
+    """Elementwise logistic function of an array; saturates without overflow."""
     # 1 / (1 + e) where d >= 0 and e / (1 + e) elsewhere, e = exp(-|d|) <= 1
     # so neither sign overflows; max(e, d >= 0) picks the numerator without
     # a branch (np.where over both quotients ran ~2.5x slower on [8192, 4])
@@ -225,56 +213,39 @@ def _np_sigmoid_slope(d: Array) -> Array:
     return e / (1.0 + e) ** 2
 
 
-def sigmoid(x):
-    """Elementwise logistic function of an array or scalar; saturates without overflow."""
-    d = _as_array(x)
-    r = _np_sigmoid(d)
-    return r if d.shape else float(r)
-
-
 def relu(x: Value) -> Value:
     mask = x.data > 0
-    out = Value(np.where(mask, x.data, 0.0), (x,))
 
     def _bw(g):
         x._accum_owned(g * mask)
 
-    out._backward = _bw
-    return out
+    return Value(np.where(mask, x.data, 0.0), (x,), _bw)
 
 
 def softplus(x: Value) -> Value:
-    out = Value(np.logaddexp(0.0, x.data), (x,))
-
     def _bw(g):
-        x._accum_owned(g * _np_sigmoid(x.data))
+        x._accum_owned(g * sigmoid(x.data))
 
-    out._backward = _bw
-    return out
+    return Value(np.logaddexp(0.0, x.data), (x,), _bw)
 
 
 def smooth_l1(x: Value) -> Value:
     """Elementwise huber: 0.5 x^2 inside |x|<=1, |x|-0.5 outside."""
     d = x.data
-    out = Value(np.where(np.abs(d) <= 1.0, 0.5 * d * d, np.abs(d) - 0.5), (x,))
 
     def _bw(g):
         x._accum_owned(g * np.clip(d, -1.0, 1.0))
 
-    out._backward = _bw
-    return out
+    return Value(np.where(np.abs(d) <= 1.0, 0.5 * d * d, np.abs(d) - 0.5), (x,), _bw)
 
 
 # -- reductions and shaping ---------------------------------------------
 
 def vsum(x: Value) -> Value:
-    out = Value(x.data.sum(), (x,))
-
     def _bw(g):
         x._accum(np.broadcast_to(g, x.shape))
 
-    out._backward = _bw
-    return out
+    return Value(x.data.sum(), (x,), _bw)
 
 
 def _segment_starts(row: np.ndarray, n_rows: int) -> np.ndarray:
@@ -307,20 +278,16 @@ def segment_max(x: Value, row, n_rows: int) -> Value:
 
 def reshape(x: Value, shape) -> Value:
     orig = x.shape
-    out = Value(x.data.reshape(shape), (x,))
 
     def _bw(g):
         x._accum(g.reshape(orig))
 
-    out._backward = _bw
-    return out
+    return Value(x.data.reshape(shape), (x,), _bw)
 
 
 def concat(items: Sequence, axis: int = 0) -> Value:
     datas = [_data(v) for v in items]
-    out = Value(np.concatenate(datas, axis=axis), _parents_of(*items))
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [d.shape[axis] for d in datas])
 
     def _bw(g):
         for v, lo, hi in zip(items, offsets[:-1], offsets[1:]):
@@ -329,22 +296,19 @@ def concat(items: Sequence, axis: int = 0) -> Value:
                 sl[axis] = slice(lo, hi)
                 v._accum(g[tuple(sl)])
 
-    out._backward = _bw
-    return out
+    return Value(np.concatenate(datas, axis=axis), items, _bw)
 
 
 def take(x: Value, indices) -> Value:
     """Row gather along axis 0."""
     idx = np.asarray(indices, dtype=np.intp)
-    out = Value(x.data[idx], (x,))
 
     def _bw(g):
         buf = np.zeros_like(x.data)
         np.add.at(buf, idx, g)
         x._accum_owned(buf)
 
-    out._backward = _bw
-    return out
+    return Value(x.data[idx], (x,), _bw)
 
 
 # -- oracle ---------------------------------------------------------------

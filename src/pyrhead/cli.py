@@ -22,7 +22,7 @@ from .head import CONFIG_SCHEMA_VERSION, HeadConfig
 from .nn import init_mlp
 from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                         GateOverride, NeighborBundle, init_attention_params,
-                        pool_feature, roi_grid_attention,
+                        _check_tau, pool_feature, roi_grid_attention,
                         roi_grid_attention_darp, sampling_range)
 from .spatial import PointSet, build_index
 from .synth import (BUCKET_LABELS, SceneConfig, TrainingDiverged,
@@ -127,9 +127,12 @@ def cmd_gridgen(args) -> int:
 def cmd_attend(args) -> int:
     if args.gates and args.op not in ("unified", "darp"):
         raise CliError(f"--gates applies to --op unified or darp, not {args.op}")
-    for flag, value in (("--radius", args.radius), ("--tau", args.tau)):
-        if not 0 < value < math.inf:    # every op, though only darp reads tau
-            raise CliError(f"{flag} must be positive and finite, got {value}")
+    if not 0 < args.radius < math.inf:
+        raise CliError(f"--radius must be positive and finite, got {args.radius}")
+    try:
+        _check_tau(args.tau)            # every op, though only darp reads tau
+    except ValueError as exc:
+        raise CliError(f"--{exc}") from None    # its message starts with "tau"
     if args.op == "darp" and not sampling_range(args.radius, args.tau) < math.inf:
         raise CliError(f"--radius {args.radius} + 5 * --tau {args.tau}, the darp "
                        "sampling range, must be finite")

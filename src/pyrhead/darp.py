@@ -73,9 +73,9 @@ class TemperatureSchedule:
 
     @staticmethod
     def check_tau(tau_start: float, tau_end: float) -> None:
-        if not np.inf > tau_start >= tau_end > 0:
-            raise ValueError("need a finite tau_start >= tau_end > 0, "
-                             f"got tau_start={tau_start} and tau_end={tau_end}")
+        if not (np.inf > tau_start >= tau_end > 0 and 1.0 / float(tau_end) < np.inf):
+            raise ValueError("need a finite tau_start >= tau_end > 0 with a finite "
+                             f"1/tau_end, got tau_start={tau_start} and tau_end={tau_end}")
 
 
 def temperature(step: int, sched: TemperatureSchedule) -> float:

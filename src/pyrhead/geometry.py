@@ -16,6 +16,9 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 MAX_GRID_POINTS = 10**6   # points of one grid; the default pyramid's largest has 216
+# bound on a box's |corner| and on its extents times a ratio: every grid
+# coordinate then stays below 11 * GRID_REACH, which is finite
+GRID_REACH = float(np.finfo(np.float64).max) / 16
 
 
 def wrap_angle(yaw):
@@ -240,6 +243,13 @@ def pyramid_grid_points(boxes, level: PyramidLevelConfig) -> np.ndarray:
     extents = np.array([b.extents for b in boxes]).reshape(-1, 1, 3)
     center = corner + 0.5 * extents
     rho = np.array(level.ratios, dtype=np.float64)
+    # extents > GRID_REACH / rho, not rho * extents > GRID_REACH: no product overflows
+    far = (np.abs(corner) > GRID_REACH) | (extents > GRID_REACH / rho)
+    if far.any():
+        box = boxes[int(np.argmax(far.any(axis=(1, 2))))]
+        raise ValueError(f"box with corner {box.corner.tolist()} and extents "
+                         f"{box.extents.tolist()}, enlarged by ratios {level.ratios}, "
+                         f"has a corner or an enlarged extent beyond {GRID_REACH:.4g}")
     step = rho * extents / np.array(level.grid.sizes, dtype=np.float64)
     if level.anchor_mode == "corner" or level.ratios == (1.0, 1.0, 1.0):
         # a unit-ratio centered grid coincides with the corner-anchored one;

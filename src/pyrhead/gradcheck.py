@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Value, finite_diff_grad, rel_error, vsum, mul
+from .autodiff import Value, add, finite_diff_grad, mul, rel_error, vsum
 from .darp import context_embedding, init_context_params, init_radius_head, predict_radius
 from .geometry import (Box3D, GridSpec, PyramidConfig, PyramidLevelConfig,
                        pyramid_grid_points)
@@ -155,7 +155,7 @@ def _radius_head_checks(seed: int) -> list[CheckResult]:
         ctx = context_embedding(roi, ps, idx, ctx_params)
         r0 = predict_radius(ctx, 0, head)
         r1 = predict_radius(ctx, 1, head)
-        return mul(r0, 1.0) + mul(r1, 0.5)
+        return add(mul(r0, 1.0), mul(r1, 0.5))
 
     leaves = dict(ctx_params.named_parameters("context."))
     leaves.update(dict(head.named_parameters("radius.")))

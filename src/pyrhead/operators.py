@@ -54,8 +54,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Value, _data, _np_sigmoid, _np_sigmoid_slope, _segment_starts,
-                       _unbroadcast, concat, reshape, segment_max)
+from .autodiff import (Value, _data, _np_sigmoid_slope, _segment_starts, _unbroadcast,
+                       concat, reshape, segment_max, sigmoid)
 from .nn import LinearParams, MLPParams, Params, init_linear
 from .spatial import PointSet, SpatialIndex
 
@@ -185,9 +185,11 @@ class NeighborBundle:
 # -- radius membership ----------------------------------------------------
 
 def _check_tau(tau: float) -> None:
-    """The rule for one soft-membership temperature: 0 < tau < inf."""
+    """The rule for one soft-membership temperature: 0 < tau < inf and a finite 1/tau."""
     if not 0 < tau < np.inf:
         raise ValueError(f"tau must be positive and finite, got {tau}")
+    if not 1.0 / float(tau) < np.inf:
+        raise ValueError(f"tau must have a finite reciprocal, got {tau}")
 
 
 def sampling_range(r, tau: float):
@@ -212,7 +214,7 @@ def soft_radius_coeff(d, r, tau):
     _check_tau(tau)
     inv_tau = 1.0 / tau
     z = (np.asarray(d, dtype=np.float64) - _data(r)) * inv_tau
-    s = 1.0 - _np_sigmoid(z)
+    s = 1.0 - sigmoid(z)
     if not isinstance(r, Value):
         return float(s) if s.ndim == 0 else s
 
@@ -307,7 +309,7 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
     # pinned gates are constant gates: their slope, and so the gradient
     # of the gate parameters, is zero; the backward takes slope(pre)
     if gates is None:
-        gate, slope = _np_sigmoid, _np_sigmoid_slope
+        gate, slope = sigmoid, _np_sigmoid_slope
     else:
         pinned = np.array([[gates.key, gates.pos, gates.value, gates.cross]])
         gate, slope = (lambda _: pinned), np.zeros_like
@@ -329,11 +331,7 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
         .transpose(1, 0, 2).reshape(-1, params.d_model)
     if group > 1:
         out_data = out_data.reshape(-1, group, params.d_model).sum(axis=1)
-
-    lps = (params.key, params.value, params.q_pos, params.w_head) + gate_lps
-    x_val, s_val = (v if isinstance(v, Value) else None for v in (feats, coeff))
-    parents = [p for lp in lps for p in (lp.W, lp.b)] + \
-        [v for v in (x_val, s_val) if v is not None]
+    x_val = feats if isinstance(feats, Value) else None     # a constant's array is not kept
 
     def _bw(gout):
         gk, gq, gv, gqk = np.hsplit(gate(pre), 4)
@@ -345,8 +343,8 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
         dwc = block_matmul(y.transpose(1, 0, 2), dz.transpose(0, 2, 1))  # [K, G, H]
         dy = unblock(block_matmul(wc.transpose(1, 0, 2), dz))    # [N, D+4]
         dw = dwc * sd
-        if s_val is not None:
-            s_val._accum_owned(unblock(dwc * w).sum(axis=1).reshape(s_val.shape))
+        if isinstance(coeff, Value):
+            coeff._accum_owned(unblock(dwc * w).sum(axis=1).reshape(coeff.shape))
         dlogits = unblock(w * (dw - (dw * w).sum(axis=0)))
         params.w_head.b._accum_owned(dlogits.sum(axis=0))
         dgk, dgq, dgqk = (np.einsum("nh,nh->n", dlogits, lv)[:, None]
@@ -380,7 +378,8 @@ def _gate_core(offsets: np.ndarray, feats, params: AttentionParams,
             lp.W._accum_owned(dt[:-1])
             lp.b._accum_owned(dt[-1])
 
-    return Value(out_data, tuple(parents), _bw)
+    lps = (params.key, params.value, params.q_pos, params.w_head) + gate_lps
+    return Value(out_data, [p for lp in lps for p in (lp.W, lp.b)] + [feats, coeff], _bw)
 
 
 def gated_attention_batched(offsets: np.ndarray, feats, params: AttentionParams,

@@ -88,8 +88,9 @@ class PointSet:
 
     @classmethod
     def from_json(cls, text: str) -> "PointSet":
-        """Point set from a JSON object; a missing field or a ``coords`` that
-        is not a list of 3-vectors raises ValueError naming the field."""
+        """Point set from a JSON object; a missing field, a ``coords`` that is
+        not a list of 3-vectors or a ``feats`` whose rows differ in length
+        raises ValueError naming the field."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("point set must be a JSON object with coords and feats")
@@ -100,7 +101,10 @@ class PointSet:
         if coords.size and (coords.ndim != 2 or coords.shape[1] != 3):
             raise ValueError("point set field 'coords' must be a list of 3-vectors")
         coords = coords.astype(np.float64).reshape(-1, 3)
-        feats = np.asarray(doc["feats"], dtype=np.float64)
+        feats = np.asarray(doc["feats"], dtype=object)
+        if feats.size and feats.ndim != 2:
+            raise ValueError("point set field 'feats' must be a list of equal-length vectors")
+        feats = feats.astype(np.float64)
         if feats.size == 0:
             feats = feats.reshape(len(coords), -1) if len(coords) else feats.reshape(0, 0)
         return cls(coords, feats)

@@ -19,7 +19,7 @@
   at a time, with one ``SpatialIndex.query`` per sphere and a zero branch
   for an empty sphere. The batched embedding must reproduce it.
 - ``masked_sigmoid``: the logistic function written with a boolean mask
-  per sign, which the branch-free ``autodiff._np_sigmoid`` must reproduce
+  per sign, which the branch-free ``autodiff.sigmoid`` must reproduce
   bitwise.
 - ``graph_feature``, ``attention_feature`` and
   ``point_transformer_feature``: the graph, standard-attention and

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import masked_sigmoid, segment_sum, softmax, vsigmoid
-from pyrhead.autodiff import (Value, _np_sigmoid, add, concat, finite_diff_grad,
-                              linear, mul, rel_error, reshape, sigmoid,
-                              segment_max, smooth_l1, softplus, take, vsum)
+from pyrhead.autodiff import (Value, add, concat, finite_diff_grad, linear, mul,
+                              rel_error, reshape, sigmoid, segment_max, smooth_l1,
+                              softplus, take, vsum)
 
 
 def fd_against_tape(make_loss, leaves, h=1e-5, tol=1e-4):
@@ -85,7 +85,7 @@ class TestSigmoid:
     @settings(max_examples=200, deadline=None)
     def test_branch_free_equals_masked_bitwise(self, xs):
         d = np.array(xs)
-        got, want = _np_sigmoid(d), masked_sigmoid(d)
+        got, want = sigmoid(d), masked_sigmoid(d)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -176,6 +176,17 @@ class TestReverseMode:
         with pytest.raises(RuntimeError, match="released"):
             vsum(add(w, 1.0)).backward()
         np.testing.assert_array_equal(x.grad, [3.0, -4.0])
+
+    def test_node_keeps_its_value_parents_in_order(self):
+        a, b = Value(1.0), Value(2.0)
+        node = Value(3.0, (a, np.ones(2), None, b), lambda g: None)
+        assert node._parents == (a, b)
+
+    @pytest.mark.parametrize("lhs,rhs", [(Value(1.0), Value(2.0)), (np.ones(2), Value(1.0)),
+                                         (Value(1.0), 2.0), (2.0, Value(1.0))])
+    def test_values_add_only_through_add(self, lhs, rhs):
+        with pytest.raises(TypeError):
+            lhs + rhs
 
     def test_unreached_parameter_has_zero_grad(self):
         x, unused = Value(2.0), Value(np.ones(3))

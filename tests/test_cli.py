@@ -292,6 +292,13 @@ class TestExitCodes:
          None, "grid sizes (1000, 1000, 1000)"),
         (["attend", "--op", "darp", "--radius", "1", "--tau", "1e308"], None, None,
          "--tau"),
+        (["attend", "--op", "darp", "--tau", "1e-320"], None, None, "--tau"),
+        (["gridgen", "--box", "0,0,0,10,1,1,0", "--grid", "2,1,1", "--ratios", "1e308,1,1"],
+         None, None, "ratios (1e+308, 1.0, 1.0)"),
+        (["gridgen", "--box", "1e308,0,0,1e308,1,1,0", "--grid", "2,1,1", "--ratios",
+          "2,1,1"], None, None, "corner [1e+308, 0.0, 0.0]"),
+        (["attend", "--op", "graph"], None, '{"coords": [[0, 0, 0], [1, 0, 0]], '
+         '"feats": [[1, 2], [3]]}', "'feats' must be a list of equal-length vectors"),
     ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
             "stats_scenes_neg", "darp_tau_nan", "train_lr_nan",
             "attend_d_model_0", "gridgen_corner_nan",
@@ -306,7 +313,9 @@ class TestExitCodes:
             "train_context_radii_empty", "train_reduce_width_0",
             "train_context_sphere_width_0", "train_radius_hidden_0",
             "train_fusion_width_0", "train_r_min_neg", "train_iou_positive_2",
-            "gridgen_grid_huge", "gridgen_grid_1000", "darp_sampling_range_inf"])
+            "gridgen_grid_huge", "gridgen_grid_1000", "darp_sampling_range_inf",
+            "darp_tau_reciprocal_inf", "gridgen_ratio_overflow", "gridgen_corner_overflow",
+            "attend_scene_ragged_feats"])
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                      argv, config, scene, field):
         if config is not None:
@@ -334,6 +343,15 @@ class TestExitCodes:
         assert field in err
         if scene is not None:
             assert f"error: {path}: " in err
+
+    def test_gridgen_grid_beyond_reach_writes_no_out_file(self, tmp_path, capsys):
+        out = tmp_path / "grid.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, _, err = invoke(["gridgen", "--box", "0,0,0,10,1,1,0", "--grid", "2,1,1",
+                                   "--ratios", "1e308,1,1", "--out", str(out)], capsys)
+        assert code == 2 and err.startswith("error: box with corner")
+        assert not out.exists()
 
     def test_memory_error_exits_two_with_one_error_line(self, capsys, monkeypatch):
         from pyrhead import cli
@@ -477,6 +495,7 @@ class TestStatsAndTrain:
         ({"reg_weight": INF}, "'reg_weight'"),
         ({"tau_start": INF}, "tau_start"),
         (level0_grid_huge, "grid sizes (1000, 1000, 1000)"),
+        ({"tau_end": 1e-320}, "tau_end=1e-320"),
     ])
     def test_train_toy_rejects_bad_config(self, tmp_path, capsys, monkeypatch, edit, field):
         """A bad config exits 2 before any training scene is generated."""

@@ -1,4 +1,5 @@
 """Context embedding, radius prediction, and the temperature schedule."""
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import oracles
 from oracles import per_roi_context_embedding
-from pyrhead.autodiff import Value, finite_diff_grad, mul, rel_error, vsum
+from pyrhead.autodiff import Value, add, finite_diff_grad, mul, rel_error, vsum
 from pyrhead.darp import (OFFSET_SCALE, TemperatureSchedule, context_embedding,
                           init_context_params, init_radius_head,
                           predict_radius, temperature)
@@ -107,7 +108,7 @@ class TestContextEmbedding:
         batched = param_grads(vsum(mul(got, u)))
         terms = [vsum(mul(per_roi_context_embedding(r, ps, idx, params), u[i]))
                  for i, r in enumerate(rois)]
-        per_roi = param_grads(sum(terms, Value(0.0)))
+        per_roi = param_grads(functools.reduce(add, terms))
         assert np.max(np.abs(batched - per_roi)) <= 1e-12 * np.max(np.abs(per_roi))
 
     def test_context_radii_must_increase(self):
@@ -189,8 +190,8 @@ class TestPredictRadius:
         ctx = Value(rng.normal(size=12))
 
         def make():
-            return mul(predict_radius(ctx, 0, head), 1.0) + \
-                mul(predict_radius(ctx, 1, head), 0.5)
+            return add(mul(predict_radius(ctx, 0, head), 1.0),
+                       mul(predict_radius(ctx, 1, head), 0.5))
 
         leaves = dict(head.named_parameters())
         leaves["ctx"] = ctx
@@ -270,3 +271,10 @@ class TestTemperature:
             TemperatureSchedule(0.02, 0.0, 10)
         with pytest.raises(ValueError, match="tau_start=inf"):
             TemperatureSchedule(math.inf, 0.02, 10)
+
+    def test_end_temperature_needs_a_finite_reciprocal(self):
+        # 1/1e-320 overflows: the membership would be NaN where d == r
+        with pytest.raises(ValueError, match="tau_end=1e-320"):
+            TemperatureSchedule(0.02, 1e-320, 10)
+        with pytest.raises(ValueError, match="tau_end=1e-320"):
+            HeadConfig(tau_end=1e-320)

@@ -2,6 +2,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import grid_points
-from pyrhead.geometry import (Box3D, GridSpec, PyramidConfig,
+from pyrhead.geometry import (GRID_REACH, Box3D, GridSpec, PyramidConfig,
                               PyramidLevelConfig, _lattice, default_pyramid_config,
                               pyramid_grid_points, pyramid_point_count,
                               wrap_angle)
@@ -118,6 +119,24 @@ class TestPyramidGrid:
         box = Box3D([0.3, -1.2, 0.7], [2.5, 4.0, 1.5], 0.4)
         assert np.array_equal(pyramid_grid_points(box, level),
                               pyramid_grid_points(box, level))
+
+    @pytest.mark.parametrize("anchor", ["corner", "center"])
+    def test_grid_is_finite_up_to_the_reach_and_refused_beyond(self, anchor):
+        level = PyramidLevelConfig(GridSpec((2, 2, 2)), (3.0, 3.0, 1.0), anchor_mode=anchor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for sign in (1.0, -1.0):
+                for yaw in (0.0, math.pi / 4, 3 * math.pi / 4):
+                    box = Box3D([sign * GRID_REACH] * 3, [GRID_REACH / 3, GRID_REACH / 3,
+                                                          GRID_REACH], yaw)
+                    assert np.isfinite(pyramid_grid_points(box, level)).all()
+            for corner, extents in (([0.0] * 3, [1e308, 1.0, 1.0]),
+                                    ([-1.1 * GRID_REACH, 0.0, 0.0], [1.0] * 3)):
+                near = Box3D([0.0] * 3, [1.0] * 3)
+                with pytest.raises(ValueError, match=re.escape(
+                        f"corner {corner} and extents {extents}, enlarged by ratios "
+                        f"(3.0, 3.0, 1.0)")):
+                    pyramid_grid_points([near, Box3D(corner, extents)], level)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=80, deadline=None)

@@ -1,11 +1,13 @@
 """Full-head behavior: cross-implementation pipeline checks, refinement
 semantics, loss closed forms, determinism, config JSON."""
 import dataclasses
+import hashlib
 import json
 import math
 import re
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +27,14 @@ from pyrhead.head import (CONFIG_SCHEMA_VERSION, Detection, HeadConfig,
 from pyrhead.nn import init_mlp
 from pyrhead.operators import GRAPH_GATES, NeighborBundle
 from pyrhead.spatial import PointSet, build_index
-from pyrhead.synth import (INDEX_CELL, SceneConfig, generate_scene,
+from pyrhead.synth import (INDEX_CELL, SceneConfig, generate_scene, scene_loss,
                            single_level_baseline)
+
+# first 16 hex digits of the sha256 of each parameter gradient of the
+# default head (init seed 0) after one scene_loss backward at tau_end,
+# recorded with numpy 2.4.6 on x86-64 from a tape whose ops set each node's
+# backward after building it; another BLAS may round the products otherwise
+GRAD_DIGESTS = Path(__file__).with_name("head_grad_digests.json")
 
 # traced bytes a training step may leave behind once its backward() returns,
 # with its detections alive: a 4-RoI step's tape is several MB
@@ -573,3 +581,17 @@ class TestTapeFreesItself:
         _step(cfg, params, scene, idx)[1].backward()
         for name, p in params.named_parameters():
             np.testing.assert_array_equal(p.grad, want[name], err_msg=name)
+
+    @pytest.mark.parametrize("name,scene_cfg", [
+        ("sparse", SceneConfig(seed=5)),
+        ("dense", SceneConfig(seed=81, clutter_density=1.0, n_objects=4)),
+    ], ids=["sparse", "dense"])
+    def test_gradients_equal_the_recorded_ones(self, name, scene_cfg):
+        """Building each node in one call changes no bit of any gradient."""
+        cfg = HeadConfig()
+        params = init_head_params(cfg, 0)
+        scene_loss(cfg, params, generate_scene(scene_cfg), cfg.tau_end)[0].backward()
+        got = {k: hashlib.sha256(p.grad.tobytes()).hexdigest()[:16]
+               for k, p in params.named_parameters()}
+        want = json.loads(GRAD_DIGESTS.read_text())[name]
+        assert got == want, sorted(k for k in want if got.get(k) != want[k])

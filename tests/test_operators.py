@@ -257,6 +257,18 @@ class TestSoftRadius:
         with pytest.raises(ValueError):
             soft_radius_coeff(1.0, 1.0, -0.1)
 
+    def test_tau_needs_a_finite_reciprocal(self):
+        # 1/1e-320 overflows, and 0 * inf would make the membership NaN
+        with pytest.raises(ValueError, match="finite reciprocal"):
+            soft_radius_coeff([0.5, 1.0], Value([1.0]), 1e-320)
+        # at the smallest temperatures still allowed, a neighbour exactly at r
+        # gets membership 1/2 and a finite radius gradient
+        r = Value(np.array([1.0]))
+        out = soft_radius_coeff(np.array([1.0]), r, 1e-300)
+        vsum(out).backward()
+        assert out.data.tolist() == [0.5]
+        assert np.all(np.isfinite(r.grad)) and r.grad[0] > 0
+
     def test_monotone_in_distance_and_radius(self):
         d = np.linspace(0, 3, 400)
         s = soft_radius_coeff(d, 1.0, 0.05)

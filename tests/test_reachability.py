@@ -236,6 +236,17 @@ def test_output_is_written_in_one_place():
         (p.name, i) for p, i in _sites(r"\bdef to_(json|csv)\("))
 
 
+def test_tape_nodes_are_built_in_one_call():
+    """Every op hands ``Value`` its data, parents and backward in one call:
+    no package line assigns ``._backward`` (the release in ``Value.backward``
+    sets it in a tuple assignment), and the parent filter ``_parents_of`` is
+    gone, since ``Value.__init__`` keeps the Values among its parents."""
+    assert not _sites(r"\._backward\s*="), sorted(
+        (p.name, i) for p, i in _sites(r"\._backward\s*="))
+    assert not _sites(r"\b(_parents_of|_np_sigmoid)\b"), sorted(
+        (p.name, i) for p, i in _sites(r"\b(_parents_of|_np_sigmoid)\b"))
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names that module ``path`` imports and never refers to."""
     tree = ast.parse(path.read_text(), filename=str(path))
