@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -24,7 +23,7 @@ from .operators import (ATTENTION_GATES, GRAPH_GATES, TRANSFORMER_GATES,
                         GateOverride, NeighborBundle, init_attention_params,
                         _check_tau, pool_feature, roi_grid_attention,
                         roi_grid_attention_darp, sampling_range)
-from .spatial import PointSet, build_index
+from .spatial import PointSet, _checked_ball, build_index
 from .synth import (BUCKET_LABELS, SceneConfig, TrainingDiverged,
                     generate_scenes, sparsity_stats, train_toy)
 
@@ -112,12 +111,16 @@ def cmd_gridgen(args) -> int:
     box_vals = _parse_list(args.box, 7, "--box")
     box = Box3D(box_vals[0:3], box_vals[3:6], box_vals[6])
     if args.config:
+        given = [f"--{flag}" for flag in ("grid", "ratios", "anchor")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise CliError(f"--config sets the pyramid levels and excludes {', '.join(given)}")
         levels = _load_config(args.config, PyramidConfig.from_json).levels
     else:
-        grid = _parse_list(args.grid, 3, "--grid", int)
-        ratios = _parse_list(args.ratios, 3, "--ratios")
+        grid = _parse_list("2,2,2" if args.grid is None else args.grid, 3, "--grid", int)
+        ratios = _parse_list("1,1,1" if args.ratios is None else args.ratios, 3, "--ratios")
         levels = [PyramidLevelConfig(GridSpec(tuple(grid)), tuple(ratios),
-                                     anchor_mode=args.anchor)]
+                                     anchor_mode=args.anchor or "center")]
     per_level = [pyramid_grid_points(box, lv).tolist() for lv in levels]
     _write(args, {"levels": per_level}, "level,x,y,z",
            ((li, *p) for li, pts in enumerate(per_level) for p in pts))
@@ -127,19 +130,17 @@ def cmd_gridgen(args) -> int:
 def cmd_attend(args) -> int:
     if args.gates and args.op not in ("unified", "darp"):
         raise CliError(f"--gates applies to --op unified or darp, not {args.op}")
-    if not 0 < args.radius < math.inf:
-        raise CliError(f"--radius must be positive and finite, got {args.radius}")
     try:
+        gp = _checked_ball(_parse_list(args.grid_point, 3, "--grid-point"), args.radius,
+                           args.max_k)[0]
         _check_tau(args.tau)            # every op, though only darp reads tau
-    except ValueError as exc:
-        raise CliError(f"--{exc}") from None    # its message starts with "tau"
-    if args.op == "darp" and not sampling_range(args.radius, args.tau) < math.inf:
-        raise CliError(f"--radius {args.radius} + 5 * --tau {args.tau}, the darp "
-                       "sampling range, must be finite")
+        if args.op == "darp":
+            sampling_range(args.radius, args.tau)
+    except ValueError as exc:           # label the rules' radius and tau with their flags
+        raise CliError(re.sub(r"\b(radius|tau)\b", r"--\1", str(exc))) from None
     rng = np.random.default_rng(args.seed)
     ps = PointSet.load(args.scene) if args.scene else _fixture_scene(args.seed)
     idx = build_index(ps, cell=max(args.radius, 0.5))
-    gp = _parse_list(args.grid_point, 3, "--grid-point")
     gates = (GateOverride.from_tuple(_parse_list(args.gates, 4, "--gates"))
              if args.gates else None)
     params = init_attention_params(rng, ps.feat_width, args.d_model, args.heads)
@@ -247,9 +248,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "config", "out", "format")
     p.add_argument("--box", required=True,
                    help="corner_x,corner_y,corner_z,W,L,H,yaw")
-    p.add_argument("--grid", default="2,2,2", help="points per axis, e.g. 6,6,6")
-    p.add_argument("--ratios", default="1,1,1", help="enlarging ratios")
-    p.add_argument("--anchor", choices=("center", "corner"), default="center")
+    # the one level's flags default in cmd_gridgen, which refuses them with --config
+    p.add_argument("--grid", help="points per axis, e.g. 6,6,6 (default 2,2,2)")
+    p.add_argument("--ratios", help="enlarging ratios (default 1,1,1)")
+    p.add_argument("--anchor", choices=("center", "corner"), help="(default center)")
 
     p = command("attend", cmd_attend, "run one aggregation operator on a scene",
                 "seed", "out", "format")

@@ -196,10 +196,16 @@ def sampling_range(r, tau: float):
     """Gather radius r + 5*tau that soft membership at radius r needs.
 
     Beyond it the membership weight is below 1 - sigmoid(5) ~ 6.7e-3.
-    ``r`` may be a float or an array of radii.
+    ``r`` may be a float or an array of radii; a range that is not finite
+    raises ValueError naming tau and the first r that overflows.
     """
     _check_tau(tau)
-    return r + 5.0 * tau
+    with np.errstate(over="ignore"):
+        cutoff = r + 5.0 * tau
+    if not np.all(np.isfinite(cutoff)):
+        raise ValueError(f"radius {np.ravel(r)[~np.isfinite(np.ravel(cutoff))][0]} + 5 * "
+                         f"tau {tau}, the sampling range, must be finite")
+    return cutoff
 
 
 def soft_radius_coeff(d, r, tau):
@@ -213,7 +219,8 @@ def soft_radius_coeff(d, r, tau):
         raise TypeError("tau is a schedule constant, not a learnable value")
     _check_tau(tau)
     inv_tau = 1.0 / tau
-    z = (np.asarray(d, dtype=np.float64) - _data(r)) * inv_tau
+    with np.errstate(over="ignore"):    # an infinite z saturates the membership
+        z = (np.asarray(d, dtype=np.float64) - _data(r)) * inv_tau
     s = 1.0 - sigmoid(z)
     if not isinstance(r, Value):
         return float(s) if s.ndim == 0 else s

@@ -89,7 +89,8 @@ class PointSet:
     @classmethod
     def from_json(cls, text: str) -> "PointSet":
         """Point set from a JSON object; a missing field, a ``coords`` that is
-        not a list of 3-vectors or a ``feats`` whose rows differ in length
+        not a list of 3-vectors, a ``feats`` whose rows differ in length or
+        an entry of either that is not a number (a boolean or a string)
         raises ValueError naming the field."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
@@ -100,10 +101,15 @@ class PointSet:
         coords = np.asarray(doc["coords"], dtype=object)
         if coords.size and (coords.ndim != 2 or coords.shape[1] != 3):
             raise ValueError("point set field 'coords' must be a list of 3-vectors")
-        coords = coords.astype(np.float64).reshape(-1, 3)
         feats = np.asarray(doc["feats"], dtype=object)
         if feats.size and feats.ndim != 2:
             raise ValueError("point set field 'feats' must be a list of equal-length vectors")
+        for name, entries in (("coords", coords), ("feats", feats)):
+            bad = [v for v in entries.flat if type(v) not in (int, float)]
+            if bad:
+                raise ValueError(f"point set field {name!r} must hold numbers only, "
+                                 f"got {bad[0]!r}")
+        coords = coords.astype(np.float64).reshape(-1, 3)
         feats = feats.astype(np.float64)
         if feats.size == 0:
             feats = feats.reshape(len(coords), -1) if len(coords) else feats.reshape(0, 0)
@@ -137,14 +143,8 @@ class SpatialIndex:
         Sorted by (distance, id); if more than max_k qualify only the
         nearest max_k are kept.
         """
-        if not 0 < r < np.inf:
-            raise ValueError(f"query radius must be positive and finite, got {r}")
-        center = _checked_centers(np.reshape(center, 3))
-        if max_k < 1:
-            raise ValueError(f"max_k must be >= 1, got {max_k}")
+        center = _checked_ball(np.reshape(center, 3), r, max_k)[0]
         cand = self.region_ids(*_ball_boxes(center, r))
-        if cand.size == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0)
         d = np.linalg.norm(self.ps.coords[cand] - center, axis=1)
         keep = d <= r
         cand, d = cand[keep], d[keep]
@@ -160,9 +160,8 @@ class SpatialIndex:
         """(row, ids, dist) of the points within r of each of the [m, 3]
         centers: closed uncapped balls, rows ascending, at the distances
         ``gather_level`` computes."""
-        if not 0 < r < np.inf:
-            raise ValueError(f"ball radius must be positive and finite, got {r}")
-        at = np.ascontiguousarray(_checked_centers(np.reshape(centers, (-1, 3))).T)
+        at, r = _checked_ball(np.reshape(centers, (-1, 3)), r)
+        at = np.ascontiguousarray(at.T)
         r = np.full(at.shape[1], float(r))
         return _gather_pairs(self, at, r, *self._columns(_ball_boxes(at, r))[:3])
 
@@ -198,14 +197,23 @@ class SpatialIndex:
 _BOX_PAD = 1.0 + 1e-9
 
 
-def _checked_centers(centers) -> np.ndarray:
-    """``centers`` [..., 3] as float64; one beyond MAX_COORD raises ValueError."""
+def _checked_ball(centers, radius, max_k=np.inf) -> tuple[np.ndarray, np.ndarray]:
+    """``centers`` [..., 3] and ``radius`` (one or an array) as float64, under the
+    rules of every ball: a cap ``max_k`` (none by default) of at least 1, centres
+    at most MAX_COORD in magnitude, radii positive and finite. A ValueError names
+    the first value that breaks one."""
+    if max_k < 1:
+        raise ValueError(f"max_k must be >= 1, got {max_k}")
     at = np.asarray(centers, dtype=np.float64)
     bad = ~np.all(np.abs(at) <= MAX_COORD, axis=-1)
     if bad.any():
         raise ValueError(f"query centre must be finite and at most {MAX_COORD:g} "
                          f"in magnitude, got {at[bad][0].tolist()}")
-    return at
+    r = np.asarray(radius, dtype=np.float64)
+    bad = ~((0 < r) & (r < np.inf))
+    if bad.any():
+        raise ValueError(f"radius must be positive and finite, got {r[bad][0]}")
+    return at, r
 
 
 def _runs(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -254,19 +262,14 @@ def gather_level(ps: PointSet, centers, radius, max_k: int
     final. All other rows are gathered at their full radius, both passes
     from the one binning.
     """
-    if max_k < 1:
-        raise ValueError(f"max_k must be >= 1, got {max_k}")
-    centers = _checked_centers(centers)
+    centers, radius = _checked_ball(centers, radius, max_k)
     if centers.ndim != 3 or centers.shape[2] != 3:
         raise ValueError(f"centers must be [R, c, 3], got shape {centers.shape}")
     n_rois, count = centers.shape[:2]
-    radius = np.asarray(radius, dtype=np.float64)
     if radius.ndim and radius.shape != (n_rois,):
         raise ValueError(f"radius must be a scalar or one value per RoI, got shape "
                          f"{radius.shape} for centers of shape {centers.shape}")
     radius = np.broadcast_to(radius, (n_rois,))
-    if not np.all((0 < radius) & (radius < np.inf)):
-        raise ValueError("gather radius must be positive and finite")
     flat = centers.reshape(-1, 3)
     if len(ps) == 0 or len(flat) == 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.int64), np.empty(0)

@@ -128,6 +128,14 @@ class TestAttend:
         doc = json.loads(out)
         assert doc["op"] == "darp" and len(doc["f_grid"]) == 64
 
+    def test_darp_far_neighbours_saturate_at_the_smallest_tau(self, capsys):
+        # (d - r) / tau overflows for every fixture point; under the suite's
+        # error::RuntimeWarning filter a warning would fail the run
+        code, out, err = invoke(["attend", "--op", "darp", "--tau", "1e-300",
+                                 "--radius", "1e150"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["neighbors"] == 16
+
     @pytest.mark.parametrize("tau", ["nan", "-1", "0", "inf"])
     @pytest.mark.parametrize("op", ["pool", "graph", "attention", "transformer",
                                     "unified", "darp"])
@@ -265,7 +273,7 @@ class TestExitCodes:
         (["attend", "--op", "graph"], None, '{"coords": [1, 2], "feats": []}',
          "'coords' must be a list of 3-vectors"),
         (["attend", "--op", "graph"], None, '{"coords": [[0, 0, "x"]], "feats": [[1]]}',
-         "could not convert string to float"),
+         "'coords' must hold numbers only, got 'x'"),
         (["attend", "--op", "graph"], None, '{"coords": [[0, 0,', "line 1"),
         (["stats", "--scenes", "1", "--seed", "-1"], None, None, "--seed"),
         (["train-toy", "--steps", "1", "--scenes", "1", "--seed", "-1"], None, None,
@@ -299,6 +307,10 @@ class TestExitCodes:
           "2,1,1"], None, None, "corner [1e+308, 0.0, 0.0]"),
         (["attend", "--op", "graph"], None, '{"coords": [[0, 0, 0], [1, 0, 0]], '
          '"feats": [[1, 2], [3]]}', "'feats' must be a list of equal-length vectors"),
+        (["attend", "--op", "graph"], None, '{"coords": [[0, 0, 0]], "feats": [[1, true]]}',
+         "'feats' must hold numbers only, got True"),
+        (["gridgen", "--box", "0,0,0,2,2,2,0.3", "--anchor", "corner", "--grid", "9,9,9"],
+         {}, None, "excludes --grid, --anchor"),
     ], ids=["attend_heads_0", "config_heads_0", "train_scenes_0",
             "stats_scenes_neg", "darp_tau_nan", "train_lr_nan",
             "attend_d_model_0", "gridgen_corner_nan",
@@ -315,7 +327,8 @@ class TestExitCodes:
             "train_fusion_width_0", "train_r_min_neg", "train_iou_positive_2",
             "gridgen_grid_huge", "gridgen_grid_1000", "darp_sampling_range_inf",
             "darp_tau_reciprocal_inf", "gridgen_ratio_overflow", "gridgen_corner_overflow",
-            "attend_scene_ragged_feats"])
+            "attend_scene_ragged_feats", "attend_scene_bool_feat",
+            "gridgen_config_with_level_flags"])
     def test_bad_input_exits_two_with_one_error_line(self, tmp_path, capsys,
                                                      argv, config, scene, field):
         if config is not None:
@@ -351,6 +364,17 @@ class TestExitCodes:
             code, _, err = invoke(["gridgen", "--box", "0,0,0,10,1,1,0", "--grid", "2,1,1",
                                    "--ratios", "1e308,1,1", "--out", str(out)], capsys)
         assert code == 2 and err.startswith("error: box with corner")
+        assert not out.exists()
+
+    def test_gridgen_config_with_level_flags_writes_no_out_file(self, tmp_path, capsys):
+        from pyrhead.geometry import default_pyramid_config
+        config = tmp_path / "pyramid.json"
+        config.write_text(oracles.pyramid_config_json(default_pyramid_config()))
+        out = tmp_path / "grid.json"
+        code, _, err = invoke(["gridgen", "--box", "0,0,0,2,2,2,0.3", "--config", str(config),
+                               "--ratios", "1,1,1", "--out", str(out)], capsys)
+        assert code == 2 and err == ("error: --config sets the pyramid levels and "
+                                     "excludes --ratios\n")
         assert not out.exists()
 
     def test_memory_error_exits_two_with_one_error_line(self, capsys, monkeypatch):

@@ -269,6 +269,15 @@ class TestSoftRadius:
         assert out.data.tolist() == [0.5]
         assert np.all(np.isfinite(r.grad)) and r.grad[0] > 0
 
+    def test_overflowing_offset_saturates_without_a_warning(self):
+        # (d - r) / tau overflows for the far neighbour at the smallest
+        # temperatures allowed; the membership saturates, its slope is zero
+        assert soft_radius_coeff([0.0, 1e10], 1.0, 1e-300).tolist() == [1.0, 0.0]
+        r = Value(np.array([1.0, 1.0]))
+        out = soft_radius_coeff(np.array([0.0, 1e10]), r, 1e-300)
+        vsum(out).backward()
+        assert out.data.tolist() == [1.0, 0.0] and r.grad.tolist() == [0.0, 0.0]
+
     def test_monotone_in_distance_and_radius(self):
         d = np.linspace(0, 3, 400)
         s = soft_radius_coeff(d, 1.0, 0.05)

@@ -157,6 +157,21 @@ def test_each_head_config_rule_has_one_home(rule, file, home):
     assert sites and sites <= inside, sorted((p.name, i) for p, i in sites - inside)
 
 
+@pytest.mark.parametrize("rule,file,home", [
+    (r"radius must be positive and finite", "spatial.py", "_checked_ball"),
+    (r"max_k must be >= 1", "spatial.py", "_checked_ball"),
+    (r"centre must be finite and at most", "spatial.py", "_checked_ball"),
+    (r"the sampling range, must be finite", "operators.py", "sampling_range"),
+], ids=["ball_radius", "neighbour_cap", "ball_centre", "sampling_range"])
+def test_each_neighbourhood_rule_has_one_home(rule, file, home):
+    """The error text of each rule on a gather's input occurs in the package
+    only in the one definition that checks it: ``query``, ``balls``,
+    ``gather_level``, ``gather_extended``, the head and ``attend`` all call it."""
+    sites = _sites(rule)
+    inside = _home(file, home)
+    assert sites and sites <= inside, sorted((p.name, i) for p, i in sites - inside)
+
+
 def test_scene_index_cell_is_read_only_in_synth():
     """``INDEX_CELL`` is read in the package only by ``synth``, whose
     ``scene_loss`` and ``infer`` build each scene's index themselves."""

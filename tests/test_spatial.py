@@ -191,6 +191,14 @@ class TestExtendedQuery:
         with pytest.raises(ValueError):
             NeighborBundle.gather_extended(ps, idx, [0, 0, 0], 1.0, 0.0, 4)
 
+    def test_overflowing_range_names_r_and_tau(self):
+        # each value is finite, their r + 5*tau is not
+        ps = oracles.empty_point_set(1)
+        idx = build_index(ps, cell=1.0)
+        with pytest.raises(ValueError, match=r"radius 1\.7e\+308 \+ 5 \* tau 1e\+307, "
+                                             "the sampling range, must be finite"):
+            NeighborBundle.gather_extended(ps, idx, [0, 0, 0], 1.7e308, 1e307, 8)
+
 
 def _gather_rows(ps, centers, radius, max_k):
     """gather_level's flat output split into one (ids, dists) pair per row."""
@@ -249,6 +257,12 @@ class TestBatchQuery:
         for bad_r in (0.0, np.nan, np.inf):
             with pytest.raises(ValueError, match="radius"):
                 gather_level(ps, np.zeros((2, 1, 3)), [1.0, bad_r], 4)
+
+    @pytest.mark.parametrize("radius,bad", [(np.inf, "inf"), ([1.0, np.nan, -1.0], "nan")])
+    def test_bad_radius_is_named(self, radius, bad):
+        ps = PointSet(np.zeros((3, 3)), np.zeros((3, 1)))
+        with pytest.raises(ValueError, match=f"radius must be positive and finite, got {bad}$"):
+            gather_level(ps, np.zeros((3, 1, 3)), radius, 4)
 
     def test_bad_shapes_raise_naming_them(self):
         ps = PointSet(np.zeros((3, 3)), np.zeros((3, 1)))
@@ -626,6 +640,18 @@ class TestPointSetIO:
         back = PointSet.from_json(oracles.point_set_json(ps))
         np.testing.assert_array_equal(back.coords, ps.coords)
         np.testing.assert_array_equal(back.feats, ps.feats)
+
+    @pytest.mark.parametrize("coords,feats,field,got", [
+        ("[[0, 0, 0]]", "[[1, true]]", "feats", "True"),
+        ("[[0, 0, 0]]", '[["1"]]', "feats", "'1'"),
+        ('[["0", 0, 0]]', "[[1]]", "coords", "'0'"),
+        ('[[0, 0, "x"]]', "[[1]]", "coords", "'x'"),
+        ("[[0, false, 0]]", "[[1]]", "coords", "False"),
+    ], ids=["feats_bool", "feats_text", "coords_text", "coords_word", "coords_bool"])
+    def test_json_takes_numbers_only(self, coords, feats, field, got):
+        with pytest.raises(ValueError, match=f"field '{field}' must hold numbers only, "
+                                             f"got {got}$"):
+            PointSet.from_json(f'{{"coords": {coords}, "feats": {feats}}}')
 
     def test_mismatched_rows_raise(self):
         with pytest.raises(ValueError):
